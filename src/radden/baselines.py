@@ -49,25 +49,25 @@ class WaveletFilterConfig:
 
 
 def svd_denoise(X, cfg: SvdFilterConfig | None = None):
-    """Best low-rank approximation of X; the retained rank is either fixed or
-    the smallest one holding the configured fraction of squared singular values."""
+    """Best low-rank approximation of X, or of each image of an (N, rows,
+    cols) stack; the retained rank is either fixed or the smallest one
+    holding the configured fraction of squared singular values."""
     cfg = cfg or SvdFilterConfig()
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise ConfigError("input contains non-finite entries")
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    n = s.shape[-1]
     if cfg.rank is not None:
+        if cfg.rank > n:
+            raise ConfigError(f"rank {cfg.rank} exceeds min dimension {n}")
         k = cfg.rank
-        if k > len(s):
-            raise ConfigError(f"rank {k} exceeds min dimension {len(s)}")
     else:
-        energy = np.cumsum(s * s)
-        total = energy[-1]
-        if total == 0.0:
-            return np.zeros_like(X)
-        k = int(np.searchsorted(energy, cfg.energy_fraction * total) + 1)
-        k = min(k, len(s))
-    return (U[:, :k] * s[:k]) @ Vt[:k]
+        energy = np.cumsum(s * s, axis=-1)
+        target = cfg.energy_fraction * energy[..., -1:]
+        k = np.sum(energy < target, axis=-1, keepdims=True) + 1
+    kept = np.where(np.arange(n) < k, s, 0.0)
+    return (U * kept[..., None, :]) @ Vt
 
 
 def _haar_fwd_1d(x, axis):
@@ -77,37 +77,34 @@ def _haar_fwd_1d(x, axis):
 
 
 def _haar_inv_1d(lo, hi, axis):
-    a = (lo + hi) / _SQRT2
-    b = (lo - hi) / _SQRT2
+    """Interleave the synthesized even and odd samples along a negative axis."""
     out_shape = list(lo.shape)
     out_shape[axis] *= 2
-    out = np.empty(out_shape, dtype=float)
-    sl_even = [slice(None)] * lo.ndim
-    sl_odd = [slice(None)] * lo.ndim
-    sl_even[axis] = slice(0, None, 2)
-    sl_odd[axis] = slice(1, None, 2)
-    out[tuple(sl_even)] = a
-    out[tuple(sl_odd)] = b
-    return out
+    return np.stack([(lo + hi) / _SQRT2, (lo - hi) / _SQRT2],
+                    axis=axis).reshape(out_shape)
+
+
+def _check_divisible(x, levels):
+    n = 2 ** levels
+    if x.shape[-2] % n or x.shape[-1] % n:
+        raise ConfigError(f"dimensions {x.shape[-2:]} not divisible by 2^{levels}")
 
 
 def haar_analysis(img, levels):
-    """Orthonormal 2-D Haar transform, coefficients in quadrant (Mallat) layout.
+    """Orthonormal 2-D Haar transform over the last two axes, coefficients in
+    quadrant (Mallat) layout.
 
-    Both dimensions must be divisible by 2**levels.
+    Both image dimensions must be divisible by 2**levels.
     """
     img = np.asarray(img, dtype=float)
-    n = 2 ** levels
-    if img.shape[0] % n or img.shape[1] % n:
-        raise ConfigError(f"dimensions {img.shape} not divisible by 2^{levels}")
+    _check_divisible(img, levels)
     coef = img.copy()
-    r, c = img.shape
+    r, c = img.shape[-2:]
     for _ in range(levels):
-        block = coef[:r, :c]
-        lo_r, hi_r = _haar_fwd_1d(block, axis=0)
-        stacked = np.concatenate([lo_r, hi_r], axis=0)
-        lo_c, hi_c = _haar_fwd_1d(stacked, axis=1)
-        coef[:r, :c] = np.concatenate([lo_c, hi_c], axis=1)
+        lo_r, hi_r = _haar_fwd_1d(coef[..., :r, :c], axis=-2)
+        stacked = np.concatenate([lo_r, hi_r], axis=-2)
+        lo_c, hi_c = _haar_fwd_1d(stacked, axis=-1)
+        coef[..., :r, :c] = np.concatenate([lo_c, hi_c], axis=-1)
         r //= 2
         c //= 2
     return coef
@@ -115,39 +112,36 @@ def haar_analysis(img, levels):
 
 def haar_synthesis(coef, levels):
     coef = np.asarray(coef, dtype=float)
-    n = 2 ** levels
-    if coef.shape[0] % n or coef.shape[1] % n:
-        raise ConfigError(f"dimensions {coef.shape} not divisible by 2^{levels}")
+    _check_divisible(coef, levels)
     out = coef.copy()
-    sizes = [(coef.shape[0] >> k, coef.shape[1] >> k) for k in range(levels)]
-    for r, c in reversed(sizes):
-        block = out[:r, :c]
-        lo_c = block[:, : c // 2]
-        hi_c = block[:, c // 2:]
-        stacked = _haar_inv_1d(lo_c, hi_c, axis=1)
-        lo_r = stacked[: r // 2]
-        hi_r = stacked[r // 2:]
-        out[:r, :c] = _haar_inv_1d(lo_r, hi_r, axis=0)
+    rows, cols = coef.shape[-2:]
+    for level in reversed(range(levels)):
+        r, c = rows >> level, cols >> level
+        block = out[..., :r, :c]
+        stacked = _haar_inv_1d(block[..., : c // 2], block[..., c // 2:], axis=-1)
+        out[..., :r, :c] = _haar_inv_1d(stacked[..., : r // 2, :],
+                                        stacked[..., r // 2:, :], axis=-2)
     return out
 
 
 def wavelet_denoise(img, cfg: WaveletFilterConfig | None = None):
     """Keep the top keep_fraction of Haar coefficients by magnitude, zero the
-    rest, and synthesize.  Non-divisible sizes are padded reflectively."""
+    rest, and synthesize; each image of an (N, rows, cols) stack has its own
+    cut-off.  Non-divisible sizes are padded reflectively."""
     cfg = cfg or WaveletFilterConfig()
     img = np.asarray(img, dtype=float)
+    rows, cols = img.shape[-2:]
     n = 2 ** cfg.levels
-    if cfg.levels > int(np.log2(min(img.shape))):
-        raise ConfigError(f"too many levels {cfg.levels} for image {img.shape}")
-    pad_r = (-img.shape[0]) % n
-    pad_c = (-img.shape[1]) % n
-    padded = np.pad(img, ((0, pad_r), (0, pad_c)), mode="reflect") if pad_r or pad_c else img
-    coef = haar_analysis(padded, cfg.levels)
-    if cfg.keep_fraction < 1.0:
-        keep = max(1, int(np.ceil(cfg.keep_fraction * coef.size)))
-        flat = np.abs(coef).ravel()
-        if keep < coef.size:
-            cutoff = np.partition(flat, coef.size - keep)[coef.size - keep]
-            coef = np.where(np.abs(coef) >= cutoff, coef, 0.0)
+    if cfg.levels > int(np.log2(min(rows, cols))):
+        raise ConfigError(f"too many levels {cfg.levels} for image {img.shape[-2:]}")
+    pad = [(0, 0)] * (img.ndim - 2) + [(0, (-rows) % n), (0, (-cols) % n)]
+    coef = haar_analysis(np.pad(img, pad, mode="reflect"), cfg.levels)
+    size = coef.shape[-2] * coef.shape[-1]
+    keep = max(1, int(np.ceil(cfg.keep_fraction * size)))
+    if keep < size:
+        mags = np.abs(coef)
+        flat = mags.reshape(*coef.shape[:-2], size)
+        cutoff = np.partition(flat, size - keep, axis=-1)[..., size - keep]
+        coef = np.where(mags >= cutoff[..., None, None], coef, 0.0)
     out = haar_synthesis(coef, cfg.levels)
-    return out[: img.shape[0], : img.shape[1]]
+    return out[..., :rows, :cols]

@@ -27,7 +27,8 @@ ALGORITHMS = ("dae", "sparse_dae", "stacked_sdae", "svd", "wavelet")
 
 SIGNATURE_KINDS = ("spectrogram", "hrrp", "frontal")
 
-SWEEP_AXES = ("snr", "mismatch", "scr", "nodes")
+# sweep axis -> the ResultRow field that records its grid value
+SWEEP_AXES = {"snr": "snr_db", "mismatch": "mismatch_pct", "scr": "scr_db"}
 
 
 @dataclass

@@ -11,11 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .sweep import ResultRow
+from .config import SWEEP_AXES
 
 __all__ = ["summarize", "write_plot_data"]
-
-_AXIS_FIELDS = {"snr": "snr_db", "scr": "scr_db", "mismatch": "mismatch_pct"}
 
 
 def _finite(rows, field):
@@ -45,7 +43,7 @@ def write_plot_data(rows, axis, directory, metric="ssim_ad"):
     """One .dat file per signature kind: grid value, then per-algorithm mean
     and spread columns.  Diverged rows are dropped from the aggregation; the
     dropped count is reported in the header comment."""
-    field = _AXIS_FIELDS[axis]
+    field = SWEEP_AXES[axis]
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []

@@ -7,7 +7,6 @@ order.  Timing columns are excluded from the reproducibility hash.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,13 +20,15 @@ from ..autoencoders import (TrainOptions, infer, train_dae, train_sparse_dae,
 from ..baselines import (SvdFilterConfig, WaveletFilterConfig, svd_denoise,
                          wavelet_denoise)
 from ..dataset import WallClass, shuffle_labels
-from ..errors import ConfigError
-from ..metrics import nmse, ssim_stack
+from ..errors import ConfigError, DomainError
+from ..metrics import (BLOCK_IMAGES, columns_to_images, images_to_columns,
+                       ssim_stack)
 from ..sparse_solvers import IstaOptions
-from .config import ExperimentConfig
+from .config import SWEEP_AXES, ExperimentConfig
 from .datasets import generate_pair
 
-__all__ = ["ResultRow", "csv_content_hash", "load_rows", "run_sweep", "write_rows"]
+__all__ = ["ResultRow", "csv_content_hash", "load_rows", "run_sweep",
+           "train_model", "write_rows"]
 
 CSV_COLUMNS = [
     "kind", "algorithm", "carrier_hz", "wall_class", "snr_db", "scr_db",
@@ -77,11 +78,16 @@ def _split_columns(Q, split, seed):
 
 
 def _mean_nmse(approx, reference):
-    vals = [nmse(approx[:, q], reference[:, q]) for q in range(reference.shape[1])]
-    return float(np.mean(vals))
+    """Mean over columns of ||approx_q - reference_q||^2 / ||reference_q||^2."""
+    energy = np.sum(reference * reference, axis=0)
+    if np.any(energy == 0.0):
+        raise DomainError("reference has zero energy")
+    diff = approx - reference
+    return float(np.mean(np.sum(diff * diff, axis=0) / energy))
 
 
-def _train_model(algorithm, clean_tr, corrupt_tr, cfg: ExperimentConfig, seed):
+def train_model(algorithm, clean_tr, corrupt_tr, cfg: ExperimentConfig, seed):
+    """Train one autoencoder variant with the options of cfg.train."""
     t = cfg.train
     opts = TrainOptions(
         outer_iterations=t.outer_iterations, outer_tolerance=t.outer_tolerance,
@@ -100,30 +106,20 @@ def _train_model(algorithm, clean_tr, corrupt_tr, cfg: ExperimentConfig, seed):
 
 
 def _baseline_denoise(algorithm, stack_cols, shape, cfg: ExperimentConfig):
+    """SVD or wavelet denoising of every column image, clipped to [0, 1]."""
     b = cfg.baselines
-    out = np.empty_like(stack_cols)
-    for q in range(stack_cols.shape[1]):
-        img = stack_cols[:, q].reshape(shape, order="F")
-        if algorithm == "svd":
-            den = svd_denoise(img, SvdFilterConfig(energy_fraction=b.svd_energy))
-        else:
-            den = wavelet_denoise(img, WaveletFilterConfig(
-                levels=b.wavelet_levels, keep_fraction=b.wavelet_keep))
-        out[:, q] = den.ravel(order="F")
-    return np.clip(out, 0.0, 1.0)
-
-
-def _timed_inference(algorithm, weights, corrupt_te, shape, cfg, passes=100):
-    if algorithm in ("svd", "wavelet"):
-        run = lambda: _baseline_denoise(algorithm, corrupt_te, shape, cfg)
+    if algorithm == "svd":
+        denoise, filter_cfg = svd_denoise, SvdFilterConfig(
+            energy_fraction=b.svd_energy)
     else:
-        run = lambda: infer(weights, corrupt_te)
-    out = run()
-    t0 = time.perf_counter()
-    for _ in range(passes):
-        run()
-    per_pass_ms = (time.perf_counter() - t0) / passes * 1e3
-    return out, per_pass_ms
+        denoise, filter_cfg = wavelet_denoise, WaveletFilterConfig(
+            levels=b.wavelet_levels, keep_fraction=b.wavelet_keep)
+    images = columns_to_images(stack_cols, shape)
+    out = np.empty_like(stack_cols)
+    for start in range(0, out.shape[1], BLOCK_IMAGES):
+        block = slice(start, start + BLOCK_IMAGES)
+        out[:, block] = images_to_columns(denoise(images[block], filter_cfg))
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def evaluate_grid_point(cfg: ExperimentConfig, value, seed):
@@ -149,7 +145,6 @@ def evaluate_grid_point(cfg: ExperimentConfig, value, seed):
 
     ssim_bd = float(np.mean(ssim_stack(corrupt_te, clean_te, shape)))
     nmse_bd = _mean_nmse(corrupt_te, clean_te)
-    nodes = cfg.train.dae_nodes if cfg.sweep.axis != "nodes" else int(value)
 
     rows = []
     for algorithm in cfg.sweep.algorithms:
@@ -157,22 +152,21 @@ def evaluate_grid_point(cfg: ExperimentConfig, value, seed):
         weights = None
         diverged = False
         if algorithm in ("dae", "sparse_dae", "stacked_sdae"):
-            local = cfg
-            if cfg.sweep.axis == "nodes":
-                local = dataclasses.replace(
-                    cfg, train=replace(cfg.train, dae_nodes=nodes,
-                                       sparse_nodes=nodes))
             t0 = time.perf_counter()
-            weights, trace = _train_model(algorithm, clean_tr.data, corrupt_tr,
-                                          local, seed)
+            weights, trace = train_model(algorithm, clean_tr.data, corrupt_tr,
+                                         cfg, seed)
             train_seconds = time.perf_counter() - t0
             diverged = not all(np.isfinite(v) for v in trace.objectives)
         if diverged:
             ssim_ad = nmse_ad = float("nan")
             test_ms = 0.0
         else:
-            denoised, test_ms = _timed_inference(algorithm, weights, corrupt_te,
-                                                 shape, cfg)
+            t0 = time.perf_counter()
+            if algorithm in ("svd", "wavelet"):
+                denoised = _baseline_denoise(algorithm, corrupt_te, shape, cfg)
+            else:
+                denoised = infer(weights, corrupt_te)
+            test_ms = (time.perf_counter() - t0) * 1e3
             ssim_ad = float(np.mean(ssim_stack(denoised, clean_te, shape)))
             nmse_ad = _mean_nmse(denoised, clean_te)
         rows.append(ResultRow(
@@ -201,15 +195,12 @@ def run_sweep(cfg: ExperimentConfig, jobs=1):
         chunks = [_job(t) for t in tasks]
     rows = [row for chunk in chunks for row in chunk]
     order = {v: i for i, v in enumerate(cfg.sweep.values)}
-    axis_of = {"snr": "snr_db", "scr": "scr_db", "mismatch": "mismatch_pct",
-               "nodes": "mismatch_pct"}[cfg.sweep.axis]
+    field = SWEEP_AXES[cfg.sweep.axis]
 
     def grid_pos(row):
-        if cfg.sweep.axis == "mismatch":
-            return order.get(row.mismatch_pct / 100.0, row.mismatch_pct)
-        if cfg.sweep.axis == "nodes":
-            return row.seed  # node count is not a row field; seeds break ties
-        return order.get(getattr(row, axis_of), getattr(row, axis_of))
+        value = getattr(row, field)
+        key = value / 100.0 if cfg.sweep.axis == "mismatch" else value
+        return order.get(key, value)
 
     rows.sort(key=lambda r: (r.kind, r.algorithm, grid_pos(r), r.seed))
     return rows

@@ -11,10 +11,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .autoencoders import save_weights
-from .bench import (load_config, load_rows, run_sweep, summarize,
-                    write_plot_data, write_rows)
-from .bench.datasets import generate_pair
-from .bench.sweep import _train_model
+from .bench import (SWEEP_AXES, generate_pair, load_config, load_rows,
+                    run_sweep, summarize, train_model, write_plot_data,
+                    write_rows)
 from .dataset import save_dataset
 from .errors import ConfigError, DomainError, FormatError
 
@@ -46,8 +45,7 @@ def _build_parser():
     report = sub.add_parser("report", help="summarize sweep CSVs")
     report.add_argument("csv", nargs="+", help="result CSV files")
     report.add_argument("--out", default=None, help="plot-data directory")
-    report.add_argument("--axis", default="snr",
-                        choices=["snr", "scr", "mismatch"])
+    report.add_argument("--axis", default="snr", choices=list(SWEEP_AXES))
     accept = sub.add_parser("accept", help="run the acceptance test suite")
     accept.add_argument("--out", default=None, help="unused; kept for symmetry")
     return parser
@@ -76,8 +74,8 @@ def _cmd_train(args):
     cfg = _load(args)
     clean, corrupt = generate_pair(cfg.dataset)
     seed = cfg.sweep.seeds[0]
-    weights, trace = _train_model(args.algorithm, clean.data, corrupt.data,
-                                  cfg, seed)
+    weights, trace = train_model(args.algorithm, clean.data, corrupt.data,
+                                 cfg, seed)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{args.algorithm}.weights"

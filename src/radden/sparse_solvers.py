@@ -23,19 +23,12 @@ __all__ = [
 class IstaOptions:
     max_iterations: int = 200
     relative_tolerance: float = 1e-4
-    step_size_mode: str = "auto"  # "auto" (power iteration) or "explicit"
-    explicit_step: float | None = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
         if self.relative_tolerance <= 0:
             raise ConfigError("relative_tolerance must be > 0")
-        if self.step_size_mode not in ("auto", "explicit"):
-            raise ConfigError(f"unknown step_size_mode {self.step_size_mode!r}")
-        if self.step_size_mode == "explicit":
-            if self.explicit_step is None or self.explicit_step <= 0:
-                raise ConfigError("explicit_step must be > 0 in explicit mode")
 
 
 @dataclass
@@ -190,10 +183,7 @@ def ista_solve(D, Y, mu, Z0, opts: IstaOptions | None = None):
         raise ConfigError(
             f"init shape {Z.shape} incompatible with {D.shape} x {Y.shape}"
         )
-    if opts.step_size_mode == "explicit":
-        step = opts.explicit_step
-    else:
-        step = 1.0 / lipschitz_bound(D)
+    step = 1.0 / lipschitz_bound(D)
     theta = 0.5 * mu * step
 
     DtD = D.T @ D

@@ -7,6 +7,12 @@ from radden.baselines import (SvdFilterConfig, WaveletFilterConfig,
 from radden.errors import ConfigError
 
 
+def assert_stack_matches_per_image(denoise, images):
+    stacked = denoise(images)
+    for img, out in zip(images, stacked):
+        np.testing.assert_array_equal(out, denoise(img))
+
+
 def haar4_matrix():
     """Explicit orthonormal 1-level Haar analysis matrix for length 4."""
     s = 1.0 / np.sqrt(2.0)
@@ -53,6 +59,22 @@ class TestSvdDenoise:
     def test_rank_too_large(self):
         with pytest.raises(ConfigError):
             svd_denoise(np.ones((3, 3)), SvdFilterConfig(rank=4))
+
+    def test_stack_energy_mode_keeps_rank_per_image(self):
+        rng = np.random.default_rng(10)
+        scales = [np.diag([10.0, 1.0, 0.1, 0.01, 0.0]),
+                  np.diag([1.0, 1.0, 1.0, 1.0, 0.1])]
+        images = np.stack([rng.standard_normal((6, 5)) @ s @
+                           rng.standard_normal((5, 5)) for s in scales])
+        ranks = [np.linalg.matrix_rank(svd_denoise(img), tol=1e-8)
+                 for img in images]
+        assert ranks[0] < ranks[1]
+        assert_stack_matches_per_image(svd_denoise, images)
+
+    def test_stack_rank_mode(self):
+        images = np.random.default_rng(11).standard_normal((4, 9, 7))
+        assert_stack_matches_per_image(
+            lambda x: svd_denoise(x, SvdFilterConfig(rank=2)), images)
 
     def test_both_modes_rejected(self):
         with pytest.raises(ConfigError):
@@ -133,6 +155,12 @@ class TestWaveletDenoise:
         out = wavelet_denoise(x, WaveletFilterConfig(levels=2, keep_fraction=1.0))
         assert out.shape == x.shape
         np.testing.assert_allclose(out, x, atol=1e-10)
+
+    def test_stack_matches_per_image(self):
+        # 31x31 needs reflect padding; each image keeps its own cut-off
+        images = np.random.default_rng(12).random((5, 31, 31))
+        images[1] *= 10.0
+        assert_stack_matches_per_image(wavelet_denoise, images)
 
     def test_too_many_levels(self):
         with pytest.raises(ConfigError):

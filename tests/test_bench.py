@@ -7,9 +7,9 @@ from radden.bench import (DatasetSpec, ExperimentConfig, SweepSpec, TrainSpec,
                           csv_content_hash, evaluate_grid_point, generate_pair,
                           grid_search, load_rows, parse_config, run_sweep,
                           summarize, write_plot_data, write_rows)
-from radden.bench.sweep import ResultRow
+from radden.bench.sweep import ResultRow, _mean_nmse
 from radden.cli import main
-from radden.errors import ConfigError
+from radden.errors import ConfigError, DomainError
 
 
 def tiny_config(**sweep_kw):
@@ -80,6 +80,10 @@ class TestConfigParsing:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("[sweep]\nalgorithms = dae perceptron\n")
+
+    def test_nodes_axis_rejected(self):
+        with pytest.raises(ConfigError):
+            SweepSpec(axis="nodes")
 
 
 class TestGeneration:
@@ -174,6 +178,22 @@ class TestSweep:
         cfg.train.outer_iterations = 10
         (row,) = run_sweep(cfg)
         assert row.ssim_ad >= row.ssim_bd
+
+
+class TestMeanNmse:
+    def test_matches_per_column_mean(self):
+        rng = np.random.default_rng(0)
+        ref = rng.random((20, 5)) + 0.1
+        approx = ref + 0.1 * rng.standard_normal((20, 5))
+        expected = np.mean([np.sum((approx[:, q] - ref[:, q]) ** 2)
+                            / np.sum(ref[:, q] ** 2) for q in range(5)])
+        assert _mean_nmse(approx, ref) == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_energy_reference_column(self):
+        ref = np.ones((4, 3))
+        ref[:, 1] = 0.0
+        with pytest.raises(DomainError):
+            _mean_nmse(np.ones((4, 3)), ref)
 
 
 class TestGridSearch:

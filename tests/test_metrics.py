@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from radden.errors import ConfigError, DomainError
-from radden.metrics import SsimParams, nmse, ssim, ssim_stack
+from radden.metrics import (BLOCK_IMAGES, SsimParams, columns_to_images,
+                            images_to_columns, nmse, ssim, ssim_stack)
 
 
 def reference_global_ssim(a, b, k1=0.01, k2=0.03, data_range=1.0):
@@ -64,13 +65,32 @@ class TestSsim:
 
     def test_stack_matches_per_column(self):
         rng = np.random.default_rng(5)
-        a = rng.random((144, 3))
-        b = rng.random((144, 3))
-        per = ssim_stack(a, b, (12, 12))
-        for q in range(3):
-            img_a = a[:, q].reshape(12, 12, order="F")
-            img_b = b[:, q].reshape(12, 12, order="F")
-            assert per[q] == ssim(img_a, img_b)
+        # the 31x31 case spans more than one block of columns
+        for shape, count in (((12, 12), 3), ((31, 31), BLOCK_IMAGES + 5)):
+            a = rng.random((shape[0] * shape[1], count))
+            b = rng.random((shape[0] * shape[1], count))
+            per = ssim_stack(a, b, shape)
+            for q in range(count):
+                img_a = a[:, q].reshape(shape, order="F")
+                img_b = b[:, q].reshape(shape, order="F")
+                assert per[q] == ssim(img_a, img_b)
+
+    def test_small_image_stack_matches_per_column(self):
+        # global-statistics path: both reduce over the same flattened image
+        rng = np.random.default_rng(10)
+        a = rng.random((70, 6))
+        b = rng.random((70, 6))
+        per = ssim_stack(a, b, (7, 10))
+        for q in range(6):
+            assert per[q] == ssim(a[:, q].reshape(7, 10, order="F"),
+                                  b[:, q].reshape(7, 10, order="F"))
+
+    def test_column_image_round_trip(self):
+        cols = np.arange(24.0).reshape(6, 4)
+        images = columns_to_images(cols, (2, 3))
+        assert images.shape == (4, 2, 3)
+        np.testing.assert_array_equal(images[1], cols[:, 1].reshape(2, 3, order="F"))
+        np.testing.assert_array_equal(images_to_columns(images), cols)
 
 
 class TestNmse:
