@@ -23,6 +23,9 @@ _ROLES = {"clean": 0, "corrupt": 1}
 
 VALUE_KINDS = {"generic": 0, "spectrogram": 1, "hrrp": 2, "frontal": 3}
 
+# one packed 5-byte column record
+_RECORD = np.dtype([("interval", "<u2"), ("realization", "<u2"), ("wall", "u1")])
+
 
 @dataclass
 class ImageStack:
@@ -107,9 +110,11 @@ def save_stack(stack: ImageStack, path):
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIBB", P, Q, VALUE_KINDS[stack.value_kind],
                              _ROLES[stack.role]))
-        for q in range(Q):
-            fh.write(struct.pack("<HHB", int(stack.interval_index[q]),
-                                 int(stack.realization[q]), int(stack.wall_class[q])))
+        records = np.empty(Q, dtype=_RECORD)
+        records["interval"] = stack.interval_index
+        records["realization"] = stack.realization
+        records["wall"] = stack.wall_class
+        fh.write(records.tobytes())
         fh.write(np.asfortranarray(stack.data).astype("<f8").tobytes(order="F"))
 
 
@@ -128,21 +133,19 @@ def load_stack(path):
     roles = {v: k for k, v in _ROLES.items()}
     if kind_tag not in kinds or role_tag not in roles:
         raise FormatError(f"unknown kind/role tag in {path}")
-    need = off + 5 * Q + 8 * P * Q
+    need = off + _RECORD.itemsize * Q + 8 * P * Q
     if len(raw) < need:
         raise FormatError(f"truncated stack in {path}: {len(raw)} < {need} bytes")
-    interval = np.empty(Q, dtype=np.uint16)
-    realization = np.empty(Q, dtype=np.uint16)
-    wall = np.empty(Q, dtype=np.uint8)
-    for q in range(Q):
-        interval[q], realization[q], wall[q] = struct.unpack_from("<HHB", raw, off)
-        off += 5
+    records = np.frombuffer(raw, dtype=_RECORD, count=Q, offset=off)
+    off += _RECORD.itemsize * Q
     data = np.frombuffer(raw, dtype="<f8", count=P * Q, offset=off)
     data = data.reshape((P, Q), order="F").copy()
     side = int(round(np.sqrt(P)))
     shape = (side, side) if side * side == P else (P, 1)
-    return ImageStack(data=data, image_shape=shape, interval_index=interval,
-                      realization=realization, wall_class=wall,
+    return ImageStack(data=data, image_shape=shape,
+                      interval_index=records["interval"],
+                      realization=records["realization"],
+                      wall_class=records["wall"],
                       role=roles[role_tag], value_kind=kinds[kind_tag])
 
 

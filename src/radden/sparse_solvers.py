@@ -8,6 +8,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 __all__ = [
+    "BLOCK_COLUMNS",
     "IstaOptions",
     "IstaResult",
     "RidgeDesign",
@@ -17,6 +18,11 @@ __all__ = [
     "soft_threshold",
     "solve_least_squares",
 ]
+
+# Columns per ISTA block.  Every column's products run at this one width, so
+# its codes do not depend on which columns share its block; a one-column
+# D.T @ y would go to gemv and round differently from the blocked GEMM.
+BLOCK_COLUMNS = 32
 
 
 @dataclass
@@ -109,54 +115,51 @@ def solve_least_squares(A, B, ridge=None):
     return RidgeDesign(A, ridge=ridge).solve(B)
 
 
-def lipschitz_bound(A, tol=1e-6, max_iterations=5000):
-    """Upper bound on the largest eigenvalue of A.T A via power iteration.
+def _gram_bound(G):
+    """1.01 * the largest eigenvalue of the Gram matrix G; 1e-12 if G is zero."""
+    lam = float(np.linalg.eigvalsh(G)[-1]) if G.size else 0.0
+    return 1.01 * lam if lam > 0.0 else 1e-12
 
-    The dominant eigenvalue is estimated to `tol` relative accuracy and
-    inflated by 1%.  A zero matrix returns a tiny positive floor.
+
+def lipschitz_bound(A):
+    """Upper bound on the largest eigenvalue of A.T A: 1.01 * sigma_max(A)^2.
+
+    The eigenvalue comes from a dense symmetric eigensolver on the smaller
+    Gram matrix; both Gram matrices share their largest eigenvalue.  A zero
+    matrix returns a tiny positive floor.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ConfigError("expected a 2-D matrix")
-    norm = np.linalg.norm(A)
-    if norm == 0.0:
-        return 1e-12
-    # iterate on the smaller Gram matrix; both share the dominant eigenvalue
-    G = A.T @ A if A.shape[1] <= A.shape[0] else A @ A.T
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(G.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iterations):
-        w = G @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 1e-12
-        v = w / nw
-        lam_new = float(v @ (G @ v))
-        if abs(lam_new - lam) <= tol * abs(lam_new):
-            lam = lam_new
-            break
-        lam = lam_new
-    return 1.01 * lam
+    return _gram_bound(A.T @ A if A.shape[1] <= A.shape[0] else A @ A.T)
 
 
-def _ista_column(dtd, dty, yty, z0, mu, step, theta, opts):
-    """Single-column ISTA via the precomputed Gram form of the objective."""
-    z = z0.copy()
+def _ista_block(dtd, dty, yty, z, mu, step, theta, opts):
+    """ISTA on one (K, BLOCK_COLUMNS) block via the Gram form of the objective.
+
+    Returns the codes and the (sweeps + 1, BLOCK_COLUMNS) per-column objectives.
+    """
+    def objective(z, g):
+        return (yty - 2.0 * np.sum(z * dty, axis=0) + np.sum(z * g, axis=0)
+                + mu * np.sum(np.abs(z), axis=0))
+
     g = dtd @ z
-    obj = yty - 2.0 * (z @ dty) + z @ g + mu * np.sum(np.abs(z))
-    history = [float(obj)]
-    it = 0
-    for it in range(1, opts.max_iterations + 1):
-        z = soft_threshold(z + step * (dty - g), theta)
-        g = dtd @ z
-        obj = yty - 2.0 * (z @ dty) + z @ g + mu * np.sum(np.abs(z))
-        history.append(float(obj))
-        prev = history[-2]
-        if abs(prev - obj) <= opts.relative_tolerance * max(abs(prev), 1e-300):
+    obj = objective(z, g)
+    history = [obj]
+    active = np.ones(z.shape[1], dtype=bool)
+    for _ in range(opts.max_iterations):
+        z_new = soft_threshold(z + step * (dty - g), theta)
+        g_new = dtd @ z_new
+        prev = obj
+        obj = np.where(active, objective(z_new, g_new), prev)
+        z = np.where(active, z_new, z)
+        g = np.where(active, g_new, g)
+        history.append(obj)
+        active &= ~(np.abs(prev - obj) <= opts.relative_tolerance
+                    * np.maximum(np.abs(prev), 1e-300))
+        if not active.any():
             break
-    return z, history, it
+    return z, np.array(history)
 
 
 def ista_solve(D, Y, mu, Z0, opts: IstaOptions | None = None):
@@ -164,8 +167,12 @@ def ista_solve(D, Y, mu, Z0, opts: IstaOptions | None = None):
 
     Iterates Z <- soft_threshold(Z + (1/L) D.T (Y - D Z), mu / (2 L)) from the
     given warm start; the objective is non-increasing across iterations.
-    Columns are solved independently, so any column partitioning of Y produces
-    bitwise-identical results.
+    Columns are solved independently, each with its own stopping rule, in
+    zero-padded blocks of BLOCK_COLUMNS columns.  Every column goes through
+    the same fixed-width block products, so any column partitioning of Y
+    produces bitwise-identical codes.  `iterations` is the longest column's
+    count, and `objectives` holds per-sweep totals in which a stopped column
+    contributes its final value.
     """
     if opts is None:
         opts = IstaOptions()
@@ -183,22 +190,27 @@ def ista_solve(D, Y, mu, Z0, opts: IstaOptions | None = None):
         raise ConfigError(
             f"init shape {Z.shape} incompatible with {D.shape} x {Y.shape}"
         )
-    step = 1.0 / lipschitz_bound(D)
+    DtD = D.T @ D
+    step = 1.0 / _gram_bound(DtD)
     theta = 0.5 * mu * step
 
-    DtD = D.T @ D
-    iterations = 0
     histories = []
-    for j in range(Y.shape[1]):
-        y = Y[:, j]
-        zj, history, it = _ista_column(DtD, D.T @ y, float(y @ y), Z[:, j],
-                                       mu, step, theta, opts)
-        Z[:, j] = zj
-        histories.append(history)
-        iterations = max(iterations, it)
-    # per-sweep total: frozen columns contribute their final objective
+    for start in range(0, Y.shape[1], BLOCK_COLUMNS):
+        cols = slice(start, min(start + BLOCK_COLUMNS, Y.shape[1]))
+        width = cols.stop - start
+        Yb = np.zeros((Y.shape[0], BLOCK_COLUMNS))
+        Yb[:, :width] = Y[:, cols]
+        Zb = np.zeros((Z.shape[0], BLOCK_COLUMNS))
+        Zb[:, :width] = Z[:, cols]
+        Zb, history = _ista_block(DtD, D.T @ Yb, np.sum(Yb * Yb, axis=0), Zb,
+                                  mu, step, theta, opts)
+        Z[:, cols] = Zb[:, :width]
+        histories.append(history[:, :width])
+    # per-sweep total: stopped columns contribute their final objective
     depth = max((len(h) for h in histories), default=0)
-    objectives = [
-        sum(h[min(k, len(h) - 1)] for h in histories) for k in range(depth)
-    ]
-    return IstaResult(z=Z, objectives=objectives, iterations=iterations, step=step)
+    totals = np.zeros(depth)
+    for h in histories:
+        totals[: len(h)] += h.sum(axis=1)
+        totals[len(h):] += h[-1].sum()
+    return IstaResult(z=Z, objectives=totals.tolist(),
+                      iterations=max(depth - 1, 0), step=step)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,6 +183,22 @@ class TestStackIo:
         assert back.role == "corrupt"
         assert back.value_kind == stack.value_kind
         assert back.image_shape == (8, 8)
+
+    def test_bytes_match_record_by_record_layout(self, tmp_path):
+        stack = make_stack(P=16, Q=9, shape=(4, 4), role="corrupt")
+        stack.interval_index[2] = 65535
+        stack.realization[5] = 4097
+        stack.wall_class[8] = 255
+        path = tmp_path / "s.rdae"
+        save_stack(stack, path)
+        expected = b"RDAE1" + struct.pack("<IIBB", 16, 9, 0, 1)
+        for q in range(9):
+            expected += struct.pack("<HHB", int(stack.interval_index[q]),
+                                    int(stack.realization[q]),
+                                    int(stack.wall_class[q]))
+        expected += stack.data.astype("<f8").tobytes(order="F")
+        assert path.read_bytes() == expected
+        assert load_stack(path).metadata_matches(stack)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.rdae"

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from radden.errors import ConfigError, DomainError
-from radden.sparse_solvers import (IstaOptions, default_ridge, ista_solve,
-                                   lipschitz_bound, soft_threshold,
+from radden.sparse_solvers import (BLOCK_COLUMNS, IstaOptions, default_ridge,
+                                   ista_solve, lipschitz_bound, soft_threshold,
                                    solve_least_squares)
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -32,6 +32,36 @@ def coordinate_descent_lasso(D, Y, mu, iters=3000, tol=1e-12):
 
 def lasso_objective(D, Y, Z, mu):
     return float(np.sum((Y - D @ Z) ** 2) + mu * np.sum(np.abs(Z)))
+
+
+def column_ista(D, Y, mu, Z0, opts, step):
+    """Reference ISTA: one column at a time, matrix-vector products only.
+
+    Returns the codes, each column's iteration count and the per-sweep
+    objective totals, stopped columns contributing their final value.
+    """
+    dtd = D.T @ D
+    theta = 0.5 * mu * step
+    Z = Z0.copy()
+    iterations, histories = [], []
+    for j in range(Y.shape[1]):
+        y, z = Y[:, j], Z0[:, j].copy()
+        dty, yty = D.T @ y, y @ y
+        g = dtd @ z
+        history = [yty - 2.0 * (z @ dty) + z @ g + mu * np.sum(np.abs(z))]
+        for it in range(1, opts.max_iterations + 1):
+            z = soft_threshold(z + step * (dty - g), theta)
+            g = dtd @ z
+            history.append(yty - 2.0 * (z @ dty) + z @ g + mu * np.sum(np.abs(z)))
+            prev = history[-2]
+            if abs(prev - history[-1]) <= opts.relative_tolerance * max(abs(prev), 1e-300):
+                break
+        Z[:, j] = z
+        iterations.append(it)
+        histories.append(history)
+    depth = max(len(h) for h in histories)
+    totals = [sum(h[min(k, len(h) - 1)] for h in histories) for k in range(depth)]
+    return Z, iterations, totals
 
 
 class TestSoftThreshold:
@@ -146,6 +176,12 @@ class TestLipschitzBound:
     def test_zero_matrix_floor(self):
         assert 0 < lipschitz_bound(np.zeros((4, 4))) < 1e-9
 
+    def test_wide_matrix_is_one_percent_above_sigma_max_squared(self):
+        A = np.random.default_rng(11).standard_normal((5, 12))
+        s_max = np.linalg.svd(A, compute_uv=False)[0]
+        # the two eigensolvers may round the same eigenvalue differently
+        assert lipschitz_bound(A) == pytest.approx(1.01 * s_max ** 2, rel=1e-12)
+
 
 class TestIsta:
     def _well_conditioned(self, rng, n):
@@ -208,3 +244,45 @@ class TestIsta:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             ista_solve(np.eye(3), np.ones((2, 1)), 0.1, np.zeros((3, 1)))
+
+    def test_block_partition_invariance(self):
+        rng = np.random.default_rng(12)
+        q = 2 * BLOCK_COLUMNS + 13          # partial last block
+        D = rng.standard_normal((40, 24))
+        Y = rng.standard_normal((40, q))
+        Z0 = 0.1 * rng.standard_normal((24, q))
+        opts = IstaOptions(max_iterations=60, relative_tolerance=1e-5)
+        full = ista_solve(D, Y, 0.3, Z0, opts).z
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(q)
+            chunks = np.split(order, [5, 5 + BLOCK_COLUMNS + 3, q - 1])
+            parts = np.empty_like(full)
+            for cols in chunks:
+                parts[:, cols] = ista_solve(D, Y[:, cols], 0.3, Z0[:, cols], opts).z
+            np.testing.assert_array_equal(parts, full)
+
+    @pytest.mark.parametrize("tol", [1e-300, 1e-3])
+    def test_matches_single_column_reference(self, tol):
+        rng = np.random.default_rng(13)
+        q = BLOCK_COLUMNS + 7
+        D = rng.standard_normal((30, 12))
+        Y = rng.standard_normal((30, q))
+        Z0 = 0.1 * rng.standard_normal((12, q))
+        Y[:, 4] = 0.0                      # stops on the first sweep
+        Z0[:, 4] = 0.0
+        opts = IstaOptions(max_iterations=80, relative_tolerance=tol)
+        res = ista_solve(D, Y, 0.4, Z0, opts)
+        Z, iterations, totals = column_ista(D, Y, 0.4, Z0, opts, res.step)
+        np.testing.assert_allclose(res.z, Z, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.objectives, totals, rtol=1e-12)
+        assert res.iterations == max(iterations)
+        assert iterations[4] == 1
+        if tol == 1e-300:                  # every other column runs to the cap
+            assert set(iterations) == {1, opts.max_iterations}
+        else:                              # columns stop on different sweeps
+            assert len(set(iterations)) > 3 and max(iterations) < opts.max_iterations
+
+    def test_empty_target(self):
+        res = ista_solve(np.eye(3), np.zeros((3, 0)), 0.1, np.zeros((3, 0)))
+        assert res.z.shape == (3, 0)
+        assert res.objectives == []
