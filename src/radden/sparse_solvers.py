@@ -43,6 +43,7 @@ class IstaResult:
     objectives: list[float] = field(default_factory=list)
     iterations: int = 0
     step: float = 0.0
+    converged: int = 0
 
 
 def soft_threshold(v, theta):
@@ -65,11 +66,13 @@ def default_ridge(A):
 
 
 class RidgeDesign:
-    """Factorized ridge least squares against a fixed design A.
+    """Precomputed ridge least squares against a fixed design A.
 
-    solve(B) returns W minimizing ||B - W A||_F^2 + ridge ||W||_F^2.  The Gram
-    matrix is formed on the smaller side of A so repeated solves against a
-    tall design (P >> Q) stay cheap.
+    solve(B) returns W minimizing ||B - W A||_F^2 + ridge ||W||_F^2 as one
+    product B @ K.  K (q x n for an n x q design) is formed once, through the
+    Gram matrix on the smaller side of A, so every solve is a single GEMM
+    whatever the number of target rows.  At ridge 0, K is the pseudo-inverse
+    of A and W the minimum-norm least-squares solution.
     """
 
     def __init__(self, A, ridge=None):
@@ -85,13 +88,12 @@ class RidgeDesign:
         self.A = A
         self.ridge = float(ridge)
         n, q = A.shape
-        # the dual identity A.T (A A.T + eI)^-1 = (A.T A + eI)^-1 A.T needs e > 0
-        self._dual = ridge > 0 and q < n
-        if self._dual:
-            G = A.T @ A + ridge * np.eye(q)
-            self._K = np.linalg.solve(G, A.T)  # (q, n); W = B @ K
-        else:
-            self._G = A @ A.T + ridge * np.eye(n)
+        if ridge == 0:
+            self._K = np.linalg.pinv(A)
+        elif q < n:   # (A.T A + rI)^-1 A.T
+            self._K = np.linalg.solve(A.T @ A + ridge * np.eye(q), A.T)
+        else:         # A.T (A A.T + rI)^-1, the same matrix for r > 0
+            self._K = np.linalg.solve(A @ A.T + ridge * np.eye(n), A).T
 
     def solve(self, B):
         B = np.asarray(B, dtype=float)
@@ -101,13 +103,7 @@ class RidgeDesign:
             )
         if not np.all(np.isfinite(B)):
             raise DomainError("target contains non-finite entries")
-        if self._dual:
-            return B @ self._K
-        try:
-            return np.linalg.solve(self._G, self.A @ B.T).T
-        except np.linalg.LinAlgError:
-            # singular Gram with ridge = 0: fall back to the min-norm solution
-            return np.linalg.lstsq(self.A.T, B.T, rcond=None)[0].T
+        return B @ self._K
 
 
 def solve_least_squares(A, B, ridge=None):
@@ -134,32 +130,13 @@ def lipschitz_bound(A):
     return _gram_bound(A.T @ A if A.shape[1] <= A.shape[0] else A @ A.T)
 
 
-def _ista_block(dtd, dty, yty, z, mu, step, theta, opts):
-    """ISTA on one (K, BLOCK_COLUMNS) block via the Gram form of the objective.
-
-    Returns the codes and the (sweeps + 1, BLOCK_COLUMNS) per-column objectives.
-    """
-    def objective(z, g):
-        return (yty - 2.0 * np.sum(z * dty, axis=0) + np.sum(z * g, axis=0)
-                + mu * np.sum(np.abs(z), axis=0))
-
-    g = dtd @ z
-    obj = objective(z, g)
-    history = [obj]
-    active = np.ones(z.shape[1], dtype=bool)
-    for _ in range(opts.max_iterations):
-        z_new = soft_threshold(z + step * (dty - g), theta)
-        g_new = dtd @ z_new
-        prev = obj
-        obj = np.where(active, objective(z_new, g_new), prev)
-        z = np.where(active, z_new, z)
-        g = np.where(active, g_new, g)
-        history.append(obj)
-        active &= ~(np.abs(prev - obj) <= opts.relative_tolerance
-                    * np.maximum(np.abs(prev), 1e-300))
-        if not active.any():
-            break
-    return z, np.array(history)
+def _block_stack(M, nblocks):
+    """M's columns as zero-padded C-contiguous (nblocks, rows, BLOCK_COLUMNS) blocks."""
+    stack = np.zeros((nblocks, M.shape[0], BLOCK_COLUMNS))
+    for b in range(nblocks):
+        part = M[:, b * BLOCK_COLUMNS:(b + 1) * BLOCK_COLUMNS]
+        stack[b, :, :part.shape[1]] = part
+    return stack
 
 
 def ista_solve(D, Y, mu, Z0, opts: IstaOptions | None = None):
@@ -168,49 +145,94 @@ def ista_solve(D, Y, mu, Z0, opts: IstaOptions | None = None):
     Iterates Z <- soft_threshold(Z + (1/L) D.T (Y - D Z), mu / (2 L)) from the
     given warm start; the objective is non-increasing across iterations.
     Columns are solved independently, each with its own stopping rule, in
-    zero-padded blocks of BLOCK_COLUMNS columns.  Every column goes through
-    the same fixed-width block products, so any column partitioning of Y
-    produces bitwise-identical codes.  `iterations` is the longest column's
-    count, and `objectives` holds per-sweep totals in which a stopped column
-    contributes its final value.
+    zero-padded blocks of BLOCK_COLUMNS columns held as one (blocks, K,
+    BLOCK_COLUMNS) stack.  A sweep is one stacked GEMM plus a fixed set of
+    in-place elementwise passes over the whole stack.  Every column goes
+    through the same fixed-width block products, so any column partitioning
+    of Y produces bitwise-identical codes.  `iterations` is the longest
+    column's count, `converged` the number of columns whose stopping rule
+    fired before `max_iterations` cut them off, and `objectives` holds
+    per-sweep totals in which a stopped column contributes its final value.
     """
     if opts is None:
         opts = IstaOptions()
     D = np.asarray(D, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    Z = np.array(Z0, dtype=float, copy=True)
+    Z0 = np.asarray(Z0, dtype=float)
     if mu < 0:
         raise DomainError("l1 weight must be >= 0")
-    for name, M in (("design", D), ("target", Y), ("init", Z)):
+    for name, M in (("design", D), ("target", Y), ("init", Z0)):
         if not np.all(np.isfinite(M)):
             raise DomainError(f"{name} contains non-finite entries")
     if D.shape[0] != Y.shape[0]:
         raise ConfigError(f"design rows {D.shape[0]} != target rows {Y.shape[0]}")
-    if Z.shape != (D.shape[1], Y.shape[1]):
+    if Z0.shape != (D.shape[1], Y.shape[1]):
         raise ConfigError(
-            f"init shape {Z.shape} incompatible with {D.shape} x {Y.shape}"
+            f"init shape {Z0.shape} incompatible with {D.shape} x {Y.shape}"
         )
     DtD = D.T @ D
     step = 1.0 / _gram_bound(DtD)
     theta = 0.5 * mu * step
+    k, q = Z0.shape
+    if q == 0:
+        return IstaResult(z=Z0.copy(), step=step)
 
-    histories = []
-    for start in range(0, Y.shape[1], BLOCK_COLUMNS):
-        cols = slice(start, min(start + BLOCK_COLUMNS, Y.shape[1]))
-        width = cols.stop - start
-        Yb = np.zeros((Y.shape[0], BLOCK_COLUMNS))
-        Yb[:, :width] = Y[:, cols]
-        Zb = np.zeros((Z.shape[0], BLOCK_COLUMNS))
-        Zb[:, :width] = Z[:, cols]
-        Zb, history = _ista_block(DtD, D.T @ Yb, np.sum(Yb * Yb, axis=0), Zb,
-                                  mu, step, theta, opts)
-        Z[:, cols] = Zb[:, :width]
-        histories.append(history[:, :width])
-    # per-sweep total: stopped columns contribute their final objective
-    depth = max((len(h) for h in histories), default=0)
-    totals = np.zeros(depth)
-    for h in histories:
-        totals[: len(h)] += h.sum(axis=1)
-        totals[len(h):] += h[-1].sum()
+    # zero-padded block stack; a padded column is zero and stays zero
+    nblocks = -(-q // BLOCK_COLUMNS)
+    Yb = _block_stack(Y, nblocks)
+    dty = D.T @ Yb
+    yty = np.sum(np.square(Yb, out=Yb), axis=1)
+    z = _block_stack(Z0, nblocks)
+    terms = np.empty((3,) + z.shape)   # z*dty, z*g, |z|
+
+    def objective(z, g):
+        np.multiply(z, dty, out=terms[0])
+        np.multiply(z, g, out=terms[1])
+        np.abs(z, out=terms[2])
+        zd, zg, l1 = np.add.reduce(terms, axis=2)
+        return yty - 2.0 * zd + zg + mu * l1
+
+    g = np.matmul(DtD, z)
+    obj = objective(z, g)
+    history = [obj]
+    active = np.arange(nblocks * BLOCK_COLUMNS).reshape(nblocks, -1) < q  # real columns
+    all_active = True
+    v = np.empty_like(z)      # gradient step, then the new codes
+    clamp = np.empty_like(z)
+    g_new = np.empty_like(z)
+    for _ in range(opts.max_iterations):
+        np.subtract(dty, g, out=v)
+        np.multiply(v, step, out=v)
+        np.add(z, v, out=v)
+        # soft threshold: v - clip(v, -theta, theta)
+        np.maximum(v, -theta, out=clamp)
+        np.minimum(clamp, theta, out=clamp)
+        np.subtract(v, clamp, out=v)
+        np.matmul(DtD, v, out=g_new)
+        prev = obj
+        obj = objective(v, g_new)
+        if all_active:
+            z, v = v, z
+            g, g_new = g_new, g
+        else:
+            obj = np.where(active, obj, prev)
+            np.copyto(z, v, where=active[:, None, :])
+            np.copyto(g, g_new, where=active[:, None, :])
+        history.append(obj)
+        active &= ~(np.abs(prev - obj) <= opts.relative_tolerance
+                    * np.maximum(np.abs(prev), 1e-300))
+        remaining = np.count_nonzero(active)
+        if remaining == 0:
+            break
+        all_active = remaining == q
+
+    Z = z.transpose(1, 0, 2).reshape(k, -1)[:, :q].copy()
+    # per-sweep totals, summed block by block over each block's real columns
+    # (a basic slice: a boolean-mask copy is F-ordered and sums pairwise)
+    history = np.array(history)
+    totals = np.zeros(len(history))
+    for b in range(nblocks):
+        totals += history[:, b, :q - b * BLOCK_COLUMNS].sum(axis=1)
     return IstaResult(z=Z, objectives=totals.tolist(),
-                      iterations=max(depth - 1, 0), step=step)
+                      iterations=len(history) - 1, step=step,
+                      converged=q - int(np.count_nonzero(active)))

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from radden.errors import ConfigError, DomainError
-from radden.sparse_solvers import (BLOCK_COLUMNS, IstaOptions, default_ridge,
-                                   ista_solve, lipschitz_bound, soft_threshold,
-                                   solve_least_squares)
+from radden.sparse_solvers import (BLOCK_COLUMNS, IstaOptions, RidgeDesign,
+                                   default_ridge, ista_solve, lipschitz_bound,
+                                   soft_threshold, solve_least_squares)
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -89,6 +89,14 @@ class TestSoftThreshold:
         du = np.linalg.norm(soft_threshold(u, theta) - soft_threshold(v, theta))
         assert du <= np.linalg.norm(u - v) + 1e-9
 
+    @given(arrays(float, 6, elements=st.floats(allow_nan=False, allow_infinity=False)),
+           st.floats(0, allow_nan=False, allow_infinity=False))
+    def test_clamp_form_identity(self, v, theta):
+        # the fused ISTA sweep thresholds as v - clip(v, -theta, theta)
+        np.testing.assert_array_equal(
+            soft_threshold(v, theta), v - np.minimum(np.maximum(v, -theta), theta)
+        )
+
     @given(arrays(float, 6, elements=finite_floats), st.floats(0, 100))
     def test_odd(self, v, theta):
         np.testing.assert_allclose(
@@ -153,6 +161,34 @@ class TestLeastSquares:
         G = A @ A.T + 1e-6 * np.eye(30)
         W_primal = np.linalg.solve(G, A @ B.T).T
         np.testing.assert_allclose(W_dual, W_primal, atol=1e-8)
+
+    @pytest.mark.parametrize("shape", [(6, 3), (30, 8), "repeated"],
+                             ids=["tall_6x3", "tall_30x8", "square_repeated_row"])
+    def test_ridge_zero_is_min_norm(self, shape):
+        rng = np.random.default_rng(14)
+        if shape == "repeated":
+            A = rng.standard_normal((5, 5))
+            A[3] = A[1]
+        else:
+            A = rng.standard_normal(shape)
+        B = rng.standard_normal((4, A.shape[1]))
+        W = solve_least_squares(A, B, ridge=0.0)
+        W_ref = np.linalg.lstsq(A.T, B.T, rcond=None)[0].T
+        np.testing.assert_allclose(W, W_ref, rtol=0, atol=1e-10)
+
+    def test_wide_design_many_target_rows(self):
+        rng = np.random.default_rng(15)
+        A = rng.standard_normal((12, 40))
+        B = rng.standard_normal((4096, 40))
+        ridge = 0.1
+        design = RidgeDesign(A, ridge=ridge)
+        W = design.solve(B)
+        W_ref = np.linalg.solve(A @ A.T + ridge * np.eye(12), A @ B.T).T
+        np.testing.assert_allclose(W, W_ref, rtol=1e-10)
+        B2 = rng.standard_normal((7, 40))
+        np.testing.assert_array_equal(design.solve(B2),
+                                      solve_least_squares(A, B2, ridge=ridge))
+        np.testing.assert_array_equal(W, solve_least_squares(A, B, ridge=ridge))
 
 
 class TestLipschitzBound:
@@ -281,6 +317,27 @@ class TestIsta:
             assert set(iterations) == {1, opts.max_iterations}
         else:                              # columns stop on different sweeps
             assert len(set(iterations)) > 3 and max(iterations) < opts.max_iterations
+
+    # at a cap of 12 some columns stop on the last sweep, others are cut off
+    @pytest.mark.parametrize("tol, cap", [(1e-300, 80), (1e-3, 80), (1e-3, 12)])
+    def test_converged_count(self, tol, cap):
+        rng = np.random.default_rng(13)
+        q = BLOCK_COLUMNS + 7
+        D = rng.standard_normal((30, 12))
+        Y = rng.standard_normal((30, q))
+        Z0 = 0.1 * rng.standard_normal((12, q))
+        Y[:, 4] = 0.0
+        Z0[:, 4] = 0.0
+        opts = IstaOptions(max_iterations=cap, relative_tolerance=tol)
+        res = ista_solve(D, Y, 0.4, Z0, opts)
+        # a column's stopping rule fired within the cap iff, given one more
+        # sweep, it still stops within the cap
+        longer = IstaOptions(max_iterations=cap + 1, relative_tolerance=tol)
+        _, iterations, _ = column_ista(D, Y, 0.4, Z0, longer, res.step)
+        expected = sum(it <= opts.max_iterations for it in iterations)
+        assert res.converged == expected
+        if tol == 1e-300:                  # only the zero column stops
+            assert res.converged == 1
 
     def test_empty_target(self):
         res = ista_solve(np.eye(3), np.zeros((3, 0)), 0.1, np.zeros((3, 0)))
