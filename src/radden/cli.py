@@ -46,8 +46,7 @@ def _build_parser():
     report.add_argument("csv", nargs="+", help="result CSV files")
     report.add_argument("--out", default=None, help="plot-data directory")
     report.add_argument("--axis", default="snr", choices=list(SWEEP_AXES))
-    accept = sub.add_parser("accept", help="run the acceptance test suite")
-    accept.add_argument("--out", default=None, help="unused; kept for symmetry")
+    sub.add_parser("accept", help="run the acceptance test suite")
     return parser
 
 

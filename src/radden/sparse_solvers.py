@@ -179,9 +179,15 @@ def ista_solve(D, Y, mu, Z0, opts: IstaOptions | None = None):
 
     # zero-padded block stack; a padded column is zero and stays zero
     nblocks = -(-q // BLOCK_COLUMNS)
-    Yb = _block_stack(Y, nblocks)
-    dty = D.T @ Yb
-    yty = np.sum(np.square(Yb, out=Yb), axis=1)
+    dty = np.empty((nblocks, k, BLOCK_COLUMNS))
+    yty = np.empty((nblocks, BLOCK_COLUMNS))
+    yb = np.zeros((Y.shape[0], BLOCK_COLUMNS))   # one block of Y at a time
+    for b in range(nblocks):
+        part = Y[:, b * BLOCK_COLUMNS:(b + 1) * BLOCK_COLUMNS]
+        yb[:, :part.shape[1]] = part
+        yb[:, part.shape[1]:] = 0.0
+        np.matmul(D.T, yb, out=dty[b])
+        np.sum(np.square(yb, out=yb), axis=0, out=yty[b])
     z = _block_stack(Z0, nblocks)
     terms = np.empty((3,) + z.shape)   # z*dty, z*g, |z|
 

@@ -246,6 +246,10 @@ class TestReport:
 
 
 class TestCli:
+    def test_accept_takes_no_out(self):
+        with pytest.raises(SystemExit):
+            main(["accept", "--out", "unused"])
+
     def test_config_error_exit_code(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "no.ini")]) == 2
 

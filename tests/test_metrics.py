@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from radden.errors import ConfigError, DomainError
 from radden.metrics import (BLOCK_IMAGES, SsimParams, columns_to_images,
@@ -16,6 +17,28 @@ def reference_global_ssim(a, b, k1=0.01, k2=0.03, data_range=1.0):
     cov = ((a - mu_a) * (b - mu_b)).mean()
     return ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
         (mu_a ** 2 + mu_b ** 2 + c1) * (va + vb + c2))
+
+
+def reference_window_ssim(a, b, params):
+    """Direct sliding-window evaluation: every 'valid' window position is
+    weighted by the full 2-D Gaussian window, independently of the separable
+    GEMM form used by the metric."""
+    w = params.window_size
+    g = np.exp(-0.5 * ((np.arange(w) - (w - 1) / 2.0) / params.window_sigma) ** 2)
+    window = np.outer(g, g)
+    window /= window.sum()
+
+    def local_mean(x):
+        return np.einsum("ijkl,kl->ij", sliding_window_view(x, (w, w)), window)
+
+    c1 = (params.k1 * params.data_range) ** 2
+    c2 = (params.k2 * params.data_range) ** 2
+    mu_a, mu_b = local_mean(a), local_mean(b)
+    va = local_mean(a * a) - mu_a ** 2
+    vb = local_mean(b * b) - mu_b ** 2
+    cov = local_mean(a * b) - mu_a * mu_b
+    return float(np.mean(((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
+        (mu_a ** 2 + mu_b ** 2 + c1) * (va + vb + c2))))
 
 
 class TestSsim:
@@ -65,8 +88,11 @@ class TestSsim:
 
     def test_stack_matches_per_column(self):
         rng = np.random.default_rng(5)
-        # the 31x31 case spans more than one block of columns
-        for shape, count in (((12, 12), 3), ((31, 31), BLOCK_IMAGES + 5)):
+        # the 31x31, 64x64 and 40x23 cases span more than one block of columns
+        for shape, count in (((12, 12), 3), ((11, 11), 7),
+                             ((31, 31), BLOCK_IMAGES + 5),
+                             ((64, 64), BLOCK_IMAGES + 5),
+                             ((40, 23), BLOCK_IMAGES + 5)):
             a = rng.random((shape[0] * shape[1], count))
             b = rng.random((shape[0] * shape[1], count))
             per = ssim_stack(a, b, shape)
@@ -74,6 +100,25 @@ class TestSsim:
                 img_a = a[:, q].reshape(shape, order="F")
                 img_b = b[:, q].reshape(shape, order="F")
                 assert per[q] == ssim(img_a, img_b)
+
+    # non-square images catch swapped row and column window matrices
+    @pytest.mark.parametrize("shape", [(31, 31), (64, 64), (40, 23), (11, 30)])
+    @pytest.mark.parametrize("params", [
+        SsimParams(),
+        SsimParams(window_size=7, window_sigma=1.0, data_range=2.0),
+    ], ids=["default", "w7"])
+    def test_window_path_matches_sliding_window_reference(self, shape, params):
+        rng = np.random.default_rng(11)
+        for noise in (0.05, 0.3, 1.0):
+            a = rng.random(shape)
+            b = np.clip(a + noise * rng.standard_normal(shape), 0.0, 1.0)
+            assert ssim(a, b, params) == pytest.approx(
+                reference_window_ssim(a, b, params), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("data_range", [0.0, -1.0])
+    def test_nonpositive_data_range_rejected(self, data_range):
+        with pytest.raises(ConfigError):
+            SsimParams(data_range=data_range)
 
     def test_small_image_stack_matches_per_column(self):
         # global-statistics path: both reduce over the same flattened image
