@@ -1,8 +1,16 @@
 """Alternating-minimization denoising autoencoders: DAE, SparseDAE, StackedSDAE.
 
-All three variants are trained by cycling exact block updates: ridge least
-squares for the weight matrices and ISTA for the sparse hidden codes.  No
-gradient descent is involved anywhere.
+The three variants are one linear model family.  A chain carries the
+corrupt input Xhat through the codes Z_0 ... Z_{L-1} to the clean target X
+with weights W_0 ... W_L, and training minimizes
+
+    ||X - W_L Z_{L-1}||^2 + sum_i c_i ||Z_i - W_i Z_{i-1}||^2 + s_i |Z_i|_1
+
+with Z_{-1} = Xhat.  DAE and SparseDAE have one code (c = (lambda,)),
+StackedSDAE three (c = mu_layers).  One loop trains all three by cycling
+exact block updates: ridge least squares for the weight matrices and ISTA
+(least squares for the DAE) for the codes.  No gradient descent is involved
+anywhere.
 """
 from __future__ import annotations
 
@@ -31,19 +39,24 @@ __all__ = [
 ]
 
 _ACTIVATION_KINDS = ("linear", "tanh", "sigmoid")
-_VARIANTS = ("dae", "sparse_dae", "stacked_sdae")
+# weight matrices of each variant in chain order, input side first
+_MATRIX_NAMES = {
+    "dae": ("W1", "W2"),
+    "sparse_dae": ("W1", "W2"),
+    "stacked_sdae": ("W11", "W12", "W21", "W22"),
+}
+_VARIANTS = tuple(_MATRIX_NAMES)
 
 
 @dataclass
 class Activation:
+    """Elementwise activation of `infer`.  Training is linear only; tanh and
+    sigmoid remain for inference with loaded weights."""
     kind: str = "linear"
-    inverse_clamp: float = 1e-6  # keeps tanh/sigmoid inverses finite at the range edge
 
     def __post_init__(self):
         if self.kind not in _ACTIVATION_KINDS:
             raise ConfigError(f"unknown activation {self.kind!r}")
-        if not (0.0 < self.inverse_clamp < 0.1):
-            raise ConfigError("inverse_clamp must lie in (0, 0.1)")
 
     def apply(self, v):
         v = np.asarray(v, dtype=float)
@@ -52,16 +65,6 @@ class Activation:
         if self.kind == "tanh":
             return np.tanh(v)
         return 1.0 / (1.0 + np.exp(-v))
-
-    def invert(self, v):
-        v = np.asarray(v, dtype=float)
-        eps = self.inverse_clamp
-        if self.kind == "linear":
-            return v
-        if self.kind == "tanh":
-            return np.arctanh(np.clip(v, -1.0 + eps, 1.0 - eps))
-        u = np.clip(v, eps, 1.0 - eps)
-        return np.log(u / (1.0 - u))
 
 
 @dataclass
@@ -73,7 +76,7 @@ class AutoencoderWeights:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        expected = ("W11", "W12", "W21", "W22") if self.stacked else ("W1", "W2")
+        expected = _MATRIX_NAMES[self.variant]
         if tuple(sorted(self.matrices)) != tuple(sorted(expected)):
             raise ConfigError(f"variant {self.variant} expects matrices {expected}")
         for name, M in self.matrices.items():
@@ -89,19 +92,17 @@ class AutoencoderWeights:
         return self.variant == "stacked_sdae"
 
     @property
+    def chain(self):
+        """The weight matrices in chain order, W_0 (the encoder) first."""
+        return [self.matrices[name] for name in _MATRIX_NAMES[self.variant]]
+
+    @property
     def pixel_count(self):
-        key = "W11" if self.stacked else "W1"
-        return self.matrices[key].shape[1]
+        return self.chain[0].shape[1]
 
     @property
     def layer_sizes(self):
-        if self.stacked:
-            return (
-                self.matrices["W11"].shape[0],
-                self.matrices["W12"].shape[0],
-                self.matrices["W21"].shape[0],
-            )
-        return (self.matrices["W1"].shape[0],)
+        return tuple(M.shape[0] for M in self.chain[:-1])
 
 
 @dataclass
@@ -145,159 +146,158 @@ def objective_value(weights, codes, X, Xhat, lam=1.0, mu=0.0,
     """Exact training objective of the given variant at the given point.
 
     Shallow variants pass a single code matrix Z; the stacked variant passes
-    (Z0, Z1, Z2).  `mu` is the shallow l1 weight; `mu_layers`/`lam_layers` are
-    the stacked coupling and sparsity weights.
+    (Z0, Z1, Z2).  `lam` and `mu` are the shallow coupling and l1 weights (the
+    DAE has no l1 term); `mu_layers`/`lam_layers` are the stacked coupling and
+    sparsity weights.  Training is linear, so only linear weights have an
+    objective.
     """
     X, Xhat = _check_pair(X, Xhat)
-    act = weights.activation
+    if weights.activation.kind != "linear":
+        raise ConfigError("the training objective is defined for linear weights only")
     if weights.stacked:
-        Z0, Z1, Z2 = codes
-        W11, W12 = weights.matrices["W11"], weights.matrices["W12"]
-        W21, W22 = weights.matrices["W21"], weights.matrices["W22"]
-        m0, m1, m2 = mu_layers
-        s0, s1, s2 = lam_layers
-        terms = [
-            np.sum((X - W22 @ Z2) ** 2),
-            m2 * np.sum((act.invert(Z2) - W21 @ Z1) ** 2),
-            m1 * np.sum((act.invert(Z1) - W12 @ Z0) ** 2),
-            m0 * np.sum((act.invert(Z0) - W11 @ Xhat) ** 2),
-            s0 * np.sum(np.abs(Z0)),
-            s1 * np.sum(np.abs(Z1)),
-            s2 * np.sum(np.abs(Z2)),
-        ]
-        return float(sum(terms))
-    Z = codes
-    W1, W2 = weights.matrices["W1"], weights.matrices["W2"]
-    obj = np.sum((X - W2 @ Z) ** 2) + lam * np.sum((Z - act.apply(W1 @ Xhat)) ** 2)
-    if weights.variant == "sparse_dae":
-        obj += mu * np.sum(np.abs(Z))
-    return float(obj)
+        c, s = mu_layers, lam_layers
+    else:
+        codes = (codes,)
+        c, s = (lam,), (mu if weights.variant == "sparse_dae" else 0.0,)
+    W, H = weights.chain, [Xhat, *codes, X]
+    L = len(codes)
+    terms = [_squared_residual(X, W[L], H[L])]
+    terms += [c[i] * _squared_residual(H[i + 1], W[i], H[i]) for i in reversed(range(L))]
+    terms += [s[i] * np.sum(np.abs(H[i + 1])) for i in range(L) if s[i]]
+    return float(sum(terms))
 
 
-def _shallow_train(X, Xhat, nodes, lam, mu, opts, activation, sparse):
+def _squared_residual(T, W, S):
+    """||T - W S||_F^2 in one buffer, bitwise equal to np.sum((T - W @ S) ** 2)."""
+    R = W @ S
+    R -= T
+    return np.sum(np.square(R, out=R))
+
+
+def _update_code(W, H, c, i, mu, ista):
+    """Z_i = H[i + 1] minimizing the two chain terms it enters, plus mu |Z_i|_1.
+
+    H is [Xhat, Z_0, ..., Z_{L-1}, X] and c the coupling weights with the
+    reconstruction's 1 appended.  The block is the stacked least squares
+    with design [sqrt(c[i+1]) W[i+1]; sqrt(c[i]) I] and target
+    [sqrt(c[i+1]) H[i+2]; sqrt(c[i]) W[i] H[i]], solved by ISTA warm-started
+    from the current code.  With `mu` None (the DAE) the same pair is solved
+    exactly, as a ridge problem in the offset Z_i - W[i] H[i]: design
+    W[i+1], target H[i+2] - W[i+1] W[i] H[i], ridge c[i] / c[i+1] (c[i+1] >
+    0; the DAE's is the reconstruction's 1).  Its minimizer is the pair's,
+    and for c[i] > 0 it is solved through a Gram matrix of the code's size,
+    where the stacked design at ridge 0 would take an SVD.
+    """
+    E = W[i] @ H[i]
+    if mu is None:
+        # the residual is formed after the design, off the solve's peak memory
+        design = RidgeDesign(W[i + 1].T, ridge=c[i] / c[i + 1])
+        return E + design.solve((H[i + 2] - W[i + 1] @ E).T).T
+    a, b = np.sqrt(c[i + 1]), np.sqrt(c[i])
+    D = np.vstack([a * W[i + 1], b * np.eye(len(E))])
+    T = np.vstack([a * H[i + 2], b * E])
+    return ista_solve(D, T, mu, H[i + 1], ista).z
+
+
+def _train(variant, X, Xhat, sizes, c, s, order, opts):
+    """The block-coordinate loop behind all three trainers.
+
+    `sizes` are the code heights, `c` the coupling and `s` the l1 weights of
+    the codes.  `order` lists the block updates of one outer iteration: ("W",
+    i) refits W_i by ridge least squares from Z_{i-1} to Z_i, ("Z", i)
+    re-solves code Z_i.  No update raises the objective: the least-squares
+    updates minimize it over their block and warm-started ISTA never
+    increases it, so the recorded trace is non-increasing up to the tiny
+    ridge term and rounding.
+    """
+    opts = opts or TrainOptions()
+    rng = np.random.default_rng(opts.seed)
+    dims = (X.shape[0], *sizes, X.shape[0])
+    W = [_init_matrix(rng, dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
+    H = [Xhat]
+    for M in W[:-1]:
+        H.append(M @ H[-1])
+    H.append(X)
+    names = _MATRIX_NAMES[variant]
+    weights = AutoencoderWeights(variant, Activation(), dict(zip(names, W)))
+    if weights.stacked:
+        terms = dict(mu_layers=c, lam_layers=s)
+    else:
+        terms = dict(lam=c[0], mu=s[0])
+    couplings = (*c, 1.0)
+    input_design = RidgeDesign(Xhat, ridge=opts.ridge)
+    trace = TrainTrace()
+    for _ in range(opts.outer_iterations):
+        t0 = time.perf_counter()
+        for block, i in order:
+            if block == "Z":
+                mu = None if variant == "dae" else s[i]
+                H[i + 1] = _update_code(W, H, couplings, i, mu, opts.ista)
+            elif i == 0:
+                W[0] = input_design.solve(H[1])
+            else:
+                W[i] = solve_least_squares(H[i], H[i + 1], ridge=opts.ridge)
+        weights.matrices.update(zip(names, W))
+        codes = tuple(H[1:-1]) if weights.stacked else H[1]
+        obj = objective_value(weights, codes, X, Xhat, **terms)
+        trace.objectives.append(obj)
+        trace.wall_times.append(time.perf_counter() - t0)
+        if len(trace.objectives) >= 2:
+            prev = trace.objectives[-2]
+            if abs(prev - obj) <= opts.outer_tolerance * max(abs(prev), 1e-300):
+                break
+    return weights, trace
+
+
+# one outer iteration: code, encoder, decoder; or all weights, then all codes
+_SHALLOW_ORDER = (("Z", 0), ("W", 0), ("W", 1))
+_STACKED_ORDER = tuple(("W", i) for i in range(4)) + tuple(("Z", i) for i in range(3))
+
+
+def _check_shallow(X, Xhat, nodes, lam, mu):
     X, Xhat = _check_pair(X, Xhat)
-    P, Q = X.shape
+    P = X.shape[0]
     if not (0 < nodes < P):
         raise ConfigError(f"hidden size {nodes} must satisfy 0 < l < P={P}")
     if lam < 0:
         raise ConfigError("lambda must be >= 0")
     if mu < 0:
         raise DomainError("mu must be >= 0")
-    act = activation or Activation()
-    rng = np.random.default_rng(opts.seed)
-    W1 = _init_matrix(rng, nodes, P)
-    W2 = _init_matrix(rng, P, nodes)
-    encoder_design = RidgeDesign(Xhat, ridge=opts.ridge)
-    variant = "sparse_dae" if sparse else "dae"
-    weights = AutoencoderWeights(variant, act, {"W1": W1, "W2": W2})
-    E = act.apply(W1 @ Xhat)
-    Z = E.copy()
-    trace = TrainTrace()
-    eye = np.eye(nodes)
-    sqrt_lam = np.sqrt(lam)
-    for _ in range(opts.outer_iterations):
-        t0 = time.perf_counter()
-        # code update
-        if sparse:
-            D = np.vstack([W2, sqrt_lam * eye])
-            T = np.vstack([X, sqrt_lam * E])
-            Z = ista_solve(D, T, mu, Z, opts.ista).z
-        elif lam == 0.0:
-            Z = np.linalg.lstsq(W2, X, rcond=None)[0]
-        else:
-            Z = np.linalg.solve(W2.T @ W2 + lam * eye, W2.T @ X + lam * E)
-        # weight updates: encoder against the inverse-activation codes, then decoder
-        W1 = encoder_design.solve(act.invert(Z))
-        E = act.apply(W1 @ Xhat)
-        W2 = solve_least_squares(Z, X, ridge=opts.ridge)
-        weights.matrices["W1"], weights.matrices["W2"] = W1, W2
-        obj = objective_value(weights, Z, X, Xhat, lam=lam, mu=mu)
-        trace.objectives.append(obj)
-        trace.wall_times.append(time.perf_counter() - t0)
-        if len(trace.objectives) >= 2:
-            prev = trace.objectives[-2]
-            if abs(prev - obj) <= opts.outer_tolerance * max(abs(prev), 1e-300):
-                break
-    return weights, trace
+    return X, Xhat
 
 
-def train_dae(X, Xhat, nodes, lam=1.0, opts: TrainOptions | None = None,
-              activation: Activation | None = None):
-    """Single-layer DAE trained by alternating closed-form block minimization."""
-    return _shallow_train(X, Xhat, nodes, lam, 0.0, opts or TrainOptions(),
-                          activation, sparse=False)
+def train_dae(X, Xhat, nodes, lam=1.0, opts: TrainOptions | None = None):
+    """Single-layer DAE; each code update is the exact least-squares minimizer."""
+    X, Xhat = _check_shallow(X, Xhat, nodes, lam, 0.0)
+    return _train("dae", X, Xhat, (nodes,), (lam,), (0.0,), _SHALLOW_ORDER, opts)
 
 
 def train_sparse_dae(X, Xhat, nodes, lam=1.0, mu=0.1,
-                     opts: TrainOptions | None = None,
-                     activation: Activation | None = None):
+                     opts: TrainOptions | None = None):
     """SparseDAE: DAE plus an l1 penalty on the code, solved by ISTA on the
     vertically stacked system [W2; sqrt(lam) I]."""
-    return _shallow_train(X, Xhat, nodes, lam, mu, opts or TrainOptions(),
-                          activation, sparse=True)
+    X, Xhat = _check_shallow(X, Xhat, nodes, lam, mu)
+    return _train("sparse_dae", X, Xhat, (nodes,), (lam,), (mu,),
+                  _SHALLOW_ORDER, opts)
 
 
 def train_stacked_sdae(X, Xhat, sizes, mu_layers=(1.0, 1.0, 1.0),
                        lam_layers=(0.1, 0.1, 0.1),
-                       opts: TrainOptions | None = None,
-                       activation: Activation | None = None):
+                       opts: TrainOptions | None = None):
     """Three-hidden-layer stacked sparse DAE.
 
     Each outer cycle runs the four per-layer least-squares weight updates
     followed by the three ISTA code updates, warm-started from the previous
     codes so the composite objective never increases.
     """
-    opts = opts or TrainOptions()
     X, Xhat = _check_pair(X, Xhat)
-    P, Q = X.shape
     l0, l1, l2 = sizes
     if not (l0 > l1 > l2 >= 1):
         raise ConfigError(f"layer sizes must strictly decrease, got {sizes}")
     if any(m < 0 for m in mu_layers) or any(s < 0 for s in lam_layers):
         raise ConfigError("regularizers must be >= 0")
-    act = activation or Activation()
-    rng = np.random.default_rng(opts.seed)
-    W11 = _init_matrix(rng, l0, P)
-    W12 = _init_matrix(rng, l1, l0)
-    W21 = _init_matrix(rng, l2, l1)
-    W22 = _init_matrix(rng, P, l2)
-    Z0 = act.apply(W11 @ Xhat)
-    Z1 = act.apply(W12 @ Z0)
-    Z2 = act.apply(W21 @ Z1)
-    m0, m1, m2 = mu_layers
-    s0, s1, s2 = lam_layers
-    weights = AutoencoderWeights(
-        "stacked_sdae", act, {"W11": W11, "W12": W12, "W21": W21, "W22": W22}
-    )
-    input_design = RidgeDesign(Xhat, ridge=opts.ridge)
-    trace = TrainTrace()
-    for _ in range(opts.outer_iterations):
-        t0 = time.perf_counter()
-        W11 = input_design.solve(act.invert(Z0))
-        W12 = solve_least_squares(Z0, act.invert(Z1), ridge=opts.ridge)
-        W21 = solve_least_squares(Z1, act.invert(Z2), ridge=opts.ridge)
-        W22 = solve_least_squares(Z2, X, ridge=opts.ridge)
-        # code updates, deepest-coupling weights as printed in the update equations
-        D0 = np.vstack([W12, np.sqrt(m0) * np.eye(l0)])
-        T0 = np.vstack([act.invert(Z1), np.sqrt(m0) * act.apply(W11 @ Xhat)])
-        Z0 = ista_solve(D0, T0, s0, Z0, opts.ista).z
-        D1 = np.vstack([np.sqrt(m2) * W21, np.sqrt(m1) * np.eye(l1)])
-        T1 = np.vstack([np.sqrt(m2) * act.invert(Z2), np.sqrt(m1) * act.apply(W12 @ Z0)])
-        Z1 = ista_solve(D1, T1, s1, Z1, opts.ista).z
-        D2 = np.vstack([W22, np.sqrt(m2) * np.eye(l2)])
-        T2 = np.vstack([X, np.sqrt(m2) * act.apply(W21 @ Z1)])
-        Z2 = ista_solve(D2, T2, s2, Z2, opts.ista).z
-        for name, M in (("W11", W11), ("W12", W12), ("W21", W21), ("W22", W22)):
-            weights.matrices[name] = M
-        obj = objective_value(weights, (Z0, Z1, Z2), X, Xhat,
-                              mu_layers=mu_layers, lam_layers=lam_layers)
-        trace.objectives.append(obj)
-        trace.wall_times.append(time.perf_counter() - t0)
-        if len(trace.objectives) >= 2:
-            prev = trace.objectives[-2]
-            if abs(prev - obj) <= opts.outer_tolerance * max(abs(prev), 1e-300):
-                break
-    return weights, trace
+    return _train("stacked_sdae", X, Xhat, (l0, l1, l2), tuple(mu_layers),
+                  tuple(lam_layers), _STACKED_ORDER, opts)
 
 
 def infer(weights: AutoencoderWeights, xhat, clamp=True):
@@ -314,14 +314,11 @@ def infer(weights: AutoencoderWeights, xhat, clamp=True):
         raise ConfigError(
             f"input pixel count {x.shape[0]} != weights P={weights.pixel_count}"
         )
-    act = weights.activation
-    if weights.stacked:
-        M = weights.matrices
-        out = M["W22"] @ act.apply(
-            M["W21"] @ act.apply(M["W12"] @ act.apply(M["W11"] @ x))
-        )
-    else:
-        out = weights.matrices["W2"] @ act.apply(weights.matrices["W1"] @ x)
+    *hidden, decoder = weights.chain
+    out = x
+    for M in hidden:
+        out = weights.activation.apply(M @ out)
+    out = decoder @ out
     if clamp:
         out = np.clip(out, 0.0, 1.0)
     return out[:, 0] if single else out
@@ -329,33 +326,29 @@ def infer(weights: AutoencoderWeights, xhat, clamp=True):
 
 def inference_flops(weights: AutoencoderWeights):
     """Multiply-accumulate count of one single-image inference pass."""
-    P = weights.pixel_count
-    if weights.stacked:
-        l0, l1, l2 = weights.layer_sizes
-        return P * l0 + l0 * l1 + l1 * l2 + l2 * P
-    (l,) = weights.layer_sizes
-    return 2 * P * l
+    return sum(M.size for M in weights.chain)
 
 
-_WEIGHTS_MAGIC = b"RDAEW1"
-_VARIANT_TAGS = {v: i for i, v in enumerate(_VARIANTS)}
-_ACT_TAGS = {a: i for i, a in enumerate(_ACTIVATION_KINDS)}
+_WEIGHTS_MAGIC = b"RDAEW1"   # then tags: indices into _VARIANTS and _ACTIVATION_KINDS
+# Header slot that once held a training-only clamp; written as this constant
+# and ignored on read, so the byte layout is unchanged.
+_RESERVED_SLOT = 1e-6
 
 
 def save_weights(weights: AutoencoderWeights, path):
-    """Binary weights file: magic, variant/activation tags, layer sizes, then
-    the matrices in declared order as little-endian float64, column-major."""
-    names = ("W11", "W12", "W21", "W22") if weights.stacked else ("W1", "W2")
+    """Binary weights file: magic, variant/activation tags, a reserved
+    float64, layer sizes, then the matrices in chain order as little-endian
+    float64, column-major."""
     sizes = (weights.pixel_count,) + weights.layer_sizes
     with open(path, "wb") as fh:
         fh.write(_WEIGHTS_MAGIC)
-        fh.write(struct.pack("<BBd", _VARIANT_TAGS[weights.variant],
-                             _ACT_TAGS[weights.activation.kind],
-                             weights.activation.inverse_clamp))
+        fh.write(struct.pack("<BBd", _VARIANTS.index(weights.variant),
+                             _ACTIVATION_KINDS.index(weights.activation.kind),
+                             _RESERVED_SLOT))
         fh.write(struct.pack("<H", len(sizes)))
         fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
-        for name in names:
-            fh.write(np.asfortranarray(weights.matrices[name]).tobytes(order="F"))
+        for M in weights.chain:
+            fh.write(np.asfortranarray(M).tobytes(order="F"))
 
 
 def load_weights(path):
@@ -364,35 +357,23 @@ def load_weights(path):
         if magic != _WEIGHTS_MAGIC:
             raise FormatError(f"bad magic in {path}")
         try:
-            vtag, atag, clamp = struct.unpack("<BBd", fh.read(10))
+            vtag, atag, _ = struct.unpack("<BBd", fh.read(10))
             (nsizes,) = struct.unpack("<H", fh.read(2))
             sizes = struct.unpack(f"<{nsizes}I", fh.read(4 * nsizes))
         except struct.error as exc:
             raise FormatError(f"truncated header in {path}") from exc
-        variants = {i: v for v, i in _VARIANT_TAGS.items()}
-        acts = {i: a for a, i in _ACT_TAGS.items()}
-        if vtag not in variants or atag not in acts:
+        if vtag >= len(_VARIANTS) or atag >= len(_ACTIVATION_KINDS):
             raise FormatError(f"unknown variant/activation tag in {path}")
-        variant = variants[vtag]
-        act = Activation(acts[atag], clamp)
-        P = sizes[0]
-        if variant == "stacked_sdae":
-            if nsizes != 4:
-                raise FormatError("stacked weights need 4 layer sizes")
-            l0, l1, l2 = sizes[1:]
-            shapes = {"W11": (l0, P), "W12": (l1, l0), "W21": (l2, l1), "W22": (P, l2)}
-            order = ("W11", "W12", "W21", "W22")
-        else:
-            if nsizes != 2:
-                raise FormatError("shallow weights need 2 layer sizes")
-            (l,) = sizes[1:]
-            shapes = {"W1": (l, P), "W2": (P, l)}
-            order = ("W1", "W2")
+        variant = _VARIANTS[vtag]
+        names = _MATRIX_NAMES[variant]
+        if nsizes != len(names):
+            raise FormatError(f"{variant} weights need {len(names)} layer sizes")
+        dims = sizes + sizes[:1]   # P, hidden sizes, P
         matrices = {}
-        for name in order:
-            r, c = shapes[name]
+        for i, name in enumerate(names):
+            r, c = dims[i + 1], dims[i]
             buf = fh.read(8 * r * c)
             if len(buf) != 8 * r * c:
                 raise FormatError(f"truncated matrix {name} in {path}")
             matrices[name] = np.frombuffer(buf, dtype="<f8").reshape((r, c), order="F").copy()
-        return AutoencoderWeights(variant, act, matrices)
+        return AutoencoderWeights(variant, Activation(_ACTIVATION_KINDS[atag]), matrices)

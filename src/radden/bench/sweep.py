@@ -186,6 +186,8 @@ def _job(args):
 
 def run_sweep(cfg: ExperimentConfig, jobs=1):
     """All grid points x seeds, sorted by (kind, algorithm, grid position)."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     tasks = [(cfg, value, seed) for value in cfg.sweep.values
              for seed in cfg.sweep.seeds]
     if jobs > 1:

@@ -34,14 +34,15 @@ def _build_parser():
             p.add_argument("--config", required=True, help="experiment INI file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     common(sub.add_parser("generate", help="write a paired clean/corrupt dataset"))
     train = sub.add_parser("train", help="train one model and save its weights")
     common(train)
     train.add_argument("--algorithm", default="stacked_sdae",
                        choices=["dae", "sparse_dae", "stacked_sdae"])
-    common(sub.add_parser("sweep", help="run the configured sweep, write CSV"))
+    sweep = sub.add_parser("sweep", help="run the configured sweep, write CSV")
+    common(sweep)
+    sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
     report = sub.add_parser("report", help="summarize sweep CSVs")
     report.add_argument("csv", nargs="+", help="result CSV files")
     report.add_argument("--out", default=None, help="plot-data directory")
@@ -87,7 +88,7 @@ def _cmd_train(args):
 
 def _cmd_sweep(args):
     cfg = _load(args)
-    rows = run_sweep(cfg, jobs=max(1, args.jobs))
+    rows = run_sweep(cfg, jobs=args.jobs)
     path = write_rows(rows, Path(cfg.output_dir) / "sweep.csv")
     print(f"wrote {len(rows)} rows to {path}")
     print(summarize(rows), end="")

@@ -1,10 +1,15 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from radden.autoencoders import (Activation, AutoencoderWeights, TrainOptions,
-                                 inference_flops, infer, load_weights,
-                                 objective_value, save_weights, train_dae,
-                                 train_sparse_dae, train_stacked_sdae)
+                                 _update_code, inference_flops, infer,
+                                 load_weights, objective_value, save_weights,
+                                 train_dae, train_sparse_dae,
+                                 train_stacked_sdae)
 from radden.errors import ConfigError, FormatError
 from radden.sparse_solvers import IstaOptions
 
@@ -28,27 +33,10 @@ class TestActivation:
         act = Activation("linear")
         v = np.linspace(-3, 3, 11)
         np.testing.assert_array_equal(act.apply(v), v)
-        np.testing.assert_array_equal(act.invert(v), v)
-
-    @pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
-    def test_inverse_round_trip(self, kind):
-        act = Activation(kind)
-        v = np.linspace(-3, 3, 31)
-        np.testing.assert_allclose(act.invert(act.apply(v)), v, atol=1e-9)
-
-    def test_tanh_inverse_clamps_at_one(self):
-        act = Activation("tanh", inverse_clamp=1e-6)
-        out = act.invert(np.array([1.0]))
-        assert np.isfinite(out[0])
-        assert out[0] == pytest.approx(np.arctanh(1.0 - 1e-6))
 
     def test_invalid_kind(self):
         with pytest.raises(ConfigError):
             Activation("relu")
-
-    def test_clamp_range(self):
-        with pytest.raises(ConfigError):
-            Activation("tanh", inverse_clamp=0.5)
 
 
 class TestTrainDae:
@@ -172,6 +160,96 @@ class TestTrainStacked:
             np.testing.assert_array_equal(w1.matrices[k], w2.matrices[k])
 
 
+class TestCodeUpdate:
+    """The loop's code update against the block objective written out here."""
+
+    @staticmethod
+    def chain_point(sizes, seed):
+        rng = np.random.default_rng(seed)
+        P, Q = 10, 15
+        dims = (P, *sizes, P)
+        W = [rng.standard_normal((dims[i + 1], dims[i])) / np.sqrt(dims[i])
+             for i in range(len(dims) - 1)]
+        H = [rng.random((P, Q))] + [rng.standard_normal((l, Q)) for l in sizes]
+        return W, H + [rng.random((P, Q))]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_stacked_z0_weights_both_couplings(self, exact):
+        W, H = self.chain_point((8, 6, 4), seed=23)
+        m0, m1 = 1.0, 4.0
+        # Z0 block: m1 ||Z1 - W12 Z0||^2 + m0 ||Z0 - W11 Xhat||^2 (s0 = 0)
+        D = np.vstack([np.sqrt(m1) * W[1], np.sqrt(m0) * np.eye(8)])
+        T = np.vstack([np.sqrt(m1) * H[2], np.sqrt(m0) * (W[0] @ H[0])])
+        expected = np.linalg.lstsq(D, T, rcond=None)[0]
+        ista = IstaOptions(max_iterations=5000, relative_tolerance=1e-300)
+        got = _update_code(W, H, (m0, m1, 1.0, 1.0), 0,
+                           None if exact else 0.0, ista)
+        # ISTA stops once the objective stalls in floating point, about
+        # sqrt(eps) from the minimizer
+        tol = 1e-12 if exact else 1e-6
+        np.testing.assert_allclose(got, expected, rtol=0,
+                                   atol=tol * np.abs(expected).max())
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    def test_exact_shallow_code_is_least_squares(self, lam):
+        W, H = self.chain_point((6,), seed=24)
+        D = np.vstack([W[1], np.sqrt(lam) * np.eye(6)])
+        T = np.vstack([H[2], np.sqrt(lam) * (W[0] @ H[0])])
+        expected = np.linalg.lstsq(D, T, rcond=None)[0]
+        got = _update_code(W, H, (lam, 1.0), 0, None, IstaOptions())
+        np.testing.assert_allclose(got, expected, rtol=0,
+                                   atol=1e-10 * np.abs(expected).max())
+
+
+_weights_0_to_4 = st.floats(0.0, 4.0, allow_subnormal=False)
+_weights_0_to_2 = st.floats(0.0, 2.0, allow_subnormal=False)
+
+
+@pytest.mark.parametrize("variant", ["dae", "sparse_dae", "stacked_sdae"])
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(seed=st.integers(0, 1000),
+       couplings=st.tuples(_weights_0_to_4, _weights_0_to_4, _weights_0_to_4),
+       sparsity=st.tuples(_weights_0_to_2, _weights_0_to_2, _weights_0_to_2))
+@example(seed=0, couplings=(0.0, 1.0, 1.0), sparsity=(0.5, 0.5, 0.5))
+@example(seed=1, couplings=(1.0, 4.0, 1.0), sparsity=(0.1, 0.0, 0.3))
+def test_every_variant_trains_monotonically(variant, seed, couplings, sparsity):
+    # shallow variants take lambda = couplings[0] and mu = sparsity[0]
+    X, Xhat = synthetic_pair(P=12, Q=30, seed=seed)
+    opts = TrainOptions(outer_iterations=8, outer_tolerance=1e-12, seed=seed,
+                        ista=IstaOptions(max_iterations=50,
+                                         relative_tolerance=1e-8))
+    if variant == "dae":
+        _, trace = train_dae(X, Xhat, 6, lam=couplings[0], opts=opts)
+    elif variant == "sparse_dae":
+        _, trace = train_sparse_dae(X, Xhat, 6, lam=couplings[0],
+                                    mu=sparsity[0], opts=opts)
+    else:
+        _, trace = train_stacked_sdae(X, Xhat, (8, 5, 3), mu_layers=couplings,
+                                      lam_layers=sparsity, opts=opts)
+    obj = np.array(trace.objectives)
+    assert np.all(np.diff(obj) <= 1e-8 * np.abs(obj[:-1]) + 1e-12), obj
+
+
+class TestLinearTraining:
+    @pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
+    def test_objective_refuses_nonlinear_weights(self, kind):
+        rng = np.random.default_rng(25)
+        X, Xhat = rng.random((6, 4)), rng.random((6, 4))
+        w = AutoencoderWeights("dae", Activation(kind),
+                               {"W1": rng.standard_normal((3, 6)),
+                                "W2": rng.standard_normal((6, 3))})
+        with pytest.raises(ConfigError):
+            objective_value(w, np.zeros((3, 4)), X, Xhat)
+
+    def test_trainers_return_linear_weights(self):
+        X, Xhat = synthetic_pair(seed=26)
+        opts = tight_opts(outer=2)
+        for w, _ in (train_dae(X, Xhat, 5, opts=opts),
+                     train_sparse_dae(X, Xhat, 5, opts=opts),
+                     train_stacked_sdae(X, Xhat, (8, 5, 3), opts=opts)):
+            assert w.activation == Activation("linear")
+
+
 class TestInfer:
     def test_identity_composition(self):
         rng = np.random.default_rng(14)
@@ -288,6 +366,22 @@ class TestWeightsIo:
         loaded = load_weights(path)
         assert loaded.variant == w.variant
         assert loaded.activation.kind == w.activation.kind
+        for k in w.matrices:
+            np.testing.assert_array_equal(loaded.matrices[k], w.matrices[k])
+
+    def test_reserved_header_slot_ignored(self, tmp_path):
+        # files with any value in the float64 after the tags load alike
+        rng = np.random.default_rng(27)
+        w = AutoencoderWeights("sparse_dae", Activation("sigmoid"),
+                               {"W1": rng.standard_normal((4, 7)),
+                                "W2": rng.standard_normal((7, 4))})
+        path = tmp_path / "weights.bin"
+        save_weights(w, path)
+        raw = bytearray(path.read_bytes())
+        raw[8:16] = struct.pack("<d", 0.05)
+        path.write_bytes(bytes(raw))
+        loaded = load_weights(path)
+        assert loaded.activation == w.activation
         for k in w.matrices:
             np.testing.assert_array_equal(loaded.matrices[k], w.matrices[k])
 

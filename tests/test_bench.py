@@ -7,6 +7,7 @@ from radden.bench import (DatasetSpec, ExperimentConfig, SweepSpec, TrainSpec,
                           csv_content_hash, evaluate_grid_point, generate_pair,
                           grid_search, load_rows, parse_config, run_sweep,
                           summarize, write_plot_data, write_rows)
+from radden.bench import sweep as sweep_module
 from radden.bench.sweep import ResultRow, _mean_nmse
 from radden.cli import main
 from radden.errors import ConfigError, DomainError
@@ -180,6 +181,16 @@ class TestSweep:
         assert row.ssim_ad >= row.ssim_bd
 
 
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
+
+def test_run_sweep_rejects_jobs_below_one(monkeypatch):
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", _no_pool)
+    with pytest.raises(ConfigError):
+        run_sweep(tiny_config(), jobs=0)
+
+
 class TestMeanNmse:
     def test_matches_per_column_mean(self):
         rng = np.random.default_rng(0)
@@ -249,6 +260,21 @@ class TestCli:
     def test_accept_takes_no_out(self):
         with pytest.raises(SystemExit):
             main(["accept", "--out", "unused"])
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_jobs_only_on_sweep(self, tmp_path, command):
+        with pytest.raises(SystemExit):
+            main([command, "--config", str(tmp_path / "no.ini"),
+                  "--jobs", "2"])
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_sweep_rejects_jobs_below_one(self, tmp_path, monkeypatch, jobs):
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", _no_pool)
+        ini = tmp_path / "exp.ini"
+        ini.write_text("[sweep]\nalgorithms = wavelet\n"
+                       f"[output]\ndirectory = {tmp_path / 'out'}\n")
+        assert main(["sweep", "--config", str(ini), "--jobs", str(jobs)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "no.ini")]) == 2
