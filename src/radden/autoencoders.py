@@ -190,9 +190,8 @@ def _update_code(W, H, c, i, mu, ista):
     """
     E = W[i] @ H[i]
     if mu is None:
-        # the residual is formed after the design, off the solve's peak memory
-        design = RidgeDesign(W[i + 1].T, ridge=c[i] / c[i + 1])
-        return E + design.solve((H[i + 2] - W[i + 1] @ E).T).T
+        return E + solve_least_squares(W[i + 1].T, (H[i + 2] - W[i + 1] @ E).T,
+                                       ridge=c[i] / c[i + 1]).T
     a, b = np.sqrt(c[i + 1]), np.sqrt(c[i])
     D = np.vstack([a * W[i + 1], b * np.eye(len(E))])
     T = np.vstack([a * H[i + 2], b * E])

@@ -73,15 +73,12 @@ def _spectrogram_images(signal, spec: DatasetSpec):
 
 
 def _hrrp_images(s_rx, radar, spec: DatasetSpec):
+    """One power image per interval from returns at its `image_cols` samples."""
     rows, cols = spec.image_shape
     power, _ = hrrp(s_rx, radar)
     if power.shape[0] < rows:
         raise ConfigError("too few range bins for the requested image height")
-    images = []
-    for lo, hi in _interval_bounds(spec):
-        sel = np.linspace(lo, hi - 1, cols).astype(int)
-        images.append(power[:rows, sel])
-    return images
+    return [power[:rows, i * cols:(i + 1) * cols] for i in range(spec.intervals)]
 
 
 def _base_power_images(spec: DatasetSpec):
@@ -95,9 +92,14 @@ def _base_power_images(spec: DatasetSpec):
     free = ChannelModel(WallClass.FREE_SPACE)
     wall = ChannelModel(spec.wall_class, realizations=spec.realizations,
                         seed=spec.seed)
+    # an HRRP column needs only its own time sample; the STFT needs them all
+    samples = None
+    if spec.kind == "hrrp":
+        samples = np.concatenate([np.linspace(lo, hi - 1, spec.image_cols).astype(int)
+                                  for lo, hi in _interval_bounds(spec)])
 
     def images_for(track, channel, eta):
-        s_rx = radar_returns(track, channel, radar, eta=eta)
+        s_rx = radar_returns(track, channel, radar, eta=eta, samples=samples)
         if spec.kind == "spectrogram":
             return _spectrogram_images(s_rx[:, 0], spec)
         return _hrrp_images(s_rx, radar, spec)

@@ -109,9 +109,11 @@ def _cmd_report(args):
 def _cmd_accept(args):
     import pytest
 
-    tests = Path(__file__).resolve().parents[2] / "tests" / "test_acceptance.py"
-    if not tests.exists():
-        print(f"acceptance suite not found at {tests}", file=sys.stderr)
+    suite = Path("tests", "test_acceptance.py")  # working tree, then source checkout
+    places = [Path.cwd() / suite, Path(__file__).resolve().parents[2] / suite]
+    tests = next((p for p in places if p.exists()), None)
+    if tests is None:
+        print(f"acceptance suite not found at {places[0]} or {places[1]}", file=sys.stderr)
         return EXIT_CONFIG
     code = pytest.main(["-v", str(tests)])
     return EXIT_OK if code == 0 else EXIT_ACCEPT

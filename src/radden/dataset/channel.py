@@ -115,12 +115,13 @@ def channel_response(channel: ChannelModel, rho, f, eta):
     if channel.wall_class is WallClass.FREE_SPACE:
         return direct
     gains, delays = channel._jitter(eta)
-    H = channel.direct_gain * gains[0] * direct
+    # a ringing tap is the direct path delayed: direct * g_k exp(-j 2 pi f delay_k)
+    taps = channel.direct_gain * gains[0]
     step = channel.ring_delay_step
     for k in range(1, channel.tap_count + 1):
         g = channel.direct_gain * channel.tap_decay ** k * gains[k]
-        delay = k * step + delays[k]
-        H = H + g * np.exp(-2j * np.pi * f * (rho / c + delay)) / np.sqrt(rho)
+        taps = taps + g * np.exp(-2j * np.pi * f * (k * step + delays[k]))
+    H = direct * taps
     for m in range(channel.image_count):
         idx = 1 + channel.tap_count + m
         path = np.hypot(rho, 2.0 * channel.image_offsets[m])

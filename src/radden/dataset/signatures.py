@@ -69,24 +69,28 @@ class RadarConfig:
 
 
 def radar_returns(track: ScattererTrack, channel: ChannelModel,
-                  radar: RadarConfig, eta=1):
+                  radar: RadarConfig, eta=1, samples=None):
     """Complex received signal s_rx(t, f) of the point-scatterer target.
 
     Coherent sum over scatterers of the two-way channel response squared and
     the 3-D/2-D phase correction term; shape (time samples, frequency
-    samples), a single column for narrowband operation.
+    samples), a single column for narrowband operation.  Integer time-grid
+    indices `samples` keep only those rows, bitwise as in the full grid.
     """
     grid = radar.time_grid
     if track.times.shape != grid.shape or not np.allclose(track.times, grid,
                                                           rtol=1e-9, atol=1e-9):
         raise ConfigError("track and radar do not share the same time grid")
+    rows = np.arange(grid.size) if samples is None else np.asarray(samples)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu" or np.any((rows < 0) | (rows >= grid.size)):
+        raise ConfigError(f"time samples must be integers in [0, {grid.size})")
     freqs = radar.frequencies
     c = SPEED_OF_LIGHT
     amp = radar.amplitude * 10.0 ** (radar.gain_db / 20.0)
-    out = np.zeros((len(grid), len(freqs)), dtype=complex)
+    out = np.zeros((rows.size, freqs.size), dtype=complex)
     for b in range(track.count):
-        rho = track.ranges_ground[b][:, None]
-        r = track.ranges_3d[b][:, None]
+        rho = track.ranges_ground[b][rows][:, None]
+        r = track.ranges_3d[b][rows][:, None]
         f = freqs[None, :]
         H = channel_response(channel, rho, f, eta)
         out += track.reflectivity[b] * H * H * np.exp(-4j * np.pi * (f / c) * (r - rho))
@@ -110,14 +114,11 @@ def spectrogram(signal, sample_rate, window_s, hop=None, doppler_bins=None):
     if nfft < win_len:
         raise ConfigError("doppler_bins must be >= window length")
     window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(win_len) / win_len)
-    n_frames = 1 + (signal.size - win_len) // hop
-    power = np.empty((nfft, n_frames))
-    for j in range(n_frames):
-        seg = signal[j * hop: j * hop + win_len] * window
-        spec = np.fft.fftshift(np.fft.fft(seg, n=nfft))
-        power[:, j] = np.abs(spec) ** 2
+    frames = np.lib.stride_tricks.sliding_window_view(signal, win_len)[::hop] * window
+    spec = np.fft.fftshift(np.fft.fft(frames, n=nfft, axis=1), axes=1)
+    power = (np.abs(spec) ** 2).T
     doppler = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / sample_rate))
-    frame_times = (np.arange(n_frames) * hop + win_len / 2.0) / sample_rate
+    frame_times = (np.arange(len(frames)) * hop + win_len / 2.0) / sample_rate
     return power, doppler, frame_times
 
 

@@ -76,17 +76,7 @@ class RidgeDesign:
     """
 
     def __init__(self, A, ridge=None):
-        A = np.asarray(A, dtype=float)
-        if A.ndim != 2:
-            raise ConfigError("design must be a 2-D matrix")
-        if not np.all(np.isfinite(A)):
-            raise DomainError("design contains non-finite entries")
-        if ridge is None:
-            ridge = default_ridge(A)
-        if ridge < 0:
-            raise DomainError("ridge must be >= 0")
-        self.A = A
-        self.ridge = float(ridge)
+        A, ridge = self.A, self.ridge = _checked_design(A, ridge)
         n, q = A.shape
         if ridge == 0:
             self._K = np.linalg.pinv(A)
@@ -96,19 +86,44 @@ class RidgeDesign:
             self._K = np.linalg.solve(A @ A.T + ridge * np.eye(n), A).T
 
     def solve(self, B):
-        B = np.asarray(B, dtype=float)
-        if B.ndim != 2 or B.shape[1] != self.A.shape[1]:
-            raise ConfigError(
-                f"target columns {B.shape} do not match design {self.A.shape}"
-            )
-        if not np.all(np.isfinite(B)):
-            raise DomainError("target contains non-finite entries")
-        return B @ self._K
+        return _checked_target(B, self.A) @ self._K
+
+
+def _checked_design(A, ridge):
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise ConfigError("design must be a 2-D matrix")
+    if not np.all(np.isfinite(A)):
+        raise DomainError("design contains non-finite entries")
+    ridge = default_ridge(A) if ridge is None else ridge
+    if ridge < 0:
+        raise DomainError("ridge must be >= 0")
+    return A, float(ridge)
+
+
+def _checked_target(B, A):
+    B = np.asarray(B, dtype=float)
+    if B.ndim != 2 or B.shape[1] != A.shape[1]:
+        raise ConfigError(f"target columns {B.shape} do not match design {A.shape}")
+    if not np.all(np.isfinite(B)):
+        raise DomainError("target contains non-finite entries")
+    return B
 
 
 def solve_least_squares(A, B, ridge=None):
-    """W minimizing ||B - W A||_F^2 (+ ridge ||W||_F^2), closed form."""
-    return RidgeDesign(A, ridge=ridge).solve(B)
+    """W minimizing ||B - W A||_F^2 (+ ridge ||W||_F^2), closed form, for one B.
+
+    With fewer rows in B than on A's larger side, a Gram solve with B's rows
+    as right-hand sides costs less than forming RidgeDesign's K; otherwise,
+    and at ridge 0, it is RidgeDesign(A, ridge).solve(B) bit for bit."""
+    A, ridge = _checked_design(A, ridge)
+    B = _checked_target(B, A)
+    n, q = A.shape
+    if ridge == 0 or B.shape[0] >= max(n, q):
+        return RidgeDesign(A, ridge).solve(B)
+    if q < n:   # B (A.T A + rI)^-1 A.T
+        return np.linalg.solve(A.T @ A + ridge * np.eye(q), B.T).T @ A.T
+    return np.linalg.solve(A @ A.T + ridge * np.eye(n), A @ B.T).T  # B A.T (A A.T + rI)^-1
 
 
 def _gram_bound(G):

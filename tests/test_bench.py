@@ -1,8 +1,10 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from radden import cli as cli_module
 from radden.bench import (DatasetSpec, ExperimentConfig, SweepSpec, TrainSpec,
                           csv_content_hash, evaluate_grid_point, generate_pair,
                           grid_search, load_rows, parse_config, run_sweep,
@@ -260,6 +262,34 @@ class TestCli:
     def test_accept_takes_no_out(self):
         with pytest.raises(SystemExit):
             main(["accept", "--out", "unused"])
+
+    def test_accept_prefers_working_tree_suite(self, tmp_path, monkeypatch):
+        suite = tmp_path / "tests" / "test_acceptance.py"
+        suite.parent.mkdir()
+        suite.write_text("")
+        ran = []
+        monkeypatch.setattr(pytest, "main", lambda args: ran.append(args) or 0)
+        monkeypatch.chdir(tmp_path)
+        assert main(["accept"]) == 0
+        assert ran == [["-v", str(suite)]]
+
+    def test_accept_falls_back_to_source_checkout(self, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr(pytest, "main", lambda args: ran.append(args) or 1)
+        monkeypatch.chdir(tmp_path)
+        assert main(["accept"]) == 3
+        assert ran[0][1].endswith(str(Path("tests", "test_acceptance.py")))
+        assert Path(ran[0][1]).exists()
+
+    def test_accept_names_both_places(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli_module, "__file__",
+                            str(tmp_path / "site" / "pkg" / "radden" / "cli.py"))
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        assert main(["accept"]) == 2
+        err = capsys.readouterr().err
+        for root in ("work", "site"):
+            assert str(tmp_path / root / "tests" / "test_acceptance.py") in err
 
     @pytest.mark.parametrize("command", ["generate", "train"])
     def test_jobs_only_on_sweep(self, tmp_path, command):

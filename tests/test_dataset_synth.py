@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from radden.bench import DatasetSpec, datasets
 from radden.dataset import (SPEED_OF_LIGHT, ChannelModel, GaitParams,
                             RadarConfig, ScattererTrack, WallClass,
                             channel_response, gait_trajectory, hrrp,
@@ -101,6 +102,31 @@ class TestChannel:
         with pytest.raises(ConfigError):
             channel_response(ch, 1.0, 2.4e9, 5)
 
+    @pytest.mark.parametrize("rho, f", [
+        (3.0, 2.4e9),
+        (np.linspace(1.0, 6.0, 7)[:, None], np.linspace(1.4e9, 3.4e9, 5)[None, :]),
+        (np.linspace(1.0, 6.0, 7), 2.4e9),
+        (2.5, np.linspace(1.4e9, 3.4e9, 5)),
+    ], ids=["scalar", "grid", "rho_vector", "f_vector"])
+    @pytest.mark.parametrize("wall", [WallClass.LOW_CONDUCTIVITY,
+                                      WallClass.MEDIUM_CONDUCTIVITY])
+    def test_factored_taps_match_per_tap_sum(self, wall, rho, f):
+        ch = ChannelModel(wall, realizations=3, seed=7)
+        gains, delays = ch._jitter(2)
+        path = lambda d: np.exp(-2j * np.pi * f * d)  # noqa: E731
+        H = ch.direct_gain * gains[0] * path(rho / C) / np.sqrt(rho)
+        for k in range(1, ch.tap_count + 1):
+            g = ch.direct_gain * ch.tap_decay ** k * gains[k]
+            delay = k * ch.ring_delay_step + delays[k]
+            H = H + g * path(rho / C + delay) / np.sqrt(rho)
+        for m in range(ch.image_count):
+            p = np.hypot(rho, 2.0 * ch.image_offsets[m])
+            g = ch.image_gains[m] * gains[1 + ch.tap_count + m]
+            H = H + g * path(p / C + delays[1 + ch.tap_count + m]) / np.sqrt(p)
+        got = channel_response(ch, rho, f, 2)
+        assert np.shape(got) == np.broadcast_shapes(np.shape(rho), np.shape(f))
+        np.testing.assert_allclose(got, H, rtol=1e-12, atol=0)
+
     def test_wall_classes_differ_in_structure(self):
         low = ChannelModel(WallClass.LOW_CONDUCTIVITY)
         high = ChannelModel(WallClass.HIGH_CONDUCTIVITY)
@@ -154,6 +180,31 @@ class TestRadarReturns:
         f_peak = freqs[np.argmax(spec)]
         assert f_peak == pytest.approx(2 * v * fc / C, abs=freqs[1] - freqs[0])
 
+    @pytest.mark.parametrize("wideband", [False, True],
+                             ids=["narrowband", "wideband"])
+    @pytest.mark.parametrize("wall", [WallClass.FREE_SPACE,
+                                      WallClass.LOW_CONDUCTIVITY])
+    def test_samples_are_rows_of_the_full_grid(self, wall, wideband):
+        radar = RadarConfig(bandwidth_hz=2e9 if wideband else 0.0,
+                            freq_count=16, duration_s=0.5, sample_rate_hz=100.0)
+        track = gait_trajectory(GaitParams(), (0.5, 0.0), 0.5, 100.0)
+        ch = ChannelModel(wall, realizations=2, seed=5)
+        idx = np.array([0, 7, 7, 3, 49, 20, 0])
+        full = radar_returns(track, ch, radar, eta=2)
+        np.testing.assert_array_equal(
+            radar_returns(track, ch, radar, eta=2, samples=idx), full[idx])
+
+    @pytest.mark.parametrize("samples", [[0, 50], [-1, 2], [0.0, 1.0],
+                                         np.array([[1, 2]]), [True, False]],
+                             ids=["past_end", "negative", "float",
+                                  "two_dimensional", "boolean"])
+    def test_bad_samples(self, samples):
+        radar = RadarConfig(duration_s=0.5, sample_rate_hz=100.0)
+        t = radar.time_grid
+        track = ScattererTrack(t, np.ones_like(t), np.ones_like(t), [1.0])
+        with pytest.raises(ConfigError):
+            radar_returns(track, ChannelModel(), radar, samples=samples)
+
     def test_grid_mismatch(self):
         radar = RadarConfig(duration_s=1.0, sample_rate_hz=100.0)
         t = np.arange(50) / 100.0
@@ -186,6 +237,22 @@ class TestSpectrogram:
         i_neg = np.argmin(np.abs(doppler + 100.0))
         ratio_db = 10 * np.log10(power[i_pos].mean() / power[i_neg].mean())
         assert ratio_db == pytest.approx(20 * np.log10(2.0), abs=0.05)
+
+    @pytest.mark.parametrize("size, hop, bins", [(300, 5, None), (301, 7, 64),
+                                                 (250, 50, 80), (50, 3, 50)])
+    def test_matches_per_frame_loop(self, size, hop, bins):
+        rng = np.random.default_rng(size)
+        sig = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        power, _, times = spectrogram(sig, 500.0, 0.1, hop=hop, doppler_bins=bins)
+        win_len, nfft = 50, bins or 50
+        window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(win_len) / win_len)
+        n_frames = 1 + (size - win_len) // hop
+        ref = np.empty((nfft, n_frames))
+        for j in range(n_frames):
+            seg = sig[j * hop: j * hop + win_len] * window
+            ref[:, j] = np.abs(np.fft.fftshift(np.fft.fft(seg, n=nfft))) ** 2
+        np.testing.assert_array_equal(power, ref)
+        assert times.shape == (n_frames,)
 
     def test_window_longer_than_signal(self):
         with pytest.raises(ConfigError):
@@ -247,3 +314,30 @@ class TestToDbNormalize:
     def test_bad_range(self):
         with pytest.raises(ConfigError):
             to_db_normalize(np.ones(3), (-20, -20))
+
+
+def _full_grid_hrrp_images(s_rx, radar, spec):
+    """The image columns picked out of the whole time grid's HRRP."""
+    power, _ = hrrp(s_rx, radar)
+    rows, cols = spec.image_shape
+    return [power[:rows, np.linspace(lo, hi - 1, cols).astype(int)]
+            for lo, hi in datasets._interval_bounds(spec)]
+
+
+class TestHrrpDataset:
+    @pytest.mark.parametrize("wall", ["low", "high"])
+    def test_kept_samples_match_full_grid_synthesis(self, monkeypatch, wall):
+        spec = DatasetSpec(kind="hrrp", wall_class=wall, bandwidth_hz=2e9,
+                           freq_count=64, intervals=2, realizations=1,
+                           noise_draws=2, snr_db=0.0, seed=4)
+        clean, corrupt = datasets.generate_pair(spec)
+        full_grid = datasets.radar_returns
+        monkeypatch.setattr(
+            datasets, "radar_returns",
+            lambda track, channel, radar, eta, samples: full_grid(
+                track, channel, radar, eta=eta))
+        monkeypatch.setattr(datasets, "_hrrp_images", _full_grid_hrrp_images)
+        ref_clean, ref_corrupt = datasets.generate_pair(spec)
+        assert clean.data.shape == (64 * 64, 4)
+        np.testing.assert_array_equal(clean.data, ref_clean.data)
+        np.testing.assert_array_equal(corrupt.data, ref_corrupt.data)

@@ -187,8 +187,22 @@ class TestLeastSquares:
         np.testing.assert_allclose(W, W_ref, rtol=1e-10)
         B2 = rng.standard_normal((7, 40))
         np.testing.assert_array_equal(design.solve(B2),
-                                      solve_least_squares(A, B2, ridge=ridge))
+                                      RidgeDesign(A, ridge=ridge).solve(B2))
+        np.testing.assert_allclose(solve_least_squares(A, B2, ridge=ridge),
+                                   design.solve(B2), rtol=1e-10)
         np.testing.assert_array_equal(W, solve_least_squares(A, B, ridge=ridge))
+
+    @pytest.mark.parametrize("shape", [(12, 40), (40, 12), (30, 8)],
+                             ids=["wide", "tall", "tall_30x8"])
+    @pytest.mark.parametrize("rows", [1, 5, 100])
+    @pytest.mark.parametrize("ridge", [1e-6, 0.3, 50.0])
+    def test_one_off_solve_matches_design(self, shape, rows, ridge):
+        rng = np.random.default_rng(16)
+        A = rng.standard_normal(shape)
+        B = rng.standard_normal((rows, shape[1]))
+        W_ref = RidgeDesign(A, ridge=ridge).solve(B)
+        W = solve_least_squares(A, B, ridge=ridge)
+        assert np.linalg.norm(W - W_ref) <= 1e-10 * np.linalg.norm(W_ref)
 
 
 class TestLipschitzBound:
