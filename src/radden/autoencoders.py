@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError
-from .sparse_solvers import IstaOptions, RidgeDesign, ista_solve, solve_least_squares
+from .sparse_solvers import IstaOptions, RidgeDesign, ista_gram, solve_least_squares
 
 __all__ = [
     "Activation",
@@ -122,8 +122,12 @@ class TrainOptions:
 
 @dataclass
 class TrainTrace:
+    """One entry per outer iteration.  `ista` holds (iterations, converged)
+    of each ISTA code update of that iteration, in update order; it is
+    empty for the DAE, whose code updates are exact."""
     objectives: list[float] = field(default_factory=list)
     wall_times: list[float] = field(default_factory=list)
+    ista: list[list[tuple[int, int]]] = field(default_factory=list)
 
 
 def _init_matrix(rng, rows, cols):
@@ -159,43 +163,61 @@ def objective_value(weights, codes, X, Xhat, lam=1.0, mu=0.0,
     else:
         codes = (codes,)
         c, s = (lam,), (mu if weights.variant == "sparse_dae" else 0.0,)
-    W, H = weights.chain, [Xhat, *codes, X]
-    L = len(codes)
-    terms = [_squared_residual(X, W[L], H[L])]
-    terms += [c[i] * _squared_residual(H[i + 1], W[i], H[i]) for i in reversed(range(L))]
+    H = [Xhat, *codes, X]
+    return _chain_sum(H, [M @ S for M, S in zip(weights.chain, H)], c, s)
+
+
+def _chain_sum(H, products, c, s):
+    """The training objective from the chain's products, products[i] = W_i H[i].
+
+    H is [Xhat, Z_0, ..., Z_{L-1}, X]; the terms are summed in one fixed
+    order: reconstruction, couplings from the last code down, then l1.
+    """
+    L = len(products) - 1
+    terms = [_squared_residual(H[L + 1], products[L])]
+    terms += [c[i] * _squared_residual(H[i + 1], products[i]) for i in reversed(range(L))]
     terms += [s[i] * np.sum(np.abs(H[i + 1])) for i in range(L) if s[i]]
     return float(sum(terms))
 
 
-def _squared_residual(T, W, S):
-    """||T - W S||_F^2 in one buffer, bitwise equal to np.sum((T - W @ S) ** 2)."""
-    R = W @ S
-    R -= T
+def _squared_residual(T, WS):
+    """||T - WS||_F^2 in one new buffer, bitwise equal to np.sum((T - WS) ** 2)."""
+    R = WS - T
     return np.sum(np.square(R, out=R))
 
 
-def _update_code(W, H, c, i, mu, ista):
+def _update_code(W, H, c, i, mu, ista, E=None, stats=None):
     """Z_i = H[i + 1] minimizing the two chain terms it enters, plus mu |Z_i|_1.
 
-    H is [Xhat, Z_0, ..., Z_{L-1}, X] and c the coupling weights with the
-    reconstruction's 1 appended.  The block is the stacked least squares
-    with design [sqrt(c[i+1]) W[i+1]; sqrt(c[i]) I] and target
-    [sqrt(c[i+1]) H[i+2]; sqrt(c[i]) W[i] H[i]], solved by ISTA warm-started
-    from the current code.  With `mu` None (the DAE) the same pair is solved
-    exactly, as a ridge problem in the offset Z_i - W[i] H[i]: design
-    W[i+1], target H[i+2] - W[i+1] W[i] H[i], ridge c[i] / c[i+1] (c[i+1] >
-    0; the DAE's is the reconstruction's 1).  Its minimizer is the pair's,
-    and for c[i] > 0 it is solved through a Gram matrix of the code's size,
-    where the stacked design at ridge 0 would take an SVD.
+    H is [Xhat, Z_0, ..., Z_{L-1}, X], c the coupling weights with the
+    reconstruction's 1 appended, and E = W[i] H[i] (formed here if not
+    given).  The block is the stacked least squares with design
+    D = [sqrt(c[i+1]) W[i+1]; sqrt(c[i]) I] and target
+    Y = [sqrt(c[i+1]) H[i+2]; sqrt(c[i]) E], solved by `ista_gram`
+    warm-started from the current code.  D and Y are never formed: ISTA
+    takes D.T D = c[i+1] W[i+1].T W[i+1] + c[i] I, D.T Y = c[i+1] W[i+1].T
+    H[i+2] + c[i] E and the column norms of Y, all from code-sized products.
+    If `stats` is a list, (iterations, converged) of the solve is appended.
+    With `mu` None (the DAE) the same pair is solved exactly, as a ridge
+    problem in the offset Z_i - E: design W[i+1], target H[i+2] - W[i+1] E,
+    ridge c[i] / c[i+1] (c[i+1] > 0; the DAE's is the reconstruction's 1).
+    Its minimizer is the pair's, and for c[i] > 0 it is solved through a
+    Gram matrix of the code's size, where the stacked design at ridge 0
+    would take an SVD.
     """
-    E = W[i] @ H[i]
+    if E is None:
+        E = W[i] @ H[i]
+    Wn, T = W[i + 1], H[i + 2]
     if mu is None:
-        return E + solve_least_squares(W[i + 1].T, (H[i + 2] - W[i + 1] @ E).T,
-                                       ridge=c[i] / c[i + 1]).T
-    a, b = np.sqrt(c[i + 1]), np.sqrt(c[i])
-    D = np.vstack([a * W[i + 1], b * np.eye(len(E))])
-    T = np.vstack([a * H[i + 2], b * E])
-    return ista_solve(D, T, mu, H[i + 1], ista).z
+        return E + solve_least_squares(Wn.T, (T - Wn @ E).T, ridge=c[i] / c[i + 1]).T
+    DtD = c[i + 1] * (Wn.T @ Wn)
+    DtD[np.diag_indices_from(DtD)] += c[i]
+    DtY = c[i + 1] * (Wn.T @ T) + c[i] * E
+    yty = c[i + 1] * np.einsum("pq,pq->q", T, T) + c[i] * np.einsum("kq,kq->q", E, E)
+    result = ista_gram(DtD, DtY, yty, mu, H[i + 1], ista)
+    if stats is not None:
+        stats.append((result.iterations, result.converged))
+    return result.z
 
 
 def _train(variant, X, Xhat, sizes, c, s, order, opts):
@@ -208,6 +230,14 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts):
     updates minimize it over their block and warm-started ISTA never
     increases it, so the recorded trace is non-increasing up to the tiny
     ridge term and rounding.
+
+    Each outer iteration forms every chain product once.  E[i] = W_i Z_{i-1}
+    is kept until W_i or Z_{i-1} changes, and serves both the code update of
+    Z_i and the objective, which `_chain_sum` takes from E and the one
+    decoder product.  The encoder W_0 is not formed inside the loop: its
+    update keeps its target Z_0, and E[0] = W_0 Xhat comes from the input
+    design's hat matrix.  W_0 is solved once, after the loop, from the last
+    target.
     """
     opts = opts or TrainOptions()
     rng = np.random.default_rng(opts.seed)
@@ -219,32 +249,40 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts):
     H.append(X)
     names = _MATRIX_NAMES[variant]
     weights = AutoencoderWeights(variant, Activation(), dict(zip(names, W)))
-    if weights.stacked:
-        terms = dict(mu_layers=c, lam_layers=s)
-    else:
-        terms = dict(lam=c[0], mu=s[0])
+    E = H[1:-1]   # E[i] = W_i H[i] of each code's coupling term; None when stale
     couplings = (*c, 1.0)
     input_design = RidgeDesign(Xhat, ridge=opts.ridge)
+    encoder_target = None
     trace = TrainTrace()
     for _ in range(opts.outer_iterations):
         t0 = time.perf_counter()
+        stats = []
         for block, i in order:
             if block == "Z":
+                if E[i] is None:
+                    E[i] = W[i] @ H[i]
                 mu = None if variant == "dae" else s[i]
-                H[i + 1] = _update_code(W, H, couplings, i, mu, opts.ista)
+                H[i + 1] = _update_code(W, H, couplings, i, mu, opts.ista, E[i], stats)
+                if i + 1 < len(E):
+                    E[i + 1] = None
             elif i == 0:
-                W[0] = input_design.solve(H[1])
+                encoder_target = H[1]
+                E[0] = input_design.fitted(encoder_target)
             else:
                 W[i] = solve_least_squares(H[i], H[i + 1], ridge=opts.ridge)
-        weights.matrices.update(zip(names, W))
-        codes = tuple(H[1:-1]) if weights.stacked else H[1]
-        obj = objective_value(weights, codes, X, Xhat, **terms)
+                if i < len(E):
+                    E[i] = None
+        E = [W[i] @ H[i] if e is None else e for i, e in enumerate(E)]
+        obj = _chain_sum(H, [*E, W[-1] @ H[-2]], c, s)
         trace.objectives.append(obj)
+        trace.ista.append(stats)
         trace.wall_times.append(time.perf_counter() - t0)
         if len(trace.objectives) >= 2:
             prev = trace.objectives[-2]
             if abs(prev - obj) <= opts.outer_tolerance * max(abs(prev), 1e-300):
                 break
+    W[0] = input_design.solve(encoder_target)
+    weights.matrices.update(zip(names, W))
     return weights, trace
 
 
@@ -274,7 +312,7 @@ def train_dae(X, Xhat, nodes, lam=1.0, opts: TrainOptions | None = None):
 def train_sparse_dae(X, Xhat, nodes, lam=1.0, mu=0.1,
                      opts: TrainOptions | None = None):
     """SparseDAE: DAE plus an l1 penalty on the code, solved by ISTA on the
-    vertically stacked system [W2; sqrt(lam) I]."""
+    Gram form of the vertically stacked system [W2; sqrt(lam) I]."""
     X, Xhat = _check_shallow(X, Xhat, nodes, lam, mu)
     return _train("sparse_dae", X, Xhat, (nodes,), (lam,), (mu,),
                   _SHALLOW_ORDER, opts)

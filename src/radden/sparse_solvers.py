@@ -13,6 +13,7 @@ __all__ = [
     "IstaResult",
     "RidgeDesign",
     "default_ridge",
+    "ista_gram",
     "ista_solve",
     "lipschitz_bound",
     "soft_threshold",
@@ -72,7 +73,8 @@ class RidgeDesign:
     product B @ K.  K (q x n for an n x q design) is formed once, through the
     Gram matrix on the smaller side of A, so every solve is a single GEMM
     whatever the number of target rows.  At ridge 0, K is the pseudo-inverse
-    of A and W the minimum-norm least-squares solution.
+    of A and W the minimum-norm least-squares solution.  fitted(B) is W A,
+    through the q x q hat matrix K A.
     """
 
     def __init__(self, A, ridge=None):
@@ -84,9 +86,21 @@ class RidgeDesign:
             self._K = np.linalg.solve(A.T @ A + ridge * np.eye(q), A.T)
         else:         # A.T (A A.T + rI)^-1, the same matrix for r > 0
             self._K = np.linalg.solve(A @ A.T + ridge * np.eye(n), A).T
+        self._hat = None
 
     def solve(self, B):
         return _checked_target(B, self.A) @ self._K
+
+    def fitted(self, B):
+        """solve(B) @ A, the fit on the design's own columns, as B @ (K A).
+
+        The q x q hat matrix K A is formed on first use, so each call costs
+        q^2 per target row instead of the 2 n q of forming W and then W A;
+        that is cheaper while q < 2n.
+        """
+        if self._hat is None:
+            self._hat = self._K @ self.A
+        return _checked_target(B, self.A) @ self._hat
 
 
 def _checked_design(A, ridge):
@@ -157,20 +171,11 @@ def _block_stack(M, nblocks):
 def ista_solve(D, Y, mu, Z0, opts: IstaOptions | None = None):
     """Minimize ||Y - D Z||_F^2 + mu |Z|_1 by iterative soft thresholding.
 
-    Iterates Z <- soft_threshold(Z + (1/L) D.T (Y - D Z), mu / (2 L)) from the
-    given warm start; the objective is non-increasing across iterations.
-    Columns are solved independently, each with its own stopping rule, in
-    zero-padded blocks of BLOCK_COLUMNS columns held as one (blocks, K,
-    BLOCK_COLUMNS) stack.  A sweep is one stacked GEMM plus a fixed set of
-    in-place elementwise passes over the whole stack.  Every column goes
-    through the same fixed-width block products, so any column partitioning
-    of Y produces bitwise-identical codes.  `iterations` is the longest
-    column's count, `converged` the number of columns whose stopping rule
-    fired before `max_iterations` cut them off, and `objectives` holds
-    per-sweep totals in which a stopped column contributes its final value.
+    Forms D.T D, D.T Y and each column's ||y||^2, then runs `ista_gram`.
+    D.T Y and ||y||^2 are formed in zero-padded blocks of BLOCK_COLUMNS
+    columns, one fixed-width GEMM per block, so any column partitioning of Y
+    produces bitwise-identical codes.
     """
-    if opts is None:
-        opts = IstaOptions()
     D = np.asarray(D, dtype=float)
     Y = np.asarray(Y, dtype=float)
     Z0 = np.asarray(Z0, dtype=float)
@@ -185,32 +190,78 @@ def ista_solve(D, Y, mu, Z0, opts: IstaOptions | None = None):
         raise ConfigError(
             f"init shape {Z0.shape} incompatible with {D.shape} x {Y.shape}"
         )
-    DtD = D.T @ D
+    k, q = Z0.shape
+    DtY = np.empty((k, q))
+    yty = np.empty(q)
+    yb = np.zeros((Y.shape[0], BLOCK_COLUMNS))   # one block of Y at a time
+    dtyb = np.empty((k, BLOCK_COLUMNS))
+    ytyb = np.empty(BLOCK_COLUMNS)
+    for start in range(0, q, BLOCK_COLUMNS):
+        cols = slice(start, start + BLOCK_COLUMNS)
+        part = Y[:, cols]
+        width = part.shape[1]
+        yb[:, :width] = part
+        yb[:, width:] = 0.0
+        np.matmul(D.T, yb, out=dtyb)
+        np.sum(np.square(yb, out=yb), axis=0, out=ytyb)
+        DtY[:, cols] = dtyb[:, :width]
+        yty[cols] = ytyb[:width]
+    return ista_gram(D.T @ D, DtY, yty, mu, Z0, opts)
+
+
+def ista_gram(DtD, DtY, yty, mu, Z0, opts: IstaOptions | None = None):
+    """ISTA on the normal-equation form of ||Y - D Z||_F^2 + mu |Z|_1.
+
+    Takes DtD = D.T D (k x k), DtY = D.T Y (k x q) and yty, each column's
+    ||y||^2 (q), in place of D and Y; the design's row count never enters.
+    Iterates Z <- soft_threshold(Z + (1/L) (DtY - DtD Z), mu / (2 L)) from
+    the given warm start, with L = 1.01 * the largest eigenvalue of DtD; the
+    objective is non-increasing across iterations.  Columns are solved
+    independently, each with its own stopping rule, in zero-padded blocks of
+    BLOCK_COLUMNS columns held as one (blocks, k, BLOCK_COLUMNS) stack.  A
+    sweep is one stacked GEMM plus a fixed set of in-place elementwise
+    passes over the whole stack, and each column's objective
+    yty - 2 z.dty + z.(DtD z) + mu |z|_1 is two dot products and one |z|
+    sum along the stack's k axis.  `iterations` is the longest column's
+    count, `converged` the number of columns whose stopping rule fired
+    before `max_iterations` cut them off, and `objectives` holds per-sweep
+    totals, summed block by block, in which a stopped column contributes
+    its final value.
+    """
+    if opts is None:
+        opts = IstaOptions()
+    DtD = np.asarray(DtD, dtype=float)
+    DtY = np.asarray(DtY, dtype=float)
+    yty = np.asarray(yty, dtype=float)
+    Z0 = np.asarray(Z0, dtype=float)
+    if mu < 0:
+        raise DomainError("l1 weight must be >= 0")
+    for name, M in (("Gram matrix", DtD), ("D.T Y", DtY), ("||y||^2", yty),
+                    ("init", Z0)):
+        if not np.all(np.isfinite(M)):
+            raise DomainError(f"{name} contains non-finite entries")
+    if (Z0.ndim != 2 or DtD.shape != (len(Z0), len(Z0)) or DtY.shape != Z0.shape
+            or yty.shape != Z0.shape[1:]):
+        raise ConfigError(f"Gram {DtD.shape}, D.T Y {DtY.shape}, ||y||^2 "
+                          f"{yty.shape} and init {Z0.shape} do not agree")
+    k, q = Z0.shape
     step = 1.0 / _gram_bound(DtD)
     theta = 0.5 * mu * step
-    k, q = Z0.shape
     if q == 0:
         return IstaResult(z=Z0.copy(), step=step)
 
     # zero-padded block stack; a padded column is zero and stays zero
     nblocks = -(-q // BLOCK_COLUMNS)
-    dty = np.empty((nblocks, k, BLOCK_COLUMNS))
-    yty = np.empty((nblocks, BLOCK_COLUMNS))
-    yb = np.zeros((Y.shape[0], BLOCK_COLUMNS))   # one block of Y at a time
-    for b in range(nblocks):
-        part = Y[:, b * BLOCK_COLUMNS:(b + 1) * BLOCK_COLUMNS]
-        yb[:, :part.shape[1]] = part
-        yb[:, part.shape[1]:] = 0.0
-        np.matmul(D.T, yb, out=dty[b])
-        np.sum(np.square(yb, out=yb), axis=0, out=yty[b])
+    dty = _block_stack(DtY, nblocks)
+    yty = np.concatenate([yty, np.zeros(nblocks * BLOCK_COLUMNS - q)])
+    yty = yty.reshape(nblocks, BLOCK_COLUMNS)
     z = _block_stack(Z0, nblocks)
-    terms = np.empty((3,) + z.shape)   # z*dty, z*g, |z|
+    absz = np.empty_like(z)
 
     def objective(z, g):
-        np.multiply(z, dty, out=terms[0])
-        np.multiply(z, g, out=terms[1])
-        np.abs(z, out=terms[2])
-        zd, zg, l1 = np.add.reduce(terms, axis=2)
+        zd = np.einsum("bkc,bkc->bc", z, dty)
+        zg = np.einsum("bkc,bkc->bc", z, g)
+        l1 = np.add.reduce(np.abs(z, out=absz), axis=1)
         return yty - 2.0 * zd + zg + mu * l1
 
     g = np.matmul(DtD, z)

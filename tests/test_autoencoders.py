@@ -6,12 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radden.autoencoders import (Activation, AutoencoderWeights, TrainOptions,
-                                 _update_code, inference_flops, infer,
+                                 _train, _update_code, inference_flops, infer,
                                  load_weights, objective_value, save_weights,
                                  train_dae, train_sparse_dae,
                                  train_stacked_sdae)
 from radden.errors import ConfigError, FormatError
-from radden.sparse_solvers import IstaOptions
+from radden.sparse_solvers import (IstaOptions, RidgeDesign, ista_solve,
+                                   solve_least_squares)
 
 
 def tight_opts(seed=0, outer=30):
@@ -200,6 +201,23 @@ class TestCodeUpdate:
         np.testing.assert_allclose(got, expected, rtol=0,
                                    atol=1e-10 * np.abs(expected).max())
 
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_sparse_code_update_is_stacked_ista(self, i):
+        # the Gram form against ista_solve on the stacked design and target
+        W, H = self.chain_point((8, 6, 4), seed=28)
+        c = (0.5, 2.0, 0.7, 1.0)
+        a, b = np.sqrt(c[i + 1]), np.sqrt(c[i])
+        D = np.vstack([a * W[i + 1], b * np.eye(len(H[i + 1]))])
+        T = np.vstack([a * H[i + 2], b * (W[i] @ H[i])])
+        ista = IstaOptions(max_iterations=300, relative_tolerance=1e-6)
+        expected = ista_solve(D, T, 0.3, H[i + 1], ista)
+        stats = []
+        got = _update_code(W, H, c, i, 0.3, ista, stats=stats)
+        np.testing.assert_allclose(got, expected.z, rtol=0,
+                                   atol=1e-12 * np.abs(expected.z).max())
+        assert stats == [(expected.iterations, expected.converged)]
+        assert expected.converged > 0   # the stopping rule, which reads ||y||^2, fired
+
 
 _weights_0_to_4 = st.floats(0.0, 4.0, allow_subnormal=False)
 _weights_0_to_2 = st.floats(0.0, 2.0, allow_subnormal=False)
@@ -228,6 +246,109 @@ def test_every_variant_trains_monotonically(variant, seed, couplings, sparsity):
                                       lam_layers=sparsity, opts=opts)
     obj = np.array(trace.objectives)
     assert np.all(np.diff(obj) <= 1e-8 * np.abs(obj[:-1]) + 1e-12), obj
+
+
+_SHALLOW = (("Z", 0), ("W", 0), ("W", 1))
+_STACKED = tuple(("W", i) for i in range(4)) + tuple(("Z", i) for i in range(3))
+
+
+def reference_train(variant, X, Xhat, sizes, c, s, opts, order):
+    """The trainers' block updates, each forming its own products: a stacked
+    design and target for every code update (ISTA, or lstsq for the DAE), a
+    fresh RidgeDesign(Xhat).solve for the encoder, and objective_value on
+    the full weights after every outer iteration."""
+    rng = np.random.default_rng(opts.seed)
+    dims = (X.shape[0], *sizes, X.shape[0])
+    W = [rng.standard_normal((dims[i + 1], dims[i])) / np.sqrt(dims[i])
+         for i in range(len(dims) - 1)]
+    H = [Xhat]
+    for M in W[:-1]:
+        H.append(M @ H[-1])
+    H.append(X)
+    cc = (*c, 1.0)
+    stacked = variant == "stacked_sdae"
+    names = ("W11", "W12", "W21", "W22") if stacked else ("W1", "W2")
+    terms = (dict(mu_layers=c, lam_layers=s) if stacked
+             else dict(lam=c[0], mu=s[0]))
+    objectives, ista = [], []
+    for _ in range(opts.outer_iterations):
+        stats = []
+        for block, i in order:
+            if block == "W":
+                W[i] = (RidgeDesign(Xhat, ridge=opts.ridge).solve(H[1]) if i == 0
+                        else solve_least_squares(H[i], H[i + 1], ridge=opts.ridge))
+                continue
+            a, b = np.sqrt(cc[i + 1]), np.sqrt(cc[i])
+            D = np.vstack([a * W[i + 1], b * np.eye(len(H[i + 1]))])
+            T = np.vstack([a * H[i + 2], b * (W[i] @ H[i])])
+            if variant == "dae":
+                H[i + 1] = np.linalg.lstsq(D, T, rcond=None)[0]
+            else:
+                res = ista_solve(D, T, s[i], H[i + 1], opts.ista)
+                H[i + 1] = res.z
+                stats.append((res.iterations, res.converged))
+        weights = AutoencoderWeights(variant, Activation(), dict(zip(names, W)))
+        codes = tuple(H[1:-1]) if stacked else H[1]
+        objectives.append(objective_value(weights, codes, X, Xhat, **terms))
+        ista.append(stats)
+    return weights, objectives, ista
+
+
+@pytest.mark.parametrize("variant, order", [
+    ("dae", _SHALLOW), ("sparse_dae", _SHALLOW), ("stacked_sdae", _STACKED),
+    # codes first: each code update must see the code below it just changed
+    ("stacked_sdae", _STACKED[4:] + _STACKED[:4])],
+    ids=["dae", "sparse_dae", "stacked_sdae", "stacked_codes_first"])
+def test_trainer_matches_reference_formulation(variant, order):
+    X, Xhat = synthetic_pair(P=12, Q=40, seed=29)
+    # every ISTA column runs to the cap, so rounding cannot move a stop
+    opts = TrainOptions(outer_iterations=3, outer_tolerance=1e-300, seed=4,
+                        ista=IstaOptions(max_iterations=30,
+                                         relative_tolerance=1e-300))
+    # At some couplings, e.g. (1, 4, 1), the reference itself moves its
+    # weights by 2e-8 when Xhat moves by 1e-15 relative; these do not.
+    if variant == "stacked_sdae":
+        sizes, c, s = (9, 6, 4), (0.5, 2.0, 1.0), (0.1, 0.1, 0.1)
+        w, trace = (train_stacked_sdae(X, Xhat, sizes, mu_layers=c,
+                                       lam_layers=s, opts=opts)
+                    if order is _STACKED
+                    else _train(variant, X, Xhat, sizes, c, s, order, opts))
+    elif variant == "sparse_dae":
+        sizes, c, s = (7,), (0.7,), (0.2,)
+        w, trace = train_sparse_dae(X, Xhat, 7, lam=0.7, mu=0.2, opts=opts)
+    else:
+        sizes, c, s = (7,), (0.7,), (0.0,)
+        w, trace = train_dae(X, Xhat, 7, lam=0.7, opts=opts)
+    ref, objectives, ista = reference_train(variant, X, Xhat, sizes, c, s,
+                                            opts, order)
+    # the codes-first reference moves its objectives by 3e-10 and its
+    # weights by 9e-8 when Xhat moves by 1e-15 relative
+    tol = (1e-10, 1e-8) if order in (_SHALLOW, _STACKED) else (1e-8, 1e-6)
+    np.testing.assert_allclose(trace.objectives, objectives, rtol=tol[0], atol=0)
+    for name, M in ref.matrices.items():
+        assert np.linalg.norm(w.matrices[name] - M) <= tol[1] * np.linalg.norm(M), name
+    # codes first, whole blocks reach exact fixed points, which stop even at
+    # this tolerance, on sweeps that rounding can move
+    if order in (_SHALLOW, _STACKED):
+        assert trace.ista == ista
+
+
+def test_trace_records_each_ista_code_update():
+    X, Xhat = synthetic_pair(seed=30)
+    cap = 6
+    opts = TrainOptions(outer_iterations=3, outer_tolerance=1e-300,
+                        ista=IstaOptions(max_iterations=cap,
+                                         relative_tolerance=1e-3))
+    for (_, trace), codes in ((train_dae(X, Xhat, 6, opts=opts), 0),
+                              (train_sparse_dae(X, Xhat, 6, opts=opts), 1),
+                              (train_stacked_sdae(X, Xhat, (8, 5, 3), opts=opts), 3)):
+        assert len(trace.ista) == len(trace.objectives) == 3
+        assert all(len(stats) == codes for stats in trace.ista)
+        records = [r for stats in trace.ista for r in stats]
+        assert all(1 <= it <= cap and 0 <= conv <= X.shape[1] for it, conv in records)
+        if codes:   # some columns stop early, others reach the cap
+            assert any(conv > 0 for _, conv in records)
+            assert any(it == cap for it, _ in records)
 
 
 class TestLinearTraining:

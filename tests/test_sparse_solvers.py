@@ -6,7 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from radden.errors import ConfigError, DomainError
 from radden.sparse_solvers import (BLOCK_COLUMNS, IstaOptions, RidgeDesign,
-                                   default_ridge, ista_solve, lipschitz_bound,
+                                   default_ridge, ista_gram, ista_solve,
+                                   lipschitz_bound,
                                    soft_threshold, solve_least_squares)
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -205,6 +206,20 @@ class TestLeastSquares:
         assert np.linalg.norm(W - W_ref) <= 1e-10 * np.linalg.norm(W_ref)
 
 
+    @pytest.mark.parametrize("shape, ridge", [((40, 12), None), ((12, 40), None),
+                                              ((40, 12), 0.0), ((12, 40), 0.0)],
+                             ids=["tall", "wide", "tall_ridge0", "wide_ridge0"])
+    def test_fitted_is_solve_times_design(self, shape, ridge):
+        rng = np.random.default_rng(17)
+        A = rng.standard_normal(shape)
+        design = RidgeDesign(A, ridge=ridge)
+        for rows in (7, 30):   # the second call reuses the hat matrix
+            B = rng.standard_normal((rows, shape[1]))
+            expected = design.solve(B) @ A
+            got = design.fitted(B)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 class TestLipschitzBound:
     def test_scaled_identity(self):
         L = lipschitz_bound(2.0 * np.eye(6))
@@ -352,6 +367,51 @@ class TestIsta:
         assert res.converged == expected
         if tol == 1e-300:                  # only the zero column stops
             assert res.converged == 1
+
+    def test_block_aligned_objective_totals(self):
+        # one call sums each sweep block by block, so its totals equal the
+        # block-order sum of one call per block, each padded with its final
+        # value once its columns have all stopped
+        rng = np.random.default_rng(18)
+        q = 3 * BLOCK_COLUMNS - 9
+        D = rng.standard_normal((40, 24))
+        Y = rng.standard_normal((40, q))
+        Z0 = 0.1 * rng.standard_normal((24, q))
+        opts = IstaOptions(max_iterations=80, relative_tolerance=1e-3)
+        full = ista_solve(D, Y, 0.3, Z0, opts).objectives
+        parts = [ista_solve(D, Y[:, cols], 0.3, Z0[:, cols], opts).objectives
+                 for cols in np.split(np.arange(q), [BLOCK_COLUMNS, 2 * BLOCK_COLUMNS])]
+        assert len({len(p) for p in parts}) > 1      # blocks stop on different sweeps
+        totals = np.zeros(len(full))
+        for p in parts:
+            totals += np.array(p + p[-1:] * (len(full) - len(p)))
+        assert totals.tolist() == full
+
+    @pytest.mark.parametrize("tol", [1e-300, 1e-6])
+    def test_gram_form_matches_solve(self, tol):
+        rng = np.random.default_rng(19)
+        q = 2 * BLOCK_COLUMNS + 5
+        D = rng.standard_normal((50, 20))
+        Y = rng.standard_normal((50, q))
+        Z0 = 0.1 * rng.standard_normal((20, q))
+        opts = IstaOptions(max_iterations=40, relative_tolerance=tol)
+        ref = ista_solve(D, Y, 0.4, Z0, opts)
+        got = ista_gram(D.T @ D, D.T @ Y, np.sum(Y * Y, axis=0), 0.4, Z0, opts)
+        np.testing.assert_allclose(got.z, ref.z, rtol=0,
+                                   atol=1e-12 * np.abs(ref.z).max())
+        assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
+        assert 0 < ref.converged < q or tol == 1e-300
+
+    def test_gram_form_rejects_bad_input(self):
+        G, DtY, yty, Z0 = np.eye(3), np.ones((3, 2)), np.ones(2), np.zeros((3, 2))
+        with pytest.raises(ConfigError):
+            ista_gram(G, DtY[:, :1], yty, 0.1, Z0)
+        with pytest.raises(ConfigError):
+            ista_gram(G, DtY, np.ones(3), 0.1, Z0)
+        with pytest.raises(DomainError):
+            ista_gram(G, DtY, np.array([1.0, np.nan]), 0.1, Z0)
+        with pytest.raises(DomainError):
+            ista_gram(G, DtY, yty, -0.1, Z0)
 
     def test_empty_target(self):
         res = ista_solve(np.eye(3), np.zeros((3, 0)), 0.1, np.zeros((3, 0)))
