@@ -1,10 +1,10 @@
 """Paired clean/corrupt dataset generation for the benchmark harness.
 
 Clean columns are free-space, noise-free signatures; corrupt columns pass the
-same target through the configured wall channel and then receive additive
-noise (and, for frontal images, point clutter).  Each (interval, realization)
-base image is replicated across the configured number of noise draws, so
-Q = intervals x realizations x noise_draws.
+same target through the configured wall channel (frontal phantoms have none)
+and then receive point clutter and additive noise.  Each (interval,
+realization) base image is replicated across the configured number of noise
+draws, so Q = intervals x realizations x noise_draws.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import numpy as np
 from ..dataset import (ChannelModel, GaitParams, ImageStack, RadarConfig,
                        WallClass, add_noise, add_point_clutter,
                        frontal_phantoms, gait_trajectory, hrrp, radar_returns,
-                       signal_reference, spectrogram)
+                       signal_reference, spectrogram, to_db_normalize)
 from ..errors import ConfigError
 from .config import DatasetSpec
 
@@ -82,11 +82,11 @@ def _hrrp_images(s_rx, radar, spec: DatasetSpec):
 
 
 def _base_power_images(spec: DatasetSpec):
-    """Per-(interval, realization) clean and corrupt power images.
+    """Clean and corrupt P x n power columns, n = intervals x realizations.
 
-    Returns (clean list, corrupt list, interval indices, realization indices);
-    clean images are free-space and realization-independent but replicated so
-    both lists line up column for column.
+    Realization eta is its own walker, seen once in free space (clean) and
+    once through realization eta of the wall channel (corrupt); its interval
+    i lands in column (eta - 1) * intervals + i.
     """
     radar = _radar_config(spec)
     free = ChannelModel(WallClass.FREE_SPACE)
@@ -104,104 +104,70 @@ def _base_power_images(spec: DatasetSpec):
             return _spectrogram_images(s_rx[:, 0], spec)
         return _hrrp_images(s_rx, radar, spec)
 
-    clean, corrupt, intervals, realizations = [], [], [], []
+    clean, corrupt = [], []
     for eta in range(1, spec.realizations + 1):
         track = gait_trajectory(_gait(spec, eta), (0.5, 0.0),
                                 _DURATION, _SAMPLE_RATE)
-        clean_imgs = images_for(track, free, 1)
-        wall_imgs = images_for(track, wall, eta)
-        for i in range(spec.intervals):
-            clean.append(clean_imgs[i])
-            corrupt.append(wall_imgs[i])
-            intervals.append(i)
-            realizations.append(eta)
-    return clean, corrupt, intervals, realizations
+        clean += images_for(track, free, 1)
+        corrupt += images_for(track, wall, eta)
+    return tuple(np.column_stack([img.ravel(order="F") for img in images])
+                 for images in (clean, corrupt))
 
 
-def _normalize_pair(clean_imgs, corrupt_imgs, spec: DatasetSpec):
-    """Per-image gain control: each image's own peak power is mapped a fixed
+def _unit_db(power, spec: DatasetSpec):
+    """Per-image gain control: each column's own peak power is mapped a fixed
     headroom below the dB ceiling, then the clamped dB range is rescaled to
     [0, 1].  Per-image calibration keeps heavily attenuated through-wall
     returns visible instead of letting one bright free-space frame swamp the
     shared scale; the headroom leaves room above the signal peak for additive
     noise before the ceiling clips it."""
-    span = spec.db_ceil - spec.db_floor
-    peak_db = spec.db_ceil - spec.headroom_db
-
-    def to_unit(img):
-        peak = float(img.max())
-        if peak <= 0:
-            raise ConfigError("degenerate image: no signal energy")
-        scale = 10.0 ** (peak_db / 10.0) / peak
-        with np.errstate(divide="ignore"):
-            db = 10.0 * np.log10(img * scale)
-        db = np.clip(db, spec.db_floor, spec.db_ceil)
-        return (db - spec.db_floor) / span
-
-    return [to_unit(i) for i in clean_imgs], [to_unit(i) for i in corrupt_imgs]
+    peak = power.max(axis=0)
+    if np.any(peak <= 0):
+        raise ConfigError("degenerate image: no signal energy")
+    scale = 10.0 ** ((spec.db_ceil - spec.headroom_db) / 10.0) / peak
+    return to_db_normalize(power * scale, (spec.db_floor, spec.db_ceil))
 
 
-def _stack(images, shape, intervals, realizations, wall_tag, role, kind):
-    data = np.column_stack([img.ravel(order="F") for img in images])
-    return ImageStack(data=data, image_shape=shape,
-                      interval_index=np.asarray(intervals),
-                      realization=np.asarray(realizations),
-                      wall_class=np.full(len(images), wall_tag, dtype=np.uint8),
-                      role=role, value_kind=kind)
+def _base_columns(spec: DatasetSpec):
+    """Clean and corrupt P x n base columns in [0, 1], before corruption."""
+    if spec.kind == "frontal":
+        base = frontal_phantoms(spec.intervals * spec.realizations,
+                                seed=spec.seed, image_shape=spec.image_shape)
+        return base.data, base.data
+    clean, corrupt = _base_power_images(spec)
+    return _unit_db(clean, spec), _unit_db(corrupt, spec)
 
 
 def generate_pair(spec: DatasetSpec):
-    """Build the paired (clean, corrupt) stacks for one dataset config."""
-    if spec.kind == "frontal":
-        return _generate_frontal(spec)
-    clean_imgs, corrupt_imgs, intervals, realizations = _base_power_images(spec)
-    clean_imgs, corrupt_imgs = _normalize_pair(clean_imgs, corrupt_imgs, spec)
-    tag = _WALL_TAGS[WallClass(spec.wall_class)]
+    """Build the paired (clean, corrupt) stacks for one dataset config.
+
+    Base column c is replicated across the noise draws, so stack column
+    q = c * noise_draws + draw.  The corrupt stack then receives point
+    clutter (frontal corruption defaults to the 5-sites rate 0.06 when
+    pfa = 0) and one independent noise draw per replica, both scaled to the
+    clean stack's reference level.
+    """
+    clean_base, corrupt_base = _base_columns(spec)
     d = spec.noise_draws
-    clean = _stack([img for img in clean_imgs for _ in range(d)],
-                   spec.image_shape,
-                   np.repeat(intervals, d), np.repeat(realizations, d),
-                   tag, "clean", spec.kind)
-    base = _stack([img for img in corrupt_imgs for _ in range(d)],
-                  spec.image_shape,
-                  np.repeat(intervals, d), np.repeat(realizations, d),
-                  tag, "corrupt", spec.kind)
-    return clean, _corrupt_draws(base, clean, spec)
+    c = np.repeat(np.arange(clean_base.shape[1]), d)
+    tag = _WALL_TAGS[WallClass(spec.wall_class)]
 
+    def stack(base, role):
+        return ImageStack(data=base[:, c], image_shape=spec.image_shape,
+                          interval_index=c % spec.intervals,
+                          realization=c // spec.intervals + 1,
+                          wall_class=np.full(c.size, tag, dtype=np.uint8),
+                          role=role, value_kind=spec.kind)
 
-def _corrupt_draws(base: ImageStack, clean: ImageStack, spec: DatasetSpec):
-    """Apply one independent noise (and clutter) draw to each replica column."""
+    clean, corrupt = stack(clean_base, "clean"), stack(corrupt_base, "corrupt")
     ref = signal_reference(clean)
-    out = base
-    if spec.pfa > 0.0:
-        out = add_point_clutter(out, spec.scr_db, spec.pfa,
-                                seed=[spec.seed, 3], signal_ref=ref)
-    d = spec.noise_draws
-    data = out.data.copy()
+    pfa = 0.06 if spec.kind == "frontal" and spec.pfa == 0.0 else spec.pfa
+    if pfa > 0.0:
+        corrupt = add_point_clutter(corrupt, spec.scr_db, pfa,
+                                    seed=[spec.seed, 3], signal_ref=ref)
     for draw in range(d):
-        cols = np.arange(draw, out.count, d)
-        sub = out.select(cols)
-        noisy = add_noise(sub, spec.snr_db, seed=[spec.seed, 4, draw],
-                          signal_ref=ref)
-        data[:, cols] = noisy.data
-    return out.copy(data=data)
-
-
-def _generate_frontal(spec: DatasetSpec):
-    n_base = spec.intervals * spec.realizations
-    base = frontal_phantoms(n_base, seed=spec.seed, image_shape=spec.image_shape)
-    d = spec.noise_draws
-    idx = np.repeat(np.arange(n_base), d)
-    tag = _WALL_TAGS[WallClass(spec.wall_class)]
-    clean = ImageStack(data=base.data[:, idx], image_shape=spec.image_shape,
-                       interval_index=idx % spec.intervals,
-                       realization=idx // spec.intervals + 1,
-                       wall_class=np.full(idx.size, tag, dtype=np.uint8),
-                       role="clean", value_kind="frontal")
-    corrupt = clean.copy(role="corrupt")
-    if spec.pfa == 0.0:
-        # frontal corruption is clutter-driven; default to the 5-sites rate
-        corrupt = add_point_clutter(corrupt, spec.scr_db, 0.06,
-                                    seed=[spec.seed, 3],
-                                    signal_ref=signal_reference(clean))
-    return clean, _corrupt_draws(corrupt, clean, spec)
+        cols = np.arange(draw, corrupt.count, d)
+        corrupt.data[:, cols] = add_noise(corrupt.select(cols), spec.snr_db,
+                                          seed=[spec.seed, 4, draw],
+                                          signal_ref=ref).data
+    return clean, corrupt

@@ -24,7 +24,7 @@ from ..errors import ConfigError, DomainError
 from ..metrics import (BLOCK_IMAGES, columns_to_images, images_to_columns,
                        ssim_stack)
 from ..sparse_solvers import IstaOptions
-from .config import SWEEP_AXES, ExperimentConfig
+from .config import ExperimentConfig
 from .datasets import generate_pair
 
 __all__ = ["ResultRow", "csv_content_hash", "load_rows", "run_sweep",
@@ -189,22 +189,15 @@ def run_sweep(cfg: ExperimentConfig, jobs=1):
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     tasks = [(cfg, value, seed) for value in cfg.sweep.values
-             for seed in cfg.sweep.seeds]
+             for seed in sorted(cfg.sweep.seeds)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_job, tasks))
     else:
         chunks = [_job(t) for t in tasks]
+    # tasks are already in (grid position, seed) order; the sort is stable
     rows = [row for chunk in chunks for row in chunk]
-    order = {v: i for i, v in enumerate(cfg.sweep.values)}
-    field = SWEEP_AXES[cfg.sweep.axis]
-
-    def grid_pos(row):
-        value = getattr(row, field)
-        key = value / 100.0 if cfg.sweep.axis == "mismatch" else value
-        return order.get(key, value)
-
-    rows.sort(key=lambda r: (r.kind, r.algorithm, grid_pos(r), r.seed))
+    rows.sort(key=lambda r: (r.kind, r.algorithm))
     return rows
 
 

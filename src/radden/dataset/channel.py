@@ -42,7 +42,6 @@ _CLASS_DEFAULTS = {
 class ChannelModel:
     wall_class: WallClass = WallClass.FREE_SPACE
     epsilon_r: float = 4.0
-    sigma_s_per_m: float = 0.05
     relative_spread: float = 0.3
     tap_count: int = 4
     image_count: int = 2

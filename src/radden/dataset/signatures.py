@@ -20,7 +20,6 @@ class RadarConfig:
     sample_rate_hz: float = 500.0
     duration_s: float = 6.0
     amplitude: float = 1.0
-    stft_window_s: float = 0.1
     gain_db: float = 0.0  # per-frequency antenna gain offset
 
     def __post_init__(self):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,28 +71,16 @@ class ImageStack:
         return self.data.shape[1]
 
     def copy(self, data=None, role=None):
-        return ImageStack(
-            data=self.data.copy() if data is None else data,
-            image_shape=self.image_shape,
-            interval_index=self.interval_index.copy(),
-            realization=self.realization.copy(),
-            wall_class=self.wall_class.copy(),
-            role=self.role if role is None else role,
-            value_kind=self.value_kind,
-        )
+        return replace(self, data=self.data.copy() if data is None else data,
+                       role=self.role if role is None else role)
 
     def select(self, columns):
         """New stack holding the given columns (data and metadata)."""
         columns = np.asarray(columns)
-        return ImageStack(
-            data=self.data[:, columns],
-            image_shape=self.image_shape,
-            interval_index=self.interval_index[columns],
-            realization=self.realization[columns],
-            wall_class=self.wall_class[columns],
-            role=self.role,
-            value_kind=self.value_kind,
-        )
+        return replace(self, data=self.data[:, columns],
+                       interval_index=self.interval_index[columns],
+                       realization=self.realization[columns],
+                       wall_class=self.wall_class[columns])
 
     def metadata_matches(self, other):
         return (

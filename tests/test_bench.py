@@ -12,6 +12,8 @@ from radden.bench import (DatasetSpec, ExperimentConfig, SweepSpec, TrainSpec,
 from radden.bench import sweep as sweep_module
 from radden.bench.sweep import ResultRow, _mean_nmse
 from radden.cli import main
+from radden.dataset import (add_noise, add_point_clutter, frontal_phantoms,
+                            signal_reference)
 from radden.errors import ConfigError, DomainError
 
 
@@ -89,6 +91,22 @@ class TestConfigParsing:
             SweepSpec(axis="nodes")
 
 
+def _clutter_then_noise(stack, clean, spec, pfa):
+    """The corruption contract: clutter at `pfa` with seed [seed, 3], then
+    one noise draw per replica with seed [seed, 4, draw], both against the
+    clean stack's reference level."""
+    ref = signal_reference(clean)
+    cluttered = add_point_clutter(stack, spec.scr_db, pfa,
+                                  seed=[spec.seed, 3], signal_ref=ref)
+    out = cluttered.data.copy()
+    d = spec.noise_draws
+    for draw in range(d):
+        cols = np.arange(draw, stack.count, d)
+        out[:, cols] = add_noise(cluttered.select(cols), spec.snr_db,
+                                 seed=[spec.seed, 4, draw], signal_ref=ref).data
+    return out
+
+
 class TestGeneration:
     def test_column_counting(self):
         spec = DatasetSpec(kind="spectrogram", realizations=2, intervals=8,
@@ -128,6 +146,35 @@ class TestGeneration:
         assert clean.image_shape == (31, 31)
         assert clean.count == 16
         assert not np.array_equal(clean.data, corrupt.data)
+
+    @pytest.mark.parametrize("pfa, rate", [(0.0, 0.06), (0.2, 0.2)])
+    def test_frontal_corruption_contract(self, pfa, rate):
+        spec = DatasetSpec(kind="frontal", realizations=2, intervals=3,
+                           noise_draws=2, snr_db=5.0, scr_db=3.0, pfa=pfa,
+                           seed=7)
+        clean, corrupt = generate_pair(spec)
+        c = np.repeat(np.arange(6), 2)
+        base = frontal_phantoms(6, seed=7, image_shape=spec.image_shape)
+        np.testing.assert_array_equal(clean.data, base.data[:, c])
+        np.testing.assert_array_equal(
+            corrupt.data, _clutter_then_noise(base.select(c), clean, spec, rate))
+        for stack in (clean, corrupt):
+            np.testing.assert_array_equal(stack.interval_index, c % 3)
+            np.testing.assert_array_equal(stack.realization, c // 3 + 1)
+
+    def test_spectrogram_clutter_then_noise(self):
+        spec = DatasetSpec(kind="spectrogram", realizations=2, intervals=2,
+                           noise_draws=3, snr_db=0.0, scr_db=5.0, pfa=0.1,
+                           seed=2)
+        clean, corrupt = generate_pair(spec)
+        _, wall_only = generate_pair(replace(spec, snr_db=float("inf"),
+                                             pfa=0.0))
+        np.testing.assert_array_equal(
+            corrupt.data, _clutter_then_noise(wall_only, clean, spec, 0.1))
+        c = np.repeat(np.arange(4), 3)
+        for stack in (clean, corrupt):
+            np.testing.assert_array_equal(stack.interval_index, c % 2)
+            np.testing.assert_array_equal(stack.realization, c // 2 + 1)
 
     def test_noise_draws_differ(self):
         spec = DatasetSpec(kind="spectrogram", realizations=1, intervals=2,
@@ -175,6 +222,19 @@ class TestSweep:
                           algorithms=("dae",))
         rows = run_sweep(cfg)
         assert [r.mismatch_pct for r in rows] == [0.0, 50.0]
+
+    def test_mismatch_rows_follow_grid_order(self, monkeypatch):
+        # 0.014 does not survive the round trip through mismatch_pct / 100
+        def rows_for(cfg, value, seed):
+            return [make_row(algorithm=a, mismatch_pct=100.0 * value, seed=seed)
+                    for a in cfg.sweep.algorithms]
+        monkeypatch.setattr(sweep_module, "evaluate_grid_point", rows_for)
+        cfg = tiny_config(axis="mismatch", values=(0.014, 0.5), seeds=(1, 0),
+                          algorithms=("wavelet", "dae"))
+        rows = run_sweep(cfg)
+        assert [(r.algorithm, r.mismatch_pct, r.seed) for r in rows] == [
+            (a, 100.0 * v, s) for a in ("dae", "wavelet")
+            for v in (0.014, 0.5) for s in (0, 1)]
 
     def test_denoising_beats_bd_at_clean_conditions(self):
         cfg = tiny_config(values=(10.0,), algorithms=("dae",))
