@@ -14,6 +14,7 @@ from ..errors import ConfigError
 
 __all__ = [
     "ALGORITHMS",
+    "AUTOENCODERS",
     "BaselineSpec",
     "DatasetSpec",
     "ExperimentConfig",
@@ -24,6 +25,7 @@ __all__ = [
 ]
 
 ALGORITHMS = ("dae", "sparse_dae", "stacked_sdae", "svd", "wavelet")
+AUTOENCODERS = ALGORITHMS[:3]  # the trained algorithms
 
 SIGNATURE_KINDS = ("spectrogram", "hrrp", "frontal")
 

@@ -24,11 +24,11 @@ from ..errors import ConfigError, DomainError
 from ..metrics import (BLOCK_IMAGES, columns_to_images, images_to_columns,
                        ssim_stack)
 from ..sparse_solvers import IstaOptions
-from .config import ExperimentConfig
+from .config import AUTOENCODERS, DatasetSpec, ExperimentConfig, TrainSpec
 from .datasets import generate_pair
 
-__all__ = ["ResultRow", "csv_content_hash", "load_rows", "run_sweep",
-           "train_model", "write_rows"]
+__all__ = ["ResultRow", "csv_content_hash", "grid_search", "load_rows",
+           "run_sweep", "train_model", "write_rows"]
 
 CSV_COLUMNS = [
     "kind", "algorithm", "carrier_hz", "wall_class", "snr_db", "scr_db",
@@ -122,8 +122,20 @@ def _baseline_denoise(algorithm, stack_cols, shape, cfg: ExperimentConfig):
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def evaluate_grid_point(cfg: ExperimentConfig, value, seed):
-    """Train/evaluate every configured algorithm at one grid point."""
+@dataclass
+class _GridData:
+    """One grid point's dataset after the column split and label shuffle."""
+    spec: DatasetSpec
+    mismatch: float
+    clean_tr: np.ndarray
+    corrupt_tr: np.ndarray
+    clean_te: np.ndarray
+    corrupt_te: np.ndarray
+
+
+def _grid_data(cfg: ExperimentConfig, value, seed):
+    """Generate, split and (on mismatch) shuffle one grid point's dataset;
+    only the split columns outlive the call."""
     spec = replace(cfg.dataset, seed=seed)
     mismatch = cfg.sweep.mismatch
     if cfg.sweep.axis == "snr":
@@ -134,49 +146,85 @@ def evaluate_grid_point(cfg: ExperimentConfig, value, seed):
         mismatch = float(value)
     clean, corrupt = generate_pair(spec)
     train_idx, test_idx = _split_columns(clean.count, cfg.sweep.split, seed)
-
     clean_tr = clean.select(train_idx)
     if mismatch > 0.0:
         clean_tr = shuffle_labels(clean_tr, mismatch, seed=[seed, 13])
-    corrupt_tr = corrupt.data[:, train_idx]
-    clean_te = clean.data[:, test_idx]
-    corrupt_te = corrupt.data[:, test_idx]
-    shape = spec.image_shape
+    return _GridData(spec, mismatch, clean_tr.data, corrupt.data[:, train_idx],
+                     clean.data[:, test_idx], corrupt.data[:, test_idx])
 
-    ssim_bd = float(np.mean(ssim_stack(corrupt_te, clean_te, shape)))
-    nmse_bd = _mean_nmse(corrupt_te, clean_te)
 
+def _fit(algorithm, data: _GridData, cfg: ExperimentConfig, seed):
+    """(denoised test columns, train_seconds, test_ms) of one algorithm;
+    denoised is None when the training objective trace is not finite."""
+    if algorithm not in AUTOENCODERS:
+        t0 = time.perf_counter()
+        denoised = _baseline_denoise(algorithm, data.corrupt_te,
+                                     data.spec.image_shape, cfg)
+        return denoised, 0.0, (time.perf_counter() - t0) * 1e3
+    t0 = time.perf_counter()
+    weights, trace = train_model(algorithm, data.clean_tr, data.corrupt_tr,
+                                 cfg, seed)
+    train_seconds = time.perf_counter() - t0
+    if not all(np.isfinite(v) for v in trace.objectives):
+        return None, train_seconds, 0.0
+    t0 = time.perf_counter()
+    denoised = infer(weights, data.corrupt_te)
+    return denoised, train_seconds, (time.perf_counter() - t0) * 1e3
+
+
+def _score(denoised, data: _GridData):
+    """(mean SSIM, mean NMSE) of denoised test columns; NaN for None."""
+    if denoised is None:
+        return float("nan"), float("nan")
+    ssim = ssim_stack(denoised, data.clean_te, data.spec.image_shape)
+    return float(np.mean(ssim)), _mean_nmse(denoised, data.clean_te)
+
+
+def evaluate_grid_point(cfg: ExperimentConfig, value, seed):
+    """Train/evaluate every configured algorithm at one grid point."""
+    data = _grid_data(cfg, value, seed)
+    spec = data.spec
+    ssim_bd, nmse_bd = _score(data.corrupt_te, data)
     rows = []
     for algorithm in cfg.sweep.algorithms:
-        train_seconds = 0.0
-        weights = None
-        diverged = False
-        if algorithm in ("dae", "sparse_dae", "stacked_sdae"):
-            t0 = time.perf_counter()
-            weights, trace = train_model(algorithm, clean_tr.data, corrupt_tr,
-                                         cfg, seed)
-            train_seconds = time.perf_counter() - t0
-            diverged = not all(np.isfinite(v) for v in trace.objectives)
-        if diverged:
-            ssim_ad = nmse_ad = float("nan")
-            test_ms = 0.0
-        else:
-            t0 = time.perf_counter()
-            if algorithm in ("svd", "wavelet"):
-                denoised = _baseline_denoise(algorithm, corrupt_te, shape, cfg)
-            else:
-                denoised = infer(weights, corrupt_te)
-            test_ms = (time.perf_counter() - t0) * 1e3
-            ssim_ad = float(np.mean(ssim_stack(denoised, clean_te, shape)))
-            nmse_ad = _mean_nmse(denoised, clean_te)
+        denoised, train_seconds, test_ms = _fit(algorithm, data, cfg, seed)
+        ssim_ad, nmse_ad = _score(denoised, data)
         rows.append(ResultRow(
             kind=spec.kind, algorithm=algorithm, carrier_hz=spec.carrier_hz,
             wall_class=WallClass(spec.wall_class).value,
             snr_db=spec.snr_db, scr_db=spec.scr_db,
-            mismatch_pct=100.0 * mismatch, ssim_bd=ssim_bd, ssim_ad=ssim_ad,
-            nmse_bd=nmse_bd, nmse_ad=nmse_ad, train_seconds=train_seconds,
-            test_ms=test_ms, seed=seed))
+            mismatch_pct=100.0 * data.mismatch, ssim_bd=ssim_bd,
+            ssim_ad=ssim_ad, nmse_bd=nmse_bd, nmse_ad=nmse_ad,
+            train_seconds=train_seconds, test_ms=test_ms, seed=seed))
     return rows
+
+
+def grid_search(cfg: ExperimentConfig, algorithm, candidates, value=None,
+                seed=None):
+    """Score TrainSpec candidates; returns [(spec, mean ssim_ad)] best-first.
+
+    The paper's regularizers have no published values.  `value` and `seed`
+    default to the first configured sweep value and seed; every candidate is
+    trained and scored on one dataset and split, so scores are comparable.
+    """
+    if algorithm not in AUTOENCODERS:
+        raise ConfigError(f"cannot tune algorithm {algorithm!r}")
+    candidates = list(candidates)
+    if not candidates:
+        raise ConfigError("need at least one candidate training spec")
+    if not all(isinstance(cand, TrainSpec) for cand in candidates):
+        raise ConfigError("candidates must be TrainSpec instances")
+    if value is None:
+        value = cfg.sweep.values[0]
+    if seed is None:
+        seed = cfg.sweep.seeds[0]
+    data = _grid_data(cfg, value, seed)
+    scored = []
+    for cand in candidates:
+        denoised, _, _ = _fit(algorithm, data, replace(cfg, train=cand), seed)
+        scored.append((cand, _score(denoised, data)[0]))
+    scored.sort(key=lambda pair: pair[1], reverse=True)
+    return scored
 
 
 def _job(args):

@@ -11,9 +11,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .autoencoders import save_weights
-from .bench import (SWEEP_AXES, generate_pair, load_config, load_rows,
-                    run_sweep, summarize, train_model, write_plot_data,
-                    write_rows)
+from .bench import (AUTOENCODERS, SWEEP_AXES, generate_pair, load_config,
+                    load_rows, run_sweep, summarize, train_model,
+                    write_plot_data, write_rows)
 from .dataset import save_dataset
 from .errors import ConfigError, DomainError, FormatError
 
@@ -39,7 +39,7 @@ def _build_parser():
     train = sub.add_parser("train", help="train one model and save its weights")
     common(train)
     train.add_argument("--algorithm", default="stacked_sdae",
-                       choices=["dae", "sparse_dae", "stacked_sdae"])
+                       choices=AUTOENCODERS)
     sweep = sub.add_parser("sweep", help="run the configured sweep, write CSV")
     common(sweep)
     sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")

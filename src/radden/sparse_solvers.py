@@ -191,21 +191,9 @@ def ista_solve(D, Y, mu, Z0, opts: IstaOptions | None = None):
             f"init shape {Z0.shape} incompatible with {D.shape} x {Y.shape}"
         )
     k, q = Z0.shape
-    DtY = np.empty((k, q))
-    yty = np.empty(q)
-    yb = np.zeros((Y.shape[0], BLOCK_COLUMNS))   # one block of Y at a time
-    dtyb = np.empty((k, BLOCK_COLUMNS))
-    ytyb = np.empty(BLOCK_COLUMNS)
-    for start in range(0, q, BLOCK_COLUMNS):
-        cols = slice(start, start + BLOCK_COLUMNS)
-        part = Y[:, cols]
-        width = part.shape[1]
-        yb[:, :width] = part
-        yb[:, width:] = 0.0
-        np.matmul(D.T, yb, out=dtyb)
-        np.sum(np.square(yb, out=yb), axis=0, out=ytyb)
-        DtY[:, cols] = dtyb[:, :width]
-        yty[cols] = ytyb[:width]
+    yb = _block_stack(Y, -(-q // BLOCK_COLUMNS))
+    DtY = np.matmul(D.T, yb).transpose(1, 0, 2).reshape(k, -1)[:, :q]
+    yty = np.sum(np.square(yb, out=yb), axis=1).reshape(-1)[:q]
     return ista_gram(D.T @ D, DtY, yty, mu, Z0, opts)
 
 

@@ -71,6 +71,24 @@ class TestTrainDae:
         for k in w1.matrices:
             np.testing.assert_array_equal(w1.matrices[k], w2.matrices[k])
 
+    @pytest.mark.parametrize("P, Q, nodes, seed",
+                             [(40, 16, 20, 0), (60, 20, 24, 1),
+                              (80, 24, 30, 2), (100, 30, 36, 3)])
+    def test_matches_closed_form_regression(self, P, Q, nodes, seed):
+        # With a code wider than the Q training columns, the trained linear
+        # DAE is the regression X Xhat^+ of clean on corrupt columns, up to
+        # the default ridge (measured 1e-7 here; about 3e-5 at nodes = Q + 1)
+        rng = np.random.default_rng(seed)
+        X = rng.random((P, Q))
+        Xhat = np.clip(X + 0.1 * rng.standard_normal((P, Q)), 0, 1)
+        weights, _ = train_dae(X, Xhat, nodes)
+        pinv = RidgeDesign(Xhat, ridge=0)._K
+        for xhat in (Xhat, rng.random((P, 7))):
+            expected = X @ (pinv @ xhat)
+            out = infer(weights, xhat, clamp=False)
+            assert (np.linalg.norm(out - expected)
+                    <= 1e-6 * np.linalg.norm(expected))
+
     def test_shape_errors(self):
         X, Xhat = synthetic_pair()
         with pytest.raises(ConfigError):

@@ -236,6 +236,39 @@ class TestSweep:
             (a, 100.0 * v, s) for a in ("dae", "wavelet")
             for v in (0.014, 0.5) for s in (0, 1)]
 
+    def test_scores_are_ssim_stack_calls_in_algorithm_order(self,
+                                                            monkeypatch):
+        # the order of ssim_stack calls that a recorder of the sweep reads:
+        # the corrupt test input first, then one call per algorithm
+        calls = []
+        original = sweep_module.ssim_stack
+
+        def recording(stack, ref, shape):
+            values = original(stack, ref, shape)
+            calls.append((stack, ref, values))
+            return values
+        monkeypatch.setattr(sweep_module, "ssim_stack", recording)
+        cfg = tiny_config(algorithms=("wavelet", "dae", "svd"))
+        rows = evaluate_grid_point(cfg, 5.0, 0)
+        clean, corrupt = generate_pair(replace(cfg.dataset, snr_db=5.0,
+                                               seed=0))
+        _, test = sweep_module._split_columns(clean.count, cfg.sweep.split, 0)
+        clean_te, corrupt_te = clean.data[:, test], corrupt.data[:, test]
+        shape = cfg.dataset.image_shape
+        assert [r.algorithm for r in rows] == list(cfg.sweep.algorithms)
+        assert len(calls) == 1 + len(rows)
+        np.testing.assert_array_equal(calls[0][0], corrupt_te)
+        ssim_bd = float(np.mean(calls[0][2]))
+        for row, (stack, ref, values) in zip(rows, calls[1:]):
+            np.testing.assert_array_equal(ref, clean_te)
+            if row.algorithm != "dae":
+                np.testing.assert_array_equal(
+                    stack, sweep_module._baseline_denoise(
+                        row.algorithm, corrupt_te, shape, cfg))
+            assert row.ssim_bd == ssim_bd
+            assert row.ssim_ad == float(np.mean(values))
+            assert row.nmse_ad == _mean_nmse(stack, clean_te)
+
     def test_denoising_beats_bd_at_clean_conditions(self):
         cfg = tiny_config(values=(10.0,), algorithms=("dae",))
         cfg.train.outer_iterations = 10
@@ -278,6 +311,24 @@ class TestGridSearch:
         assert len(scored) == 2
         assert scored[0][1] >= scored[1][1]
         assert {s.dae_nodes for s, _ in scored} == {8, 32}
+
+    def test_candidates_share_one_dataset(self, monkeypatch):
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return generate_pair(spec)
+        monkeypatch.setattr(sweep_module, "generate_pair", counting)
+        cfg = tiny_config(values=(10.0,), algorithms=("wavelet",))
+        candidates = [replace(cfg.train, sparse_nodes=n) for n in (8, 16, 24)]
+        scored = grid_search(cfg, "sparse_dae", candidates)
+        assert len(calls) == 1
+        # each score is the one evaluate_grid_point reports for the candidate
+        for cand, score in scored:
+            local = replace(cfg, train=cand, sweep=replace(
+                cfg.sweep, algorithms=("sparse_dae",)))
+            (row,) = evaluate_grid_point(local, 10.0, 0)
+            assert score == row.ssim_ad
 
     def test_untrainable_algorithm_rejected(self):
         cfg = tiny_config()
