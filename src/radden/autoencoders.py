@@ -80,8 +80,14 @@ class AutoencoderWeights:
         if tuple(sorted(self.matrices)) != tuple(sorted(expected)):
             raise ConfigError(f"variant {self.variant} expects matrices {expected}")
         for name, M in self.matrices.items():
-            if not np.all(np.isfinite(M)):
-                raise ConfigError(f"{name} contains non-finite entries")
+            if np.ndim(M) != 2 or not np.all(np.isfinite(M)):
+                raise ConfigError(f"{name} must be a 2-D matrix of finite entries")
+        # a P -> P chain: each matrix has as many columns as the one before
+        # it has rows, and the encoder as many as the decoder's P rows
+        dims = [np.shape(M) for M in self.chain]
+        if any(c != r for (r, _), (_, c) in zip(dims[-1:] + dims[:-1], dims)):
+            raise ConfigError(f"{self.variant} matrices {dims} do not compose "
+                              "into a P -> P chain")
         if self.stacked:
             l0, l1, l2 = self.layer_sizes
             if not (l0 > l1 > l2):

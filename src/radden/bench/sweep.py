@@ -10,8 +10,9 @@ import csv
 import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -29,15 +30,6 @@ from .datasets import generate_pair
 
 __all__ = ["ResultRow", "csv_content_hash", "grid_search", "load_rows",
            "run_sweep", "train_model", "write_rows"]
-
-CSV_COLUMNS = [
-    "kind", "algorithm", "carrier_hz", "wall_class", "snr_db", "scr_db",
-    "mismatch_pct", "ssim_bd", "ssim_ad", "nmse_bd", "nmse_ad",
-    "train_seconds", "test_ms", "seed",
-]
-
-TIMING_COLUMNS = ("train_seconds", "test_ms")
-
 
 @dataclass
 class ResultRow:
@@ -67,6 +59,10 @@ class ResultRow:
     @property
     def diverged(self):
         return not np.isfinite(self.ssim_ad)
+
+
+CSV_COLUMNS = [f.name for f in fields(ResultRow)]
+TIMING_COLUMNS = ("train_seconds", "test_ms")
 
 
 def _split_columns(Q, split, seed):
@@ -269,17 +265,9 @@ def load_rows(path):
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_COLUMNS:
             raise ConfigError(f"unexpected CSV header in {path}")
+        types = get_type_hints(ResultRow)   # str, float or int per column
         for rec in reader:
-            rows.append(ResultRow(
-                kind=rec["kind"], algorithm=rec["algorithm"],
-                carrier_hz=float(rec["carrier_hz"]),
-                wall_class=rec["wall_class"], snr_db=float(rec["snr_db"]),
-                scr_db=float(rec["scr_db"]),
-                mismatch_pct=float(rec["mismatch_pct"]),
-                ssim_bd=float(rec["ssim_bd"]), ssim_ad=float(rec["ssim_ad"]),
-                nmse_bd=float(rec["nmse_bd"]), nmse_ad=float(rec["nmse_ad"]),
-                train_seconds=float(rec["train_seconds"]),
-                test_ms=float(rec["test_ms"]), seed=int(rec["seed"])))
+            rows.append(ResultRow(**{c: types[c](rec[c]) for c in CSV_COLUMNS}))
     return rows
 
 

@@ -81,7 +81,7 @@ def add_point_clutter(stack: ImageStack, scr_db, pfa, seed, cells=84,
     rows, cols = stack.image_shape
     r_edges, c_edges = _cell_grid(rows, cols, cells)
     rng = np.random.default_rng(seed)
-    out = stack.data.copy()
+    out = stack.data.copy()   # C-ordered, so each img below is a view into it
     for q in range(stack.count):
         img = out[:, q].reshape(rows, cols, order="F")
         for i in range(len(r_edges) - 1):
@@ -93,8 +93,7 @@ def add_point_clutter(stack: ImageStack, scr_db, pfa, seed, cells=84,
                 mag = rng.rayleigh(rayleigh_scale)
                 phase = rng.uniform(0.0, 2.0 * np.pi)
                 img[r, c] = np.abs(img[r, c] + mag * np.exp(1j * phase))
-        out[:, q] = img.ravel(order="F")
-    return stack.copy(data=np.clip(out, 0.0, 1.0))
+    return stack.copy(data=np.clip(out, 0.0, 1.0, out=out))
 
 
 def _derangement(rng, k):

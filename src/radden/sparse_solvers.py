@@ -190,11 +190,17 @@ def ista_solve(D, Y, mu, Z0, opts: IstaOptions | None = None):
         raise ConfigError(
             f"init shape {Z0.shape} incompatible with {D.shape} x {Y.shape}"
         )
-    k, q = Z0.shape
+    q = Z0.shape[1]
     yb = _block_stack(Y, -(-q // BLOCK_COLUMNS))
-    DtY = np.matmul(D.T, yb).transpose(1, 0, 2).reshape(k, -1)[:, :q]
+    DtY = _unstack(np.matmul(D.T, yb), q)
     yty = np.sum(np.square(yb, out=yb), axis=1).reshape(-1)[:q]
     return ista_gram(D.T @ D, DtY, yty, mu, Z0, opts)
+
+
+def _unstack(stack, q):
+    """The first q columns of a block stack as a matrix; serves rows = 0 too."""
+    nblocks, rows, _ = stack.shape
+    return stack.transpose(1, 0, 2).reshape(rows, nblocks * BLOCK_COLUMNS)[:, :q]
 
 
 def ista_gram(DtD, DtY, yty, mu, Z0, opts: IstaOptions | None = None):
@@ -206,15 +212,19 @@ def ista_gram(DtD, DtY, yty, mu, Z0, opts: IstaOptions | None = None):
     the given warm start, with L = 1.01 * the largest eigenvalue of DtD; the
     objective is non-increasing across iterations.  Columns are solved
     independently, each with its own stopping rule, in zero-padded blocks of
-    BLOCK_COLUMNS columns held as one (blocks, k, BLOCK_COLUMNS) stack.  A
-    sweep is one stacked GEMM plus a fixed set of in-place elementwise
-    passes over the whole stack, and each column's objective
+    BLOCK_COLUMNS columns held as one (blocks, k, BLOCK_COLUMNS) stack.
+    Every sweep takes one path: one stacked GEMM plus a fixed set of
+    in-place elementwise passes over the whole stack, with a per-column step
+    and threshold that are 1/L and mu / (2 L) while the column runs and 0
+    once it stops (padded columns from the start), so a stopped column's
+    codes, gradient and objective stay as they are.  Each column's objective
     yty - 2 z.dty + z.(DtD z) + mu |z|_1 is two dot products and one |z|
     sum along the stack's k axis.  `iterations` is the longest column's
     count, `converged` the number of columns whose stopping rule fired
     before `max_iterations` cut them off, and `objectives` holds per-sweep
     totals, summed block by block, in which a stopped column contributes
-    its final value.
+    its final value.  A design with no columns (k = 0) has z of shape
+    (0, q) and objective ||y||^2; it stops after one sweep.
     """
     if opts is None:
         opts = IstaOptions()
@@ -232,7 +242,7 @@ def ista_gram(DtD, DtY, yty, mu, Z0, opts: IstaOptions | None = None):
             or yty.shape != Z0.shape[1:]):
         raise ConfigError(f"Gram {DtD.shape}, D.T Y {DtY.shape}, ||y||^2 "
                           f"{yty.shape} and init {Z0.shape} do not agree")
-    k, q = Z0.shape
+    q = Z0.shape[1]
     step = 1.0 / _gram_bound(DtD)
     theta = 0.5 * mu * step
     if q == 0:
@@ -256,43 +266,36 @@ def ista_gram(DtD, DtY, yty, mu, Z0, opts: IstaOptions | None = None):
     obj = objective(z, g)
     history = [obj]
     active = np.arange(nblocks * BLOCK_COLUMNS).reshape(nblocks, -1) < q  # real columns
-    all_active = True
     v = np.empty_like(z)      # gradient step, then the new codes
     clamp = np.empty_like(z)
     g_new = np.empty_like(z)
     for _ in range(opts.max_iterations):
+        # stopped and padded columns take a zero step and threshold: no change
+        steps = step * active[:, None, :]
+        thetas = theta * active[:, None, :]
         np.subtract(dty, g, out=v)
-        np.multiply(v, step, out=v)
+        np.multiply(v, steps, out=v)
         np.add(z, v, out=v)
         # soft threshold: v - clip(v, -theta, theta)
-        np.maximum(v, -theta, out=clamp)
-        np.minimum(clamp, theta, out=clamp)
+        np.maximum(v, -thetas, out=clamp)
+        np.minimum(clamp, thetas, out=clamp)
         np.subtract(v, clamp, out=v)
         np.matmul(DtD, v, out=g_new)
-        prev = obj
-        obj = objective(v, g_new)
-        if all_active:
-            z, v = v, z
-            g, g_new = g_new, g
-        else:
-            obj = np.where(active, obj, prev)
-            np.copyto(z, v, where=active[:, None, :])
-            np.copyto(g, g_new, where=active[:, None, :])
+        prev, obj = obj, objective(v, g_new)
+        z, v = v, z
+        g, g_new = g_new, g
         history.append(obj)
         active &= ~(np.abs(prev - obj) <= opts.relative_tolerance
                     * np.maximum(np.abs(prev), 1e-300))
-        remaining = np.count_nonzero(active)
-        if remaining == 0:
+        if not active.any():
             break
-        all_active = remaining == q
 
-    Z = z.transpose(1, 0, 2).reshape(k, -1)[:, :q].copy()
     # per-sweep totals, summed block by block over each block's real columns
     # (a basic slice: a boolean-mask copy is F-ordered and sums pairwise)
     history = np.array(history)
     totals = np.zeros(len(history))
     for b in range(nblocks):
         totals += history[:, b, :q - b * BLOCK_COLUMNS].sum(axis=1)
-    return IstaResult(z=Z, objectives=totals.tolist(),
+    return IstaResult(z=_unstack(z, q).copy(), objectives=totals.tolist(),
                       iterations=len(history) - 1, step=step,
                       converged=q - int(np.count_nonzero(active)))

@@ -432,6 +432,19 @@ class TestInfer:
         with pytest.raises(ConfigError):
             infer(w, np.ones(4))
 
+    @pytest.mark.parametrize("variant,shapes", [
+        ("dae", {"W1": (5, 10), "W2": (10, 6)}),      # W2 takes 6, W1 gives 5
+        ("dae", {"W1": (5, 10), "W2": (9, 5)}),       # decoder returns 9, not P
+        ("stacked_sdae", {"W11": (8, 12), "W12": (6, 7), "W21": (4, 6),
+                          "W22": (12, 4)}),
+        ("sparse_dae", {"W1": np.zeros(5), "W2": (5, 5)}),
+    ])
+    def test_chain_must_compose(self, variant, shapes):
+        mats = {name: np.zeros(s) if isinstance(s, tuple) else s
+                for name, s in shapes.items()}
+        with pytest.raises(ConfigError):
+            AutoencoderWeights(variant, Activation(), mats)
+
     def test_flop_count_ordering(self):
         rng = np.random.default_rng(17)
         P = 961

@@ -417,3 +417,16 @@ class TestIsta:
         res = ista_solve(np.eye(3), np.zeros((3, 0)), 0.1, np.zeros((3, 0)))
         assert res.z.shape == (3, 0)
         assert res.objectives == []
+
+    @pytest.mark.parametrize("q", [1, BLOCK_COLUMNS + 8])
+    def test_zero_column_design(self, q):
+        # integer targets keep every sum of squares exact
+        Y = np.random.default_rng(23).integers(-3, 4, (3, q)).astype(float)
+        energy = float(np.sum(Y * Y))
+        Z0 = np.zeros((0, q))
+        for res in (ista_solve(np.zeros((3, 0)), Y, 0.5, Z0),
+                    ista_gram(np.zeros((0, 0)), np.zeros((0, q)),
+                              np.sum(Y * Y, axis=0), 0.5, Z0)):
+            assert res.z.shape == (0, q)
+            assert res.objectives == [energy, energy]
+            assert (res.iterations, res.converged) == (1, q)
