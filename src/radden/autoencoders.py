@@ -14,6 +14,8 @@ anywhere.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import struct
 import time
 from dataclasses import dataclass, field
@@ -297,31 +299,42 @@ _SHALLOW_ORDER = (("Z", 0), ("W", 0), ("W", 1))
 _STACKED_ORDER = tuple(("W", i) for i in range(4)) + tuple(("Z", i) for i in range(3))
 
 
+def _check_weights(depth, **weights):
+    """Each named group of coupling or l1 weights as a tuple of `depth`
+    entries: ConfigError on another length, DomainError on an entry that
+    is not a finite number >= 0."""
+    checked = []
+    for name, values in weights.items():
+        values = tuple(values)
+        if len(values) != depth:
+            raise ConfigError(f"{name} needs {depth} entries, got {values}")
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) and v >= 0
+                   for v in values):
+            raise DomainError(f"{name} must be finite numbers >= 0, got {values}")
+        checked.append(values)
+    return checked
+
+
 def _check_shallow(X, Xhat, nodes, lam, mu):
     X, Xhat = _check_pair(X, Xhat)
     P = X.shape[0]
     if not (0 < nodes < P):
         raise ConfigError(f"hidden size {nodes} must satisfy 0 < l < P={P}")
-    if lam < 0:
-        raise ConfigError("lambda must be >= 0")
-    if mu < 0:
-        raise DomainError("mu must be >= 0")
-    return X, Xhat
+    return (X, Xhat, *_check_weights(1, lam=(lam,), mu=(mu,)))
 
 
 def train_dae(X, Xhat, nodes, lam=1.0, opts: TrainOptions | None = None):
     """Single-layer DAE; each code update is the exact least-squares minimizer."""
-    X, Xhat = _check_shallow(X, Xhat, nodes, lam, 0.0)
-    return _train("dae", X, Xhat, (nodes,), (lam,), (0.0,), _SHALLOW_ORDER, opts)
+    X, Xhat, c, s = _check_shallow(X, Xhat, nodes, lam, 0.0)
+    return _train("dae", X, Xhat, (nodes,), c, s, _SHALLOW_ORDER, opts)
 
 
 def train_sparse_dae(X, Xhat, nodes, lam=1.0, mu=0.1,
                      opts: TrainOptions | None = None):
     """SparseDAE: DAE plus an l1 penalty on the code, solved by ISTA on the
     Gram form of the vertically stacked system [W2; sqrt(lam) I]."""
-    X, Xhat = _check_shallow(X, Xhat, nodes, lam, mu)
-    return _train("sparse_dae", X, Xhat, (nodes,), (lam,), (mu,),
-                  _SHALLOW_ORDER, opts)
+    X, Xhat, c, s = _check_shallow(X, Xhat, nodes, lam, mu)
+    return _train("sparse_dae", X, Xhat, (nodes,), c, s, _SHALLOW_ORDER, opts)
 
 
 def train_stacked_sdae(X, Xhat, sizes, mu_layers=(1.0, 1.0, 1.0),
@@ -334,13 +347,12 @@ def train_stacked_sdae(X, Xhat, sizes, mu_layers=(1.0, 1.0, 1.0),
     codes so the composite objective never increases.
     """
     X, Xhat = _check_pair(X, Xhat)
-    l0, l1, l2 = sizes
-    if not (l0 > l1 > l2 >= 1):
-        raise ConfigError(f"layer sizes must strictly decrease, got {sizes}")
-    if any(m < 0 for m in mu_layers) or any(s < 0 for s in lam_layers):
-        raise ConfigError("regularizers must be >= 0")
-    return _train("stacked_sdae", X, Xhat, (l0, l1, l2), tuple(mu_layers),
-                  tuple(lam_layers), _STACKED_ORDER, opts)
+    sizes = tuple(sizes)
+    if len(sizes) != 3 or not (sizes[0] > sizes[1] > sizes[2] >= 1):
+        raise ConfigError(f"need three strictly decreasing layer sizes, "
+                          f"got {sizes}")
+    c, s = _check_weights(3, mu_layers=mu_layers, lam_layers=lam_layers)
+    return _train("stacked_sdae", X, Xhat, sizes, c, s, _STACKED_ORDER, opts)
 
 
 def infer(weights: AutoencoderWeights, xhat, clamp=True):

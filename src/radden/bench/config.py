@@ -126,6 +126,10 @@ class TrainSpec:
     def __post_init__(self):
         if self.dae_nodes < 1 or self.sparse_nodes < 1:
             raise ConfigError("hidden sizes must be >= 1")
+        for name in ("stacked_sizes", "stacked_mu", "stacked_lambda"):
+            if len(getattr(self, name)) != 3:
+                raise ConfigError(f"{name} needs 3 entries, got "
+                                  f"{getattr(self, name)}")
         l0, l1, l2 = self.stacked_sizes
         if not (l0 > l1 > l2 >= 1):
             raise ConfigError("stacked sizes must strictly decrease")

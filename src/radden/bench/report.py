@@ -39,10 +39,11 @@ def summarize(rows):
     return "\n".join(lines) + "\n"
 
 
-def write_plot_data(rows, axis, directory, metric="ssim_ad"):
-    """One .dat file per signature kind: grid value, then per-algorithm mean
-    and spread columns.  Diverged rows are dropped from the aggregation; the
-    dropped count is reported in the header comment."""
+def write_plot_data(rows, axis, directory):
+    """One .dat file per signature kind, <kind>_<axis>_ssim_ad.dat: grid
+    value, then per-algorithm mean and spread columns of ssim_ad.  Diverged
+    rows are dropped from the aggregation; the dropped count is reported in
+    the header comment."""
     field = SWEEP_AXES[axis]
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -61,14 +62,14 @@ def write_plot_data(rows, axis, directory, metric="ssim_ad"):
             for algorithm in algorithms:
                 vals = _finite([r for r in kind_rows
                                 if r.algorithm == algorithm
-                                and getattr(r, field) == value], metric)
+                                and getattr(r, field) == value], "ssim_ad")
                 if vals:
                     cells.append(f"{np.mean(vals):.6f}")
                     cells.append(f"{max(vals) - min(vals):.6f}")
                 else:
                     cells.extend(["nan", "nan"])
             lines.append(" ".join(cells))
-        path = directory / f"{kind}_{axis}_{metric}.dat"
+        path = directory / f"{kind}_{axis}_ssim_ad.dat"
         path.write_text("\n".join(lines) + "\n")
         written.append(path)
     return written

@@ -40,7 +40,8 @@ def _build_parser():
     common(train)
     train.add_argument("--algorithm", default="stacked_sdae",
                        choices=AUTOENCODERS)
-    sweep = sub.add_parser("sweep", help="run the configured sweep, write CSV")
+    sweep = sub.add_parser("sweep", help="run the configured sweep, write "
+                                         "CSV and plot data")
     common(sweep)
     sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
     report = sub.add_parser("report", help="summarize sweep CSVs")
@@ -89,9 +90,12 @@ def _cmd_train(args):
 def _cmd_sweep(args):
     cfg = _load(args)
     rows = run_sweep(cfg, jobs=args.jobs)
-    path = write_rows(rows, Path(cfg.output_dir) / "sweep.csv")
+    out = Path(cfg.output_dir)
+    path = write_rows(rows, out / "sweep.csv")
     print(f"wrote {len(rows)} rows to {path}")
     print(summarize(rows), end="")
+    for path in write_plot_data(rows, cfg.sweep.axis, out / "plots"):
+        print(f"wrote {path}")
     return EXIT_OK
 
 

@@ -19,8 +19,6 @@ class RadarConfig:
     freq_count: int = 1
     sample_rate_hz: float = 500.0
     duration_s: float = 6.0
-    amplitude: float = 1.0
-    gain_db: float = 0.0  # per-frequency antenna gain offset
 
     def __post_init__(self):
         if self.bandwidth_hz < 0:
@@ -85,7 +83,6 @@ def radar_returns(track: ScattererTrack, channel: ChannelModel,
         raise ConfigError(f"time samples must be integers in [0, {grid.size})")
     freqs = radar.frequencies
     c = SPEED_OF_LIGHT
-    amp = radar.amplitude * 10.0 ** (radar.gain_db / 20.0)
     out = np.zeros((rows.size, freqs.size), dtype=complex)
     for b in range(track.count):
         rho = track.ranges_ground[b][rows][:, None]
@@ -93,7 +90,7 @@ def radar_returns(track: ScattererTrack, channel: ChannelModel,
         f = freqs[None, :]
         H = channel_response(channel, rho, f, eta)
         out += track.reflectivity[b] * H * H * np.exp(-4j * np.pi * (f / c) * (r - rho))
-    return amp * out
+    return out
 
 
 def spectrogram(signal, sample_rate, window_s, hop=None, doppler_bins=None):

@@ -214,16 +214,16 @@ def ista_gram(DtD, DtY, yty, mu, Z0, opts: IstaOptions | None = None):
     independently, each with its own stopping rule, in zero-padded blocks of
     BLOCK_COLUMNS columns held as one (blocks, k, BLOCK_COLUMNS) stack.
     Every sweep takes one path: one stacked GEMM plus a fixed set of
-    in-place elementwise passes over the whole stack, with a per-column step
-    and threshold that are 1/L and mu / (2 L) while the column runs and 0
-    once it stops (padded columns from the start), so a stopped column's
-    codes, gradient and objective stay as they are.  Each column's objective
-    yty - 2 z.dty + z.(DtD z) + mu |z|_1 is two dot products and one |z|
-    sum along the stack's k axis.  `iterations` is the longest column's
-    count, `converged` the number of columns whose stopping rule fired
-    before `max_iterations` cut them off, and `objectives` holds per-sweep
-    totals, summed block by block, in which a stopped column contributes
-    its final value.  A design with no columns (k = 0) has z of shape
+    in-place elementwise passes over the whole stack with the scalar step
+    1/L and threshold mu / (2 L), then one masked copy that restores each
+    stopped column's codes, so its gradient and objective stay as they are
+    (a padded column is zero and stays zero either way).  Each column's
+    objective yty - 2 z.dty + z.(DtD z) + mu |z|_1 is two dot products and
+    one |z| sum along the stack's k axis.  `iterations` is the longest
+    column's count, `converged` the number of columns whose stopping rule
+    fired before `max_iterations` cut them off, and `objectives` holds
+    per-sweep totals, summed block by block, in which a stopped column
+    contributes its final value.  A design with no columns (k = 0) has z of shape
     (0, q) and objective ||y||^2; it stops after one sweep.
     """
     if opts is None:
@@ -270,16 +270,15 @@ def ista_gram(DtD, DtY, yty, mu, Z0, opts: IstaOptions | None = None):
     clamp = np.empty_like(z)
     g_new = np.empty_like(z)
     for _ in range(opts.max_iterations):
-        # stopped and padded columns take a zero step and threshold: no change
-        steps = step * active[:, None, :]
-        thetas = theta * active[:, None, :]
         np.subtract(dty, g, out=v)
-        np.multiply(v, steps, out=v)
+        np.multiply(v, step, out=v)
         np.add(z, v, out=v)
         # soft threshold: v - clip(v, -theta, theta)
-        np.maximum(v, -thetas, out=clamp)
-        np.minimum(clamp, thetas, out=clamp)
+        np.maximum(v, -theta, out=clamp)
+        np.minimum(clamp, theta, out=clamp)
         np.subtract(v, clamp, out=v)
+        # stopped columns keep their codes
+        np.copyto(v, z, where=~active[:, None, :])
         np.matmul(DtD, v, out=g_new)
         prev, obj = obj, objective(v, g_new)
         z, v = v, z

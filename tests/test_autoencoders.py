@@ -10,7 +10,7 @@ from radden.autoencoders import (Activation, AutoencoderWeights, TrainOptions,
                                  load_weights, objective_value, save_weights,
                                  train_dae, train_sparse_dae,
                                  train_stacked_sdae)
-from radden.errors import ConfigError, FormatError
+from radden.errors import ConfigError, DomainError, FormatError
 from radden.sparse_solvers import (IstaOptions, RidgeDesign, ista_solve,
                                    solve_least_squares)
 
@@ -367,6 +367,35 @@ def test_trace_records_each_ista_code_update():
         if codes:   # some columns stop early, others reach the cap
             assert any(conv > 0 for _, conv in records)
             assert any(it == cap for it, _ in records)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("variant, kwargs, error", [
+    ("dae", dict(lam=-1.0), DomainError),
+    ("dae", dict(lam=NAN), DomainError),
+    ("sparse_dae", dict(lam=INF), DomainError),
+    ("sparse_dae", dict(mu=-0.1), DomainError),
+    ("sparse_dae", dict(mu=NAN), DomainError),
+    ("sparse_dae", dict(mu="0.1"), DomainError),
+    ("stacked_sdae", dict(mu_layers=(1.0, -1.0, 1.0)), DomainError),
+    ("stacked_sdae", dict(lam_layers=(NAN, 0.0, 0.0)), DomainError),
+    ("stacked_sdae", dict(mu_layers=(1, 1)), ConfigError),
+    ("stacked_sdae", dict(mu_layers=(1, 1, 1, 5)), ConfigError),
+    ("stacked_sdae", dict(lam_layers=()), ConfigError),
+    ("stacked_sdae", dict(sizes=(8, 5)), ConfigError),
+])
+def test_trainers_check_regularizers_alike(variant, kwargs, error):
+    X, Xhat = synthetic_pair()
+    if variant == "stacked_sdae":
+        kwargs = {"sizes": (8, 5, 3), **kwargs}
+        train = train_stacked_sdae
+    else:
+        kwargs = {"nodes": 6, **kwargs}
+        train = train_dae if variant == "dae" else train_sparse_dae
+    with pytest.raises(error):
+        train(X, Xhat, **kwargs)
 
 
 class TestLinearTraining:

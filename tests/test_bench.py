@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from radden import cli as cli_module
+from radden.autoencoders import load_weights
 from radden.bench import (DatasetSpec, ExperimentConfig, SweepSpec, TrainSpec,
                           csv_content_hash, evaluate_grid_point, generate_pair,
-                          grid_search, load_rows, parse_config, run_sweep,
-                          summarize, write_plot_data, write_rows)
+                          grid_search, load_config, load_rows, parse_config,
+                          run_sweep, summarize, train_model, write_plot_data,
+                          write_rows)
 from radden.bench import sweep as sweep_module
 from radden.bench.sweep import ResultRow, _mean_nmse
 from radden.cli import main
@@ -185,6 +187,20 @@ class TestGeneration:
         assert not np.array_equal(corrupt.data[:, 0], corrupt.data[:, 1])
 
 
+@pytest.mark.parametrize("text", [
+    "[train]\nstacked_sizes = 64 32\n",
+    "[train]\nstacked_sizes = 64 32 16 8\n",
+    "[train]\nstacked_mu = 1 1 1 5\n",
+    "[train]\nstacked_lambda = 1\n",
+])
+def test_stacked_tuples_need_three_entries(tmp_path, text):
+    with pytest.raises(ConfigError):
+        parse_config(text)
+    ini = tmp_path / "exp.ini"
+    ini.write_text(text)
+    assert main(["train", "--config", str(ini)]) == 2
+
+
 class TestSweep:
     def test_row_counting(self):
         cfg = tiny_config(values=(0.0, 10.0, 20.0), seeds=(0, 1))
@@ -274,6 +290,25 @@ class TestSweep:
         cfg.train.outer_iterations = 10
         (row,) = run_sweep(cfg)
         assert row.ssim_ad >= row.ssim_bd
+
+    def test_parallel_run_matches_serial(self, tmp_path):
+        cfg = tiny_config(values=(0.0, 10.0))
+        serial = write_rows(run_sweep(cfg), tmp_path / "serial.csv")
+        parallel = write_rows(run_sweep(cfg, jobs=2), tmp_path / "parallel.csv")
+        assert csv_content_hash(parallel) == csv_content_hash(serial)
+
+    def test_scr_axis(self):
+        cfg = tiny_config(axis="scr", values=(0.0, 10.0), algorithms=("wavelet",))
+        rows = run_sweep(cfg)
+        assert [r.scr_db for r in rows] == [0.0, 10.0]
+        # the pfa = 0 input of the same seed: no clutter at all
+        _, test = sweep_module._split_columns(cfg.dataset.count, cfg.sweep.split, 0)
+        plain = generate_pair(replace(cfg.dataset, seed=0))[1].data[:, test]
+        inputs = [sweep_module._grid_data(cfg, v, 0).corrupt_te
+                  for v in cfg.sweep.values]
+        assert not np.array_equal(inputs[0], plain)
+        assert not np.array_equal(inputs[1], plain)
+        assert not np.array_equal(inputs[0], inputs[1])
 
 
 def _no_pool(*args, **kwargs):
@@ -449,3 +484,40 @@ class TestCli:
         assert main(["report", str(csv_path), "--out",
                      str(tmp_path / "plots"), "--axis", "snr"]) == 0
         assert (tmp_path / "plots" / "frontal_snr_ssim_ad.dat").exists()
+
+    @pytest.mark.parametrize("axis, values", [("snr", "10 20"),
+                                              ("mismatch", "0 0.5")])
+    def test_sweep_writes_report_plot_data(self, tmp_path, capsys, axis, values):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(
+            "[dataset]\nkind = frontal\nrealizations = 2\nintervals = 4\n"
+            "noise_draws = 2\nsnr_db = 10\n"
+            f"[sweep]\naxis = {axis}\nvalues = {values}\nseeds = 0 1\n"
+            "algorithms = wavelet svd\n"
+            f"[output]\ndirectory = {tmp_path / 'out'}\n")
+        assert main(["sweep", "--config", str(ini)]) == 0
+        name = f"frontal_{axis}_ssim_ad.dat"
+        plot = tmp_path / "out" / "plots" / name
+        assert f"wrote {plot}" in capsys.readouterr().out
+        assert main(["report", str(tmp_path / "out" / "sweep.csv"), "--out",
+                     str(tmp_path / "report"), "--axis", axis]) == 0
+        assert plot.read_bytes() == (tmp_path / "report" / name).read_bytes()
+
+    def test_train_saves_the_seeded_model(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(
+            "[dataset]\nkind = frontal\nrealizations = 1\nintervals = 4\n"
+            "noise_draws = 2\nsnr_db = 10\n"
+            "[train]\ndae_nodes = 6\nouter_iterations = 3\n"
+            f"[output]\ndirectory = {tmp_path / 'unused'}\n")
+        out = tmp_path / "weights"
+        assert main(["train", "--config", str(ini), "--algorithm", "dae",
+                     "--seed", "3", "--out", str(out)]) == 0
+        assert not (tmp_path / "unused").exists()
+        saved = load_weights(out / "dae.weights")
+        cfg = load_config(ini)
+        clean, corrupt = generate_pair(replace(cfg.dataset, seed=3))
+        expected, _ = train_model("dae", clean.data, corrupt.data, cfg, 3)
+        assert saved.matrices.keys() == expected.matrices.keys()
+        for name, M in expected.matrices.items():
+            np.testing.assert_array_equal(saved.matrices[name], M)
