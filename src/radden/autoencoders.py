@@ -197,10 +197,10 @@ def _squared_residual(T, WS):
 def _update_code(W, H, c, i, mu, ista, E=None, stats=None):
     """Z_i = H[i + 1] minimizing the two chain terms it enters, plus mu |Z_i|_1.
 
-    H is [Xhat, Z_0, ..., Z_{L-1}, X], c the coupling weights with the
-    reconstruction's 1 appended, and E = W[i] H[i] (formed here if not
-    given).  The block is the stacked least squares with design
-    D = [sqrt(c[i+1]) W[i+1]; sqrt(c[i]) I] and target
+    H is [Xhat, Z_0, ..., Z_{L-1}, T], with T the clean stack or its QR
+    factor R, c the coupling weights with the reconstruction's 1 appended,
+    and E = W[i] H[i] (formed here if not given).  The block is the stacked
+    least squares with design D = [sqrt(c[i+1]) W[i+1]; sqrt(c[i]) I] and target
     Y = [sqrt(c[i+1]) H[i+2]; sqrt(c[i]) E], solved by `ista_gram`
     warm-started from the current code.  D and Y are never formed: ISTA
     takes D.T D = c[i+1] W[i+1].T W[i+1] + c[i] I, D.T Y = c[i+1] W[i+1].T
@@ -244,8 +244,16 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts):
     Z_i and the objective, which `_chain_sum` takes from E and the one
     decoder product.  The encoder W_0 is not formed inside the loop: its
     update keeps its target Z_0, and E[0] = W_0 Xhat comes from the input
-    design's hat matrix.  W_0 is solved once, after the loop, from the last
-    target.
+    design's hat matrix.  The random W_0 is dropped once Z_0 is formed, and
+    W_0 is solved once, after the loop, from the last target.
+
+    The decoder is W_L = X K, where K depends on the last code alone, so
+    the P x Q clean stack X enters the objective only through norms ||X A||.
+    With X = Q R (Householder QR; R has min(P, Q) rows and keeps X's
+    rank), ||X A|| = ||R A|| for every A.  From the first decoder update on,
+    the chain therefore ends in R instead of X and the loop holds R K
+    instead of W_L, so no product inside it has P rows.  The P x k decoder
+    X K is formed once, after the loop, from the code it was last fit to.
     """
     opts = opts or TrainOptions()
     rng = np.random.default_rng(opts.seed)
@@ -255,12 +263,12 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts):
     for M in W[:-1]:
         H.append(M @ H[-1])
     H.append(X)
-    names = _MATRIX_NAMES[variant]
-    weights = AutoencoderWeights(variant, Activation(), dict(zip(names, W)))
+    W[0] = None   # never read: E[0] comes from the input design
     E = H[1:-1]   # E[i] = W_i H[i] of each code's coupling term; None when stale
     couplings = (*c, 1.0)
     input_design = RidgeDesign(Xhat, ridge=opts.ridge)
-    encoder_target = None
+    R = np.linalg.qr(X, mode="r")
+    encoder_target = decoder_code = None
     trace = TrainTrace()
     for _ in range(opts.outer_iterations):
         t0 = time.perf_counter()
@@ -277,6 +285,8 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts):
                 encoder_target = H[1]
                 E[0] = input_design.fitted(encoder_target)
             else:
+                if i == len(sizes):   # fit R K in place of the decoder X K
+                    decoder_code, H[-1] = H[i], R
                 W[i] = solve_least_squares(H[i], H[i + 1], ridge=opts.ridge)
                 if i < len(E):
                     E[i] = None
@@ -290,8 +300,9 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts):
             if abs(prev - obj) <= opts.outer_tolerance * max(abs(prev), 1e-300):
                 break
     W[0] = input_design.solve(encoder_target)
-    weights.matrices.update(zip(names, W))
-    return weights, trace
+    W[-1] = solve_least_squares(decoder_code, X, ridge=opts.ridge)
+    matrices = dict(zip(_MATRIX_NAMES[variant], W))
+    return AutoencoderWeights(variant, Activation(), matrices), trace
 
 
 # one outer iteration: code, encoder, decoder; or all weights, then all codes

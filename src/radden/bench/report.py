@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..errors import ConfigError
 from .config import SWEEP_AXES
 
 __all__ = ["summarize", "write_plot_data"]
@@ -43,12 +44,22 @@ def write_plot_data(rows, axis, directory):
     """One .dat file per signature kind, <kind>_<axis>_ssim_ad.dat: grid
     value, then per-algorithm mean and spread columns of ssim_ad.  Diverged
     rows are dropped from the aggregation; the dropped count is reported in
-    the header comment."""
+    the header comment.  A ConfigError, before any file is written, when
+    the rows of one kind vary along another sweep axis: their levels would
+    fold into one line under the wrong axis name."""
     field = SWEEP_AXES[axis]
+    kinds = sorted({r.kind for r in rows})
+    for kind in kinds:
+        for other, column in SWEEP_AXES.items():
+            levels = sorted({getattr(r, column) for r in rows if r.kind == kind})
+            if other != axis and len(levels) > 1:
+                raise ConfigError(f"{kind} rows vary along the {other} axis "
+                                  f"({column} {levels}); report them with "
+                                  f"axis {other}, not {axis}")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
-    for kind in sorted({r.kind for r in rows}):
+    for kind in kinds:
         kind_rows = [r for r in rows if r.kind == kind]
         algorithms = sorted({r.algorithm for r in kind_rows})
         values = sorted({getattr(r, field) for r in kind_rows})

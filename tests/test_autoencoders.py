@@ -582,3 +582,39 @@ class TestWeightsIo:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(FormatError):
             load_weights(path)
+
+
+@pytest.mark.parametrize("variant, order", [
+    ("dae", _SHALLOW), ("sparse_dae", _SHALLOW), ("stacked_sdae", _STACKED),
+    ("stacked_sdae", _STACKED[4:] + _STACKED[:4])],
+    ids=["dae", "sparse_dae", "stacked_sdae", "stacked_codes_first"])
+def test_trainer_matches_reference_with_more_pixels_than_columns(variant, order):
+    # P > Q and a rank-deficient clean stack, as in the radar datasets: each
+    # of 8 clean columns is paired with 3 noise draws, so X (60 x 24) has
+    # rank 8 and its QR factor R has fewer rows than X
+    rng = np.random.default_rng(31)
+    X = np.repeat(rng.random((60, 8)), 3, axis=1)
+    Xhat = np.clip(X + 0.05 * rng.standard_normal(X.shape), 0, 1)
+    opts = TrainOptions(outer_iterations=3, outer_tolerance=1e-300, seed=5,
+                        ista=IstaOptions(max_iterations=30,
+                                         relative_tolerance=1e-300))
+    # Below rank 8 the DAE does not interpolate, whose objective would sit
+    # at rounding level; unit couplings keep the stacked reference as
+    # well-conditioned as in the P < Q test.
+    if variant == "stacked_sdae":
+        sizes, c, s = (9, 6, 4), (1.0, 1.0, 1.0), (0.1, 0.1, 0.1)
+        w, trace = _train(variant, X, Xhat, sizes, c, s, order, opts)
+    elif variant == "sparse_dae":   # more nodes than columns
+        sizes, c, s = (30,), (0.7,), (0.2,)
+        w, trace = train_sparse_dae(X, Xhat, 30, lam=0.7, mu=0.2, opts=opts)
+    else:
+        sizes, c, s = (7,), (0.7,), (0.0,)
+        w, trace = train_dae(X, Xhat, 7, lam=0.7, opts=opts)
+    ref, objectives, ista = reference_train(variant, X, Xhat, sizes, c, s,
+                                            opts, order)
+    tol = (1e-10, 1e-8) if order in (_SHALLOW, _STACKED) else (1e-8, 1e-6)
+    np.testing.assert_allclose(trace.objectives, objectives, rtol=tol[0], atol=0)
+    for name, M in ref.matrices.items():
+        assert np.linalg.norm(w.matrices[name] - M) <= tol[1] * np.linalg.norm(M), name
+    if order in (_SHALLOW, _STACKED):
+        assert trace.ista == ista

@@ -503,6 +503,26 @@ class TestCli:
                      str(tmp_path / "report"), "--axis", axis]) == 0
         assert plot.read_bytes() == (tmp_path / "report" / name).read_bytes()
 
+    def test_report_refuses_the_wrong_axis(self, tmp_path, capsys):
+        # a two-level mismatch sweep reported along snr would fold both
+        # levels into one snr line
+        ini = tmp_path / "exp.ini"
+        ini.write_text(
+            "[dataset]\nkind = frontal\nrealizations = 2\nintervals = 4\n"
+            "noise_draws = 2\nsnr_db = 10\n"
+            "[sweep]\naxis = mismatch\nvalues = 0 0.5\nseeds = 0\n"
+            "algorithms = wavelet\n"
+            f"[output]\ndirectory = {tmp_path / 'out'}\n")
+        assert main(["sweep", "--config", str(ini)]) == 0
+        csv_path = str(tmp_path / "out" / "sweep.csv")
+        capsys.readouterr()
+        assert main(["report", csv_path, "--out", str(tmp_path / "report"),
+                     "--axis", "snr"]) == 2
+        assert "mismatch axis" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+        assert main(["report", csv_path, "--out", str(tmp_path / "report"),
+                     "--axis", "mismatch"]) == 0
+
     def test_train_saves_the_seeded_model(self, tmp_path):
         ini = tmp_path / "exp.ini"
         ini.write_text(
