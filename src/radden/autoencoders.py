@@ -30,10 +30,12 @@ __all__ = [
     "AutoencoderWeights",
     "TrainOptions",
     "TrainTrace",
+    "TrainingPair",
     "inference_flops",
     "infer",
     "load_weights",
     "objective_value",
+    "prepare_pair",
     "save_weights",
     "train_dae",
     "train_sparse_dae",
@@ -140,7 +142,9 @@ class TrainTrace:
 
 def _init_matrix(rng, rows, cols):
     # i.i.d. Gaussian, std 1/sqrt(fan-in): keeps initial activations order-1
-    return rng.standard_normal((rows, cols)) / np.sqrt(cols)
+    M = rng.standard_normal((rows, cols))
+    M /= np.sqrt(cols)
+    return M
 
 
 def _check_pair(X, Xhat):
@@ -151,6 +155,42 @@ def _check_pair(X, Xhat):
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Xhat))):
         raise DomainError("training stacks contain non-finite entries")
     return X, Xhat
+
+
+@dataclass(frozen=True)
+class TrainingPair:
+    """A clean stack X and its corrupt input Xhat, checked and factored once.
+
+    The trainers read X through R, the R factor of its Householder QR, and
+    Xhat through `design`, RidgeDesign(Xhat, ridge), whose hat matrix is
+    formed on first use.  `prepare_pair` builds one, and any number of
+    trainer calls on the same two arrays and ridge share it through their
+    `pair` keyword; a trainer handed a pair of other arrays or of another
+    ridge raises ConfigError.
+    """
+    X: np.ndarray
+    Xhat: np.ndarray
+    ridge: float | None
+    R: np.ndarray
+    design: RidgeDesign
+
+
+def prepare_pair(X, Xhat, ridge=None):
+    """The TrainingPair of X and Xhat for training at `ridge` (TrainOptions.ridge)."""
+    X, Xhat = _check_pair(X, Xhat)
+    return TrainingPair(X, Xhat, ridge, np.linalg.qr(X, mode="r"),
+                        RidgeDesign(Xhat, ridge))
+
+
+def _training_pair(X, Xhat, ridge, pair):
+    """`pair` if it was prepared from these very arrays at this ridge; a new
+    pair if it is None."""
+    if pair is None:
+        return prepare_pair(X, Xhat, ridge)
+    if pair.X is not X or pair.Xhat is not Xhat or pair.ridge != ridge:
+        raise ConfigError(f"training pair prepared from other arrays or at "
+                          f"another ridge ({pair.ridge}, training at {ridge})")
+    return pair
 
 
 def objective_value(weights, codes, X, Xhat, lam=1.0, mu=0.0,
@@ -228,7 +268,7 @@ def _update_code(W, H, c, i, mu, ista, E=None, stats=None):
     return result.z
 
 
-def _train(variant, X, Xhat, sizes, c, s, order, opts):
+def _train(variant, X, Xhat, sizes, c, s, order, opts, pair=None):
     """The block-coordinate loop behind all three trainers.
 
     `sizes` are the code heights, `c` the coupling and `s` the l1 weights of
@@ -237,7 +277,15 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts):
     re-solves code Z_i.  No update raises the objective: the least-squares
     updates minimize it over their block and warm-started ISTA never
     increases it, so the recorded trace is non-increasing up to the tiny
-    ridge term and rounding.
+    ridge term and rounding.  The weights start as i.i.d. Gaussians drawn
+    in chain order from `opts.seed`.  The decoder's, the last draw, is made
+    only when a code update reads it before the decoder's own refit (the
+    shallow order); the stacked order refits the decoder first.
+
+    X and Xhat are read through `pair`, a TrainingPair prepared from these
+    very arrays at `opts.ridge`, or built here when none is given: its
+    RidgeDesign(Xhat) serves the encoder and its R factor of X the decoder
+    side, so trainers that share one pair factor each stack once.
 
     Each outer iteration forms every chain product once.  E[i] = W_i Z_{i-1}
     is kept until W_i or Z_{i-1} changes, and serves both the code update of
@@ -249,16 +297,21 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts):
 
     The decoder is W_L = X K, where K depends on the last code alone, so
     the P x Q clean stack X enters the objective only through norms ||X A||.
-    With X = Q R (Householder QR; R has min(P, Q) rows and keeps X's
-    rank), ||X A|| = ||R A|| for every A.  From the first decoder update on,
-    the chain therefore ends in R instead of X and the loop holds R K
-    instead of W_L, so no product inside it has P rows.  The P x k decoder
+    With X = Q R (the pair's Householder QR; R has min(P, Q) rows and
+    keeps X's rank), ||X A|| = ||R A|| for every A.  From the first decoder
+    update on, the chain therefore ends in R instead of X and the loop holds
+    R K instead of W_L, so no product inside it has P rows.  The P x k decoder
     X K is formed once, after the loop, from the code it was last fit to.
     """
     opts = opts or TrainOptions()
+    pair = _training_pair(X, Xhat, opts.ridge, pair)
+    X, Xhat = pair.X, pair.Xhat
     rng = np.random.default_rng(opts.seed)
+    L = len(sizes)
     dims = (X.shape[0], *sizes, X.shape[0])
-    W = [_init_matrix(rng, dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
+    W = [_init_matrix(rng, dims[i + 1], dims[i]) for i in range(L)]
+    W.append(_init_matrix(rng, dims[L + 1], dims[L])
+             if order.index(("Z", L - 1)) < order.index(("W", L)) else None)
     H = [Xhat]
     for M in W[:-1]:
         H.append(M @ H[-1])
@@ -266,8 +319,6 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts):
     W[0] = None   # never read: E[0] comes from the input design
     E = H[1:-1]   # E[i] = W_i H[i] of each code's coupling term; None when stale
     couplings = (*c, 1.0)
-    input_design = RidgeDesign(Xhat, ridge=opts.ridge)
-    R = np.linalg.qr(X, mode="r")
     encoder_target = decoder_code = None
     trace = TrainTrace()
     for _ in range(opts.outer_iterations):
@@ -283,10 +334,10 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts):
                     E[i + 1] = None
             elif i == 0:
                 encoder_target = H[1]
-                E[0] = input_design.fitted(encoder_target)
+                E[0] = pair.design.fitted(encoder_target)
             else:
-                if i == len(sizes):   # fit R K in place of the decoder X K
-                    decoder_code, H[-1] = H[i], R
+                if i == L:   # fit R K in place of the decoder X K
+                    decoder_code, H[-1] = H[i], pair.R
                 W[i] = solve_least_squares(H[i], H[i + 1], ridge=opts.ridge)
                 if i < len(E):
                     E[i] = None
@@ -299,7 +350,7 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts):
             prev = trace.objectives[-2]
             if abs(prev - obj) <= opts.outer_tolerance * max(abs(prev), 1e-300):
                 break
-    W[0] = input_design.solve(encoder_target)
+    W[0] = pair.design.solve(encoder_target)
     W[-1] = solve_least_squares(decoder_code, X, ridge=opts.ridge)
     matrices = dict(zip(_MATRIX_NAMES[variant], W))
     return AutoencoderWeights(variant, Activation(), matrices), trace
@@ -334,23 +385,26 @@ def _check_shallow(X, Xhat, nodes, lam, mu):
     return (X, Xhat, *_check_weights(1, lam=(lam,), mu=(mu,)))
 
 
-def train_dae(X, Xhat, nodes, lam=1.0, opts: TrainOptions | None = None):
+def train_dae(X, Xhat, nodes, lam=1.0, opts: TrainOptions | None = None, *,
+              pair: TrainingPair | None = None):
     """Single-layer DAE; each code update is the exact least-squares minimizer."""
     X, Xhat, c, s = _check_shallow(X, Xhat, nodes, lam, 0.0)
-    return _train("dae", X, Xhat, (nodes,), c, s, _SHALLOW_ORDER, opts)
+    return _train("dae", X, Xhat, (nodes,), c, s, _SHALLOW_ORDER, opts, pair)
 
 
 def train_sparse_dae(X, Xhat, nodes, lam=1.0, mu=0.1,
-                     opts: TrainOptions | None = None):
+                     opts: TrainOptions | None = None, *,
+                     pair: TrainingPair | None = None):
     """SparseDAE: DAE plus an l1 penalty on the code, solved by ISTA on the
     Gram form of the vertically stacked system [W2; sqrt(lam) I]."""
     X, Xhat, c, s = _check_shallow(X, Xhat, nodes, lam, mu)
-    return _train("sparse_dae", X, Xhat, (nodes,), c, s, _SHALLOW_ORDER, opts)
+    return _train("sparse_dae", X, Xhat, (nodes,), c, s, _SHALLOW_ORDER, opts, pair)
 
 
 def train_stacked_sdae(X, Xhat, sizes, mu_layers=(1.0, 1.0, 1.0),
                        lam_layers=(0.1, 0.1, 0.1),
-                       opts: TrainOptions | None = None):
+                       opts: TrainOptions | None = None, *,
+                       pair: TrainingPair | None = None):
     """Three-hidden-layer stacked sparse DAE.
 
     Each outer cycle runs the four per-layer least-squares weight updates
@@ -363,7 +417,7 @@ def train_stacked_sdae(X, Xhat, sizes, mu_layers=(1.0, 1.0, 1.0),
         raise ConfigError(f"need three strictly decreasing layer sizes, "
                           f"got {sizes}")
     c, s = _check_weights(3, mu_layers=mu_layers, lam_layers=lam_layers)
-    return _train("stacked_sdae", X, Xhat, sizes, c, s, _STACKED_ORDER, opts)
+    return _train("stacked_sdae", X, Xhat, sizes, c, s, _STACKED_ORDER, opts, pair)
 
 
 def infer(weights: AutoencoderWeights, xhat, clamp=True):

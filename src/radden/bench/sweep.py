@@ -16,8 +16,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-from ..autoencoders import (TrainOptions, infer, train_dae, train_sparse_dae,
-                            train_stacked_sdae)
+from ..autoencoders import (TrainOptions, infer, prepare_pair, train_dae,
+                            train_sparse_dae, train_stacked_sdae)
 from ..baselines import (SvdFilterConfig, WaveletFilterConfig, svd_denoise,
                          wavelet_denoise)
 from ..dataset import WallClass, shuffle_labels
@@ -82,8 +82,10 @@ def _mean_nmse(approx, reference):
     return float(np.mean(np.sum(diff * diff, axis=0) / energy))
 
 
-def train_model(algorithm, clean_tr, corrupt_tr, cfg: ExperimentConfig, seed):
-    """Train one autoencoder variant with the options of cfg.train."""
+def train_model(algorithm, clean_tr, corrupt_tr, cfg: ExperimentConfig, seed,
+                *, pair=None):
+    """Train one autoencoder variant with the options of cfg.train; `pair`,
+    if given, is the TrainingPair of clean_tr and corrupt_tr."""
     t = cfg.train
     opts = TrainOptions(
         outer_iterations=t.outer_iterations, outer_tolerance=t.outer_tolerance,
@@ -92,13 +94,14 @@ def train_model(algorithm, clean_tr, corrupt_tr, cfg: ExperimentConfig, seed):
                          relative_tolerance=t.ista_tolerance))
     if algorithm == "dae":
         return train_dae(clean_tr, corrupt_tr, t.dae_nodes, lam=t.dae_lambda,
-                         opts=opts)
+                         opts=opts, pair=pair)
     if algorithm == "sparse_dae":
         return train_sparse_dae(clean_tr, corrupt_tr, t.sparse_nodes,
-                                lam=t.sparse_lambda, mu=t.sparse_mu, opts=opts)
+                                lam=t.sparse_lambda, mu=t.sparse_mu, opts=opts,
+                                pair=pair)
     return train_stacked_sdae(clean_tr, corrupt_tr, t.stacked_sizes,
                               mu_layers=t.stacked_mu,
-                              lam_layers=t.stacked_lambda, opts=opts)
+                              lam_layers=t.stacked_lambda, opts=opts, pair=pair)
 
 
 def _baseline_denoise(algorithm, stack_cols, shape, cfg: ExperimentConfig):
@@ -149,9 +152,11 @@ def _grid_data(cfg: ExperimentConfig, value, seed):
                      clean.data[:, test_idx], corrupt.data[:, test_idx])
 
 
-def _fit(algorithm, data: _GridData, cfg: ExperimentConfig, seed):
+def _fit(algorithm, data: _GridData, cfg: ExperimentConfig, seed, pair):
     """(denoised test columns, train_seconds, test_ms) of one algorithm;
-    denoised is None when the training objective trace is not finite."""
+    denoised is None when the training objective trace is not finite.
+    An autoencoder trains on `pair`, the TrainingPair of data's training
+    columns; a baseline takes None."""
     if algorithm not in AUTOENCODERS:
         t0 = time.perf_counter()
         denoised = _baseline_denoise(algorithm, data.corrupt_te,
@@ -159,7 +164,7 @@ def _fit(algorithm, data: _GridData, cfg: ExperimentConfig, seed):
         return denoised, 0.0, (time.perf_counter() - t0) * 1e3
     t0 = time.perf_counter()
     weights, trace = train_model(algorithm, data.clean_tr, data.corrupt_tr,
-                                 cfg, seed)
+                                 cfg, seed, pair=pair)
     train_seconds = time.perf_counter() - t0
     if not all(np.isfinite(v) for v in trace.objectives):
         return None, train_seconds, 0.0
@@ -177,13 +182,22 @@ def _score(denoised, data: _GridData):
 
 
 def evaluate_grid_point(cfg: ExperimentConfig, value, seed):
-    """Train/evaluate every configured algorithm at one grid point."""
+    """Train/evaluate every configured algorithm at one grid point.
+
+    The autoencoders share one TrainingPair of the training columns, which
+    is dropped once the last of them is fit: train_seconds counts no
+    factorization of the pair."""
     data = _grid_data(cfg, value, seed)
     spec = data.spec
     ssim_bd, nmse_bd = _score(data.corrupt_te, data)
+    untrained = sum(a in AUTOENCODERS for a in cfg.sweep.algorithms)
+    pair = prepare_pair(data.clean_tr, data.corrupt_tr) if untrained else None
     rows = []
     for algorithm in cfg.sweep.algorithms:
-        denoised, train_seconds, test_ms = _fit(algorithm, data, cfg, seed)
+        denoised, train_seconds, test_ms = _fit(algorithm, data, cfg, seed, pair)
+        untrained -= algorithm in AUTOENCODERS
+        if not untrained:
+            pair = None
         ssim_ad, nmse_ad = _score(denoised, data)
         rows.append(ResultRow(
             kind=spec.kind, algorithm=algorithm, carrier_hz=spec.carrier_hz,
@@ -201,7 +215,8 @@ def grid_search(cfg: ExperimentConfig, algorithm, candidates, value=None,
 
     The paper's regularizers have no published values.  `value` and `seed`
     default to the first configured sweep value and seed; every candidate is
-    trained and scored on one dataset and split, so scores are comparable.
+    trained and scored on one dataset and split, so scores are comparable,
+    and on one TrainingPair of its training columns.
     """
     if algorithm not in AUTOENCODERS:
         raise ConfigError(f"cannot tune algorithm {algorithm!r}")
@@ -215,11 +230,12 @@ def grid_search(cfg: ExperimentConfig, algorithm, candidates, value=None,
     if seed is None:
         seed = cfg.sweep.seeds[0]
     data = _grid_data(cfg, value, seed)
+    pair = prepare_pair(data.clean_tr, data.corrupt_tr)
     scored = []
     for cand in candidates:
-        denoised, _, _ = _fit(algorithm, data, replace(cfg, train=cand), seed)
+        denoised, _, _ = _fit(algorithm, data, replace(cfg, train=cand), seed, pair)
         scored.append((cand, _score(denoised, data)[0]))
-    scored.sort(key=lambda pair: pair[1], reverse=True)
+    scored.sort(key=lambda entry: entry[1], reverse=True)
     return scored
 
 

@@ -20,9 +20,12 @@ __all__ = [
     "solve_least_squares",
 ]
 
-# Columns per ISTA block.  Every column's products run at this one width, so
-# its codes do not depend on which columns share its block; a one-column
-# D.T @ y would go to gemv and round differently from the blocked GEMM.
+# ISTA pads its row-major code matrix to a multiple of this many rows, and
+# sums each sweep's objective in blocks of this many columns.  Where the BLAS
+# rounds each row of a GEMM the same at every row count (README gives the
+# measured limits), a column's codes do not depend on which columns share its
+# call; the padding keeps every call off the one-row product, which goes to
+# gemv and rounds differently.
 BLOCK_COLUMNS = 32
 
 
@@ -159,13 +162,16 @@ def lipschitz_bound(A):
     return _gram_bound(A.T @ A if A.shape[1] <= A.shape[0] else A @ A.T)
 
 
-def _block_stack(M, nblocks):
-    """M's columns as zero-padded C-contiguous (nblocks, rows, BLOCK_COLUMNS) blocks."""
-    stack = np.zeros((nblocks, M.shape[0], BLOCK_COLUMNS))
-    for b in range(nblocks):
-        part = M[:, b * BLOCK_COLUMNS:(b + 1) * BLOCK_COLUMNS]
-        stack[b, :, :part.shape[1]] = part
-    return stack
+def _padded_count(q):
+    """q rounded up to a multiple of BLOCK_COLUMNS."""
+    return -(-q // BLOCK_COLUMNS) * BLOCK_COLUMNS
+
+
+def _padded_rows(M, n):
+    """M's columns as the rows of a zero-padded C-contiguous (n, rows) matrix."""
+    rows = np.zeros((n, M.shape[0]))
+    rows[:M.shape[1]] = M.T
+    return rows
 
 
 def ista_solve(D, Y, mu, Z0, opts: IstaOptions | None = None):
@@ -173,8 +179,10 @@ def ista_solve(D, Y, mu, Z0, opts: IstaOptions | None = None):
 
     Forms D.T D, D.T Y and each column's ||y||^2, then runs `ista_gram`.
     D.T Y and ||y||^2 are formed in zero-padded blocks of BLOCK_COLUMNS
-    columns, one fixed-width GEMM per block, so any column partitioning of Y
-    produces bitwise-identical codes.
+    columns, one GEMM and one reduction of the same shape per block, so a
+    column's values do not depend on which columns share the call.  (The
+    rounding of one GEMM over all columns would: its kernel can change with
+    the column count when D has many rows.)
     """
     D = np.asarray(D, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -190,17 +198,15 @@ def ista_solve(D, Y, mu, Z0, opts: IstaOptions | None = None):
         raise ConfigError(
             f"init shape {Z0.shape} incompatible with {D.shape} x {Y.shape}"
         )
-    q = Z0.shape[1]
-    yb = _block_stack(Y, -(-q // BLOCK_COLUMNS))
-    DtY = _unstack(np.matmul(D.T, yb), q)
-    yty = np.sum(np.square(yb, out=yb), axis=1).reshape(-1)[:q]
+    (p, k), q = D.shape, Y.shape[1]
+    n = _padded_count(q)
+    Yp = np.zeros((p, n))
+    Yp[:, :q] = Y
+    blocks = Yp.reshape(p, n // BLOCK_COLUMNS, BLOCK_COLUMNS)
+    blocks = blocks.transpose(1, 0, 2).copy()   # (blocks, p, BLOCK_COLUMNS)
+    DtY = np.matmul(D.T, blocks).transpose(1, 0, 2).reshape(k, n)[:, :q]
+    yty = np.sum(np.square(blocks, out=blocks), axis=1).reshape(n)[:q]
     return ista_gram(D.T @ D, DtY, yty, mu, Z0, opts)
-
-
-def _unstack(stack, q):
-    """The first q columns of a block stack as a matrix; serves rows = 0 too."""
-    nblocks, rows, _ = stack.shape
-    return stack.transpose(1, 0, 2).reshape(rows, nblocks * BLOCK_COLUMNS)[:, :q]
 
 
 def ista_gram(DtD, DtY, yty, mu, Z0, opts: IstaOptions | None = None):
@@ -211,20 +217,21 @@ def ista_gram(DtD, DtY, yty, mu, Z0, opts: IstaOptions | None = None):
     Iterates Z <- soft_threshold(Z + (1/L) (DtY - DtD Z), mu / (2 L)) from
     the given warm start, with L = 1.01 * the largest eigenvalue of DtD; the
     objective is non-increasing across iterations.  Columns are solved
-    independently, each with its own stopping rule, in zero-padded blocks of
-    BLOCK_COLUMNS columns held as one (blocks, k, BLOCK_COLUMNS) stack.
-    Every sweep takes one path: one stacked GEMM plus a fixed set of
-    in-place elementwise passes over the whole stack with the scalar step
-    1/L and threshold mu / (2 L), then one masked copy that restores each
-    stopped column's codes, so its gradient and objective stay as they are
-    (a padded column is zero and stays zero either way).  Each column's
-    objective yty - 2 z.dty + z.(DtD z) + mu |z|_1 is two dot products and
-    one |z| sum along the stack's k axis.  `iterations` is the longest
-    column's count, `converged` the number of columns whose stopping rule
-    fired before `max_iterations` cut them off, and `objectives` holds
-    per-sweep totals, summed block by block, in which a stopped column
-    contributes its final value.  A design with no columns (k = 0) has z of shape
-    (0, q) and objective ||y||^2; it stops after one sweep.
+    independently, each with its own stopping rule.  The codes are held
+    row-major, one row per column in an (n, k) matrix zero-padded to n rows,
+    a multiple of BLOCK_COLUMNS, and so are D.T Y and the gradient.  Every
+    sweep takes one path: one GEMM Z.T @ DtD.T for the whole gradient plus a
+    fixed set of in-place elementwise passes with the scalar step 1/L and
+    threshold mu / (2 L), then one indexed copy that restores the rows of
+    the stopped columns, so their gradient and objective stay as they are
+    (a padded row is zero and stays zero without it).  Each column's objective
+    yty - 2 z.dty + z.(DtD z) + mu |z|_1 is two dot products and one |z|
+    sum along its row.  `iterations` is the longest column's count,
+    `converged` the number of columns whose stopping rule fired before
+    `max_iterations` cut them off, and `objectives` holds per-sweep totals,
+    summed over blocks of BLOCK_COLUMNS columns in order, in which a stopped
+    column contributes its final value.  A design with no columns (k = 0)
+    has z of shape (0, q) and objective ||y||^2; it stops after one sweep.
     """
     if opts is None:
         opts = IstaOptions()
@@ -248,25 +255,26 @@ def ista_gram(DtD, DtY, yty, mu, Z0, opts: IstaOptions | None = None):
     if q == 0:
         return IstaResult(z=Z0.copy(), step=step)
 
-    # zero-padded block stack; a padded column is zero and stays zero
-    nblocks = -(-q // BLOCK_COLUMNS)
-    dty = _block_stack(DtY, nblocks)
-    yty = np.concatenate([yty, np.zeros(nblocks * BLOCK_COLUMNS - q)])
-    yty = yty.reshape(nblocks, BLOCK_COLUMNS)
-    z = _block_stack(Z0, nblocks)
+    # one row per column, zero-padded; a padded row is zero and stays zero
+    n = _padded_count(q)
+    dty = _padded_rows(DtY, n)
+    yty = np.concatenate([yty, np.zeros(n - q)])
+    z = _padded_rows(Z0, n)
+    Gt = DtD.T   # rows of z @ DtD.T are the columns of DtD @ Z
     absz = np.empty_like(z)
 
     def objective(z, g):
-        zd = np.einsum("bkc,bkc->bc", z, dty)
-        zg = np.einsum("bkc,bkc->bc", z, g)
+        zd = np.einsum("nk,nk->n", z, dty)
+        zg = np.einsum("nk,nk->n", z, g)
         l1 = np.add.reduce(np.abs(z, out=absz), axis=1)
         return yty - 2.0 * zd + zg + mu * l1
 
-    g = np.matmul(DtD, z)
+    g = np.matmul(z, Gt)
     obj = objective(z, g)
     history = [obj]
-    active = np.arange(nblocks * BLOCK_COLUMNS).reshape(nblocks, -1) < q  # real columns
-    v = np.empty_like(z)      # gradient step, then the new codes
+    active = np.ones(q, dtype=bool)
+    stopped = np.arange(0)      # rows of the stopped columns
+    v = np.empty_like(z)        # gradient step, then the new codes
     clamp = np.empty_like(z)
     g_new = np.empty_like(z)
     for _ in range(opts.max_iterations):
@@ -274,27 +282,26 @@ def ista_gram(DtD, DtY, yty, mu, Z0, opts: IstaOptions | None = None):
         np.multiply(v, step, out=v)
         np.add(z, v, out=v)
         # soft threshold: v - clip(v, -theta, theta)
-        np.maximum(v, -theta, out=clamp)
-        np.minimum(clamp, theta, out=clamp)
+        np.clip(v, -theta, theta, out=clamp)
         np.subtract(v, clamp, out=v)
         # stopped columns keep their codes
-        np.copyto(v, z, where=~active[:, None, :])
-        np.matmul(DtD, v, out=g_new)
+        v[stopped] = z[stopped]
+        np.matmul(v, Gt, out=g_new)
         prev, obj = obj, objective(v, g_new)
         z, v = v, z
         g, g_new = g_new, g
         history.append(obj)
-        active &= ~(np.abs(prev - obj) <= opts.relative_tolerance
-                    * np.maximum(np.abs(prev), 1e-300))
+        active &= ~(np.abs(prev[:q] - obj[:q]) <= opts.relative_tolerance
+                    * np.maximum(np.abs(prev[:q]), 1e-300))
+        stopped = np.flatnonzero(~active)
         if not active.any():
             break
 
     # per-sweep totals, summed block by block over each block's real columns
-    # (a basic slice: a boolean-mask copy is F-ordered and sums pairwise)
     history = np.array(history)
     totals = np.zeros(len(history))
-    for b in range(nblocks):
-        totals += history[:, b, :q - b * BLOCK_COLUMNS].sum(axis=1)
-    return IstaResult(z=_unstack(z, q).copy(), objectives=totals.tolist(),
+    for start in range(0, q, BLOCK_COLUMNS):
+        totals += history[:, start:min(start + BLOCK_COLUMNS, q)].sum(axis=1)
+    return IstaResult(z=np.ascontiguousarray(z[:q].T), objectives=totals.tolist(),
                       iterations=len(history) - 1, step=step,
                       converged=q - int(np.count_nonzero(active)))

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from radden.autoencoders import (Activation, AutoencoderWeights, TrainOptions,
                                  _train, _update_code, inference_flops, infer,
-                                 load_weights, objective_value, save_weights,
-                                 train_dae, train_sparse_dae,
+                                 load_weights, objective_value, prepare_pair,
+                                 save_weights, train_dae, train_sparse_dae,
                                  train_stacked_sdae)
 from radden.errors import ConfigError, DomainError, FormatError
 from radden.sparse_solvers import (IstaOptions, RidgeDesign, ista_solve,
@@ -396,6 +396,45 @@ def test_trainers_check_regularizers_alike(variant, kwargs, error):
         train = train_dae if variant == "dae" else train_sparse_dae
     with pytest.raises(error):
         train(X, Xhat, **kwargs)
+
+
+def _train_variant(variant, X, Xhat, opts, **kwargs):
+    if variant == "dae":
+        return train_dae(X, Xhat, 6, lam=0.7, opts=opts, **kwargs)
+    if variant == "sparse_dae":
+        return train_sparse_dae(X, Xhat, 6, lam=0.7, mu=0.2, opts=opts, **kwargs)
+    return train_stacked_sdae(X, Xhat, (8, 5, 3), opts=opts, **kwargs)
+
+
+class TestTrainingPair:
+    @pytest.mark.parametrize("ridge", [None, 1e-3])
+    def test_prepared_pair_trains_alike(self, ridge):
+        # P > Q, as in the radar datasets, so the QR factor has Q rows
+        X, Xhat = synthetic_pair(P=30, Q=20, seed=8)
+        opts = TrainOptions(outer_iterations=4, outer_tolerance=1e-300, seed=2,
+                            ridge=ridge,
+                            ista=IstaOptions(max_iterations=20,
+                                             relative_tolerance=1e-6))
+        pair = prepare_pair(X, Xhat, ridge)
+        for variant in ("dae", "sparse_dae", "stacked_sdae"):
+            own, own_trace = _train_variant(variant, X, Xhat, opts)
+            shared, shared_trace = _train_variant(variant, X, Xhat, opts, pair=pair)
+            assert ([M.tobytes() for M in shared.chain]
+                    == [M.tobytes() for M in own.chain])
+            assert (shared_trace.objectives, shared_trace.ista) == \
+                (own_trace.objectives, own_trace.ista)
+
+    @pytest.mark.parametrize("variant", ["dae", "sparse_dae", "stacked_sdae"])
+    def test_pair_of_other_arrays_or_ridge_refused(self, variant):
+        X, Xhat = synthetic_pair(seed=9)
+        opts = TrainOptions(outer_iterations=2)
+        for pair in (prepare_pair(X.copy(), Xhat), prepare_pair(X, Xhat.copy()),
+                     prepare_pair(X, Xhat, ridge=1e-3)):
+            with pytest.raises(ConfigError):
+                _train_variant(variant, X, Xhat, opts, pair=pair)
+        with pytest.raises(ConfigError):   # the pair's ridge, not the options'
+            _train_variant(variant, X, Xhat, TrainOptions(ridge=1e-3),
+                           pair=prepare_pair(X, Xhat))
 
 
 class TestLinearTraining:

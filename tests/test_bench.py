@@ -31,6 +31,17 @@ def tiny_config(**sweep_kw):
                         ista_iterations=10, stacked_sizes=(32, 16, 8)))
 
 
+def count_qr(monkeypatch):
+    """The shapes of the matrices np.linalg.qr factors from now on."""
+    calls, qr = [], np.linalg.qr
+
+    def counting(A, *args, **kwargs):
+        calls.append(np.shape(A))
+        return qr(A, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    return calls
+
+
 def make_row(**kw):
     base = dict(kind="spectrogram", algorithm="dae", carrier_hz=2.4e9,
                 wall_class="low", snr_db=0.0, scr_db=0.0, mismatch_pct=0.0,
@@ -239,6 +250,15 @@ class TestSweep:
         rows = run_sweep(cfg)
         assert [r.mismatch_pct for r in rows] == [0.0, 50.0]
 
+    def test_grid_point_factors_the_clean_stack_once(self, monkeypatch):
+        qr_calls = count_qr(monkeypatch)
+        cfg = tiny_config(algorithms=("dae", "sparse_dae", "stacked_sdae",
+                                      "svd", "wavelet"))
+        rows = evaluate_grid_point(cfg, 0.0, 0)
+        assert len(rows) == 5 and len(qr_calls) == 1
+        assert evaluate_grid_point(tiny_config(algorithms=("svd",)), 0.0, 0)
+        assert len(qr_calls) == 1   # no autoencoder, no factorization
+
     def test_mismatch_rows_follow_grid_order(self, monkeypatch):
         # 0.014 does not survive the round trip through mismatch_pct / 100
         def rows_for(cfg, value, seed):
@@ -364,6 +384,13 @@ class TestGridSearch:
                 cfg.sweep, algorithms=("sparse_dae",)))
             (row,) = evaluate_grid_point(local, 10.0, 0)
             assert score == row.ssim_ad
+
+    def test_candidates_share_one_factorization(self, monkeypatch):
+        qr_calls = count_qr(monkeypatch)
+        cfg = tiny_config(values=(10.0,), algorithms=("wavelet",))
+        candidates = [replace(cfg.train, sparse_nodes=n) for n in (8, 16, 24)]
+        grid_search(cfg, "sparse_dae", candidates)
+        assert len(qr_calls) == 1
 
     def test_untrainable_algorithm_rejected(self):
         cfg = tiny_config()

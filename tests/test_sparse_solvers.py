@@ -326,6 +326,27 @@ class TestIsta:
                 parts[:, cols] = ista_solve(D, Y[:, cols], 0.3, Z0[:, cols], opts).z
             np.testing.assert_array_equal(parts, full)
 
+    def test_partition_invariance_at_trainer_size(self):
+        # the trainers' shape: k = 256 codes, q = 240 columns (train_hrrp);
+        # one GEMM per sweep covers every row, so a column's codes rely on
+        # each GEMM row rounding alike at every padded row count
+        rng = np.random.default_rng(41)
+        k, q = 256, 240
+        W = rng.standard_normal((128, k)) / np.sqrt(128)
+        DtD = W.T @ W + np.eye(k)
+        DtY = rng.standard_normal((k, q))
+        yty = np.sum(DtY * DtY, axis=0) + 1.0
+        Z0 = 0.1 * rng.standard_normal((k, q))
+        opts = IstaOptions(max_iterations=25, relative_tolerance=1e-4)
+        full = ista_gram(DtD, DtY, yty, 0.5, Z0, opts)
+        assert 0 < full.converged < q   # some columns stop, others run
+        order = np.random.default_rng(42).permutation(q)
+        parts = np.empty_like(full.z)
+        for cols in np.split(order, np.cumsum([1, 31, 32])):   # 1, 31, 32, 176
+            parts[:, cols] = ista_gram(DtD, DtY[:, cols], yty[cols], 0.5,
+                                       Z0[:, cols], opts).z
+        np.testing.assert_array_equal(parts, full.z)
+
     @pytest.mark.parametrize("tol", [1e-300, 1e-3])
     def test_matches_single_column_reference(self, tol):
         rng = np.random.default_rng(13)
