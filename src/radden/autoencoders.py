@@ -162,34 +162,38 @@ class TrainingPair:
     """A clean stack X and its corrupt input Xhat, checked and factored once.
 
     The trainers read X through R, the R factor of its Householder QR, and
-    Xhat through `design`, RidgeDesign(Xhat, ridge), whose hat matrix is
-    formed on first use.  `prepare_pair` builds one, and any number of
-    trainer calls on the same two arrays and ridge share it through their
-    `pair` keyword; a trainer handed a pair of other arrays or of another
-    ridge raises ConfigError.
+    Xhat through `design`, RidgeDesign(Xhat) at the default ridge, whose hat
+    matrix is formed on first use.  `prepare_pair` builds one, and any number
+    of trainer calls on the same two arrays share it through their `pair`
+    keyword; a trainer handed a pair of other arrays, or one whose options
+    set a ridge, raises ConfigError.
     """
     X: np.ndarray
     Xhat: np.ndarray
-    ridge: float | None
     R: np.ndarray
     design: RidgeDesign
 
 
-def prepare_pair(X, Xhat, ridge=None):
-    """The TrainingPair of X and Xhat for training at `ridge` (TrainOptions.ridge)."""
+def _factored(X, Xhat, ridge):
     X, Xhat = _check_pair(X, Xhat)
-    return TrainingPair(X, Xhat, ridge, np.linalg.qr(X, mode="r"),
-                        RidgeDesign(Xhat, ridge))
+    return TrainingPair(X, Xhat, np.linalg.qr(X, mode="r"), RidgeDesign(Xhat, ridge))
+
+
+def prepare_pair(X, Xhat):
+    """The TrainingPair of X and Xhat, for trainers at the default ridge."""
+    return _factored(X, Xhat, None)
 
 
 def _training_pair(X, Xhat, ridge, pair):
-    """`pair` if it was prepared from these very arrays at this ridge; a new
-    pair if it is None."""
+    """`pair` if it was prepared from these very arrays and the options keep
+    the default ridge; a new pair at `ridge` if it is None."""
     if pair is None:
-        return prepare_pair(X, Xhat, ridge)
-    if pair.X is not X or pair.Xhat is not Xhat or pair.ridge != ridge:
-        raise ConfigError(f"training pair prepared from other arrays or at "
-                          f"another ridge ({pair.ridge}, training at {ridge})")
+        return _factored(X, Xhat, ridge)
+    if pair.X is not X or pair.Xhat is not Xhat:
+        raise ConfigError("training pair prepared from other arrays")
+    if ridge is not None:
+        raise ConfigError(f"a prepared training pair trains at the default "
+                          f"ridge, not at {ridge}")
     return pair
 
 
@@ -283,9 +287,10 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts, pair=None):
     shallow order); the stacked order refits the decoder first.
 
     X and Xhat are read through `pair`, a TrainingPair prepared from these
-    very arrays at `opts.ridge`, or built here when none is given: its
-    RidgeDesign(Xhat) serves the encoder and its R factor of X the decoder
-    side, so trainers that share one pair factor each stack once.
+    very arrays (only at the default ridge), or built here at `opts.ridge`
+    when none is given: its RidgeDesign(Xhat) serves the encoder and its R
+    factor of X the decoder side, so trainers that share one pair factor
+    each stack once.
 
     Each outer iteration forms every chain product once.  E[i] = W_i Z_{i-1}
     is kept until W_i or Z_{i-1} changes, and serves both the code update of

@@ -156,7 +156,7 @@ def _fit(algorithm, data: _GridData, cfg: ExperimentConfig, seed, pair):
     """(denoised test columns, train_seconds, test_ms) of one algorithm;
     denoised is None when the training objective trace is not finite.
     An autoencoder trains on `pair`, the TrainingPair of data's training
-    columns; a baseline takes None."""
+    columns; a baseline ignores it."""
     if algorithm not in AUTOENCODERS:
         t0 = time.perf_counter()
         denoised = _baseline_denoise(algorithm, data.corrupt_te,
@@ -184,19 +184,26 @@ def _score(denoised, data: _GridData):
 def evaluate_grid_point(cfg: ExperimentConfig, value, seed):
     """Train/evaluate every configured algorithm at one grid point.
 
-    The autoencoders share one TrainingPair of the training columns, which
-    is dropped once the last of them is fit: train_seconds counts no
-    factorization of the pair."""
+    The autoencoders share one TrainingPair of the training columns, built
+    before the first of them trains (its train_seconds include the build)
+    and dropped after the last, so the pair's Q x P matrices are not alive
+    while the baselines and the remaining scores run."""
     data = _grid_data(cfg, value, seed)
     spec = data.spec
     ssim_bd, nmse_bd = _score(data.corrupt_te, data)
-    untrained = sum(a in AUTOENCODERS for a in cfg.sweep.algorithms)
-    pair = prepare_pair(data.clean_tr, data.corrupt_tr) if untrained else None
+    algorithms = cfg.sweep.algorithms
+    last_fit = max((i for i, a in enumerate(algorithms) if a in AUTOENCODERS),
+                   default=-1)
+    pair = None
     rows = []
-    for algorithm in cfg.sweep.algorithms:
+    for i, algorithm in enumerate(algorithms):
+        pair_seconds = 0.0
+        if pair is None and algorithm in AUTOENCODERS:
+            t0 = time.perf_counter()
+            pair = prepare_pair(data.clean_tr, data.corrupt_tr)
+            pair_seconds = time.perf_counter() - t0
         denoised, train_seconds, test_ms = _fit(algorithm, data, cfg, seed, pair)
-        untrained -= algorithm in AUTOENCODERS
-        if not untrained:
+        if i == last_fit:
             pair = None
         ssim_ad, nmse_ad = _score(denoised, data)
         rows.append(ResultRow(
@@ -205,7 +212,8 @@ def evaluate_grid_point(cfg: ExperimentConfig, value, seed):
             snr_db=spec.snr_db, scr_db=spec.scr_db,
             mismatch_pct=100.0 * data.mismatch, ssim_bd=ssim_bd,
             ssim_ad=ssim_ad, nmse_bd=nmse_bd, nmse_ad=nmse_ad,
-            train_seconds=train_seconds, test_ms=test_ms, seed=seed))
+            train_seconds=train_seconds + pair_seconds, test_ms=test_ms,
+            seed=seed))
     return rows
 
 

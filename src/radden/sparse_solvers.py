@@ -20,12 +20,12 @@ __all__ = [
     "solve_least_squares",
 ]
 
-# ISTA pads its row-major code matrix to a multiple of this many rows, and
-# sums each sweep's objective in blocks of this many columns.  Where the BLAS
-# rounds each row of a GEMM the same at every row count (README gives the
-# measured limits), a column's codes do not depend on which columns share its
-# call; the padding keeps every call off the one-row product, which goes to
-# gemv and rounds differently.
+# ISTA pads its code matrix to a multiple of this many columns and sums each
+# sweep's objective in blocks of this many columns.  The column count is the
+# only GEMM dimension that varies between calls, and padded it fills whole
+# kernel tiles, while a one-column call would go to gemv and round
+# differently; so a column's codes do not depend on which columns share its
+# call (README gives the checks).
 BLOCK_COLUMNS = 32
 
 
@@ -167,11 +167,11 @@ def _padded_count(q):
     return -(-q // BLOCK_COLUMNS) * BLOCK_COLUMNS
 
 
-def _padded_rows(M, n):
-    """M's columns as the rows of a zero-padded C-contiguous (n, rows) matrix."""
-    rows = np.zeros((n, M.shape[0]))
-    rows[:M.shape[1]] = M.T
-    return rows
+def _padded(M, n):
+    """M as a C-contiguous matrix with zero columns appended up to n."""
+    padded = np.zeros((M.shape[0], n))
+    padded[:, :M.shape[1]] = M
+    return padded
 
 
 def ista_solve(D, Y, mu, Z0, opts: IstaOptions | None = None):
@@ -217,21 +217,21 @@ def ista_gram(DtD, DtY, yty, mu, Z0, opts: IstaOptions | None = None):
     Iterates Z <- soft_threshold(Z + (1/L) (DtY - DtD Z), mu / (2 L)) from
     the given warm start, with L = 1.01 * the largest eigenvalue of DtD; the
     objective is non-increasing across iterations.  Columns are solved
-    independently, each with its own stopping rule.  The codes are held
-    row-major, one row per column in an (n, k) matrix zero-padded to n rows,
-    a multiple of BLOCK_COLUMNS, and so are D.T Y and the gradient.  Every
-    sweep takes one path: one GEMM Z.T @ DtD.T for the whole gradient plus a
-    fixed set of in-place elementwise passes with the scalar step 1/L and
-    threshold mu / (2 L), then one indexed copy that restores the rows of
-    the stopped columns, so their gradient and objective stay as they are
-    (a padded row is zero and stays zero without it).  Each column's objective
-    yty - 2 z.dty + z.(DtD z) + mu |z|_1 is two dot products and one |z|
-    sum along its row.  `iterations` is the longest column's count,
-    `converged` the number of columns whose stopping rule fired before
-    `max_iterations` cut them off, and `objectives` holds per-sweep totals,
-    summed over blocks of BLOCK_COLUMNS columns in order, in which a stopped
-    column contributes its final value.  A design with no columns (k = 0)
-    has z of shape (0, q) and objective ||y||^2; it stops after one sweep.
+    independently, each with its own stopping rule.  The codes, D.T Y and
+    the gradient are (k, n) matrices, zero-padded to n columns, a multiple of
+    BLOCK_COLUMNS.  Every sweep takes one path: one GEMM DtD @ Z for the
+    whole gradient plus a fixed set of in-place elementwise passes with the
+    scalar step 1/L and threshold mu / (2 L), then one indexed copy that
+    restores the stopped columns, so their gradient and objective stay as
+    they are (a padded column is zero and stays zero without it).  Each
+    column's objective yty - 2 z.dty + z.(DtD z) + mu |z|_1 is two dot
+    products and one |z| sum down its column.  `iterations` is the longest
+    column's count, `converged` the number of columns whose stopping rule
+    fired before `max_iterations` cut them off, and `objectives` holds
+    per-sweep totals, summed over blocks of BLOCK_COLUMNS columns in order,
+    in which a stopped column contributes its final value.  A design with no
+    columns (k = 0) has z of shape (0, q) and objective ||y||^2; it stops
+    after one sweep.
     """
     if opts is None:
         opts = IstaOptions()
@@ -255,25 +255,24 @@ def ista_gram(DtD, DtY, yty, mu, Z0, opts: IstaOptions | None = None):
     if q == 0:
         return IstaResult(z=Z0.copy(), step=step)
 
-    # one row per column, zero-padded; a padded row is zero and stays zero
+    # zero-padded to n columns; a padded column is zero and stays zero
     n = _padded_count(q)
-    dty = _padded_rows(DtY, n)
+    dty = _padded(DtY, n)
     yty = np.concatenate([yty, np.zeros(n - q)])
-    z = _padded_rows(Z0, n)
-    Gt = DtD.T   # rows of z @ DtD.T are the columns of DtD @ Z
+    z = _padded(Z0, n)
     absz = np.empty_like(z)
 
     def objective(z, g):
-        zd = np.einsum("nk,nk->n", z, dty)
-        zg = np.einsum("nk,nk->n", z, g)
-        l1 = np.add.reduce(np.abs(z, out=absz), axis=1)
+        zd = np.einsum("kn,kn->n", z, dty)
+        zg = np.einsum("kn,kn->n", z, g)
+        l1 = np.add.reduce(np.abs(z, out=absz), axis=0)
         return yty - 2.0 * zd + zg + mu * l1
 
-    g = np.matmul(z, Gt)
+    g = np.matmul(DtD, z)
     obj = objective(z, g)
     history = [obj]
     active = np.ones(q, dtype=bool)
-    stopped = np.arange(0)      # rows of the stopped columns
+    stopped = np.arange(0)      # the stopped columns
     v = np.empty_like(z)        # gradient step, then the new codes
     clamp = np.empty_like(z)
     g_new = np.empty_like(z)
@@ -285,8 +284,8 @@ def ista_gram(DtD, DtY, yty, mu, Z0, opts: IstaOptions | None = None):
         np.clip(v, -theta, theta, out=clamp)
         np.subtract(v, clamp, out=v)
         # stopped columns keep their codes
-        v[stopped] = z[stopped]
-        np.matmul(v, Gt, out=g_new)
+        v[:, stopped] = z[:, stopped]
+        np.matmul(DtD, v, out=g_new)
         prev, obj = obj, objective(v, g_new)
         z, v = v, z
         g, g_new = g_new, g
@@ -302,6 +301,6 @@ def ista_gram(DtD, DtY, yty, mu, Z0, opts: IstaOptions | None = None):
     totals = np.zeros(len(history))
     for start in range(0, q, BLOCK_COLUMNS):
         totals += history[:, start:min(start + BLOCK_COLUMNS, q)].sum(axis=1)
-    return IstaResult(z=np.ascontiguousarray(z[:q].T), objectives=totals.tolist(),
+    return IstaResult(z=z[:, :q].copy(), objectives=totals.tolist(),
                       iterations=len(history) - 1, step=step,
                       converged=q - int(np.count_nonzero(active)))

@@ -407,15 +407,13 @@ def _train_variant(variant, X, Xhat, opts, **kwargs):
 
 
 class TestTrainingPair:
-    @pytest.mark.parametrize("ridge", [None, 1e-3])
-    def test_prepared_pair_trains_alike(self, ridge):
+    def test_prepared_pair_trains_alike(self):
         # P > Q, as in the radar datasets, so the QR factor has Q rows
         X, Xhat = synthetic_pair(P=30, Q=20, seed=8)
         opts = TrainOptions(outer_iterations=4, outer_tolerance=1e-300, seed=2,
-                            ridge=ridge,
                             ista=IstaOptions(max_iterations=20,
                                              relative_tolerance=1e-6))
-        pair = prepare_pair(X, Xhat, ridge)
+        pair = prepare_pair(X, Xhat)
         for variant in ("dae", "sparse_dae", "stacked_sdae"):
             own, own_trace = _train_variant(variant, X, Xhat, opts)
             shared, shared_trace = _train_variant(variant, X, Xhat, opts, pair=pair)
@@ -428,13 +426,14 @@ class TestTrainingPair:
     def test_pair_of_other_arrays_or_ridge_refused(self, variant):
         X, Xhat = synthetic_pair(seed=9)
         opts = TrainOptions(outer_iterations=2)
-        for pair in (prepare_pair(X.copy(), Xhat), prepare_pair(X, Xhat.copy()),
-                     prepare_pair(X, Xhat, ridge=1e-3)):
+        for pair in (prepare_pair(X.copy(), Xhat), prepare_pair(X, Xhat.copy())):
             with pytest.raises(ConfigError):
                 _train_variant(variant, X, Xhat, opts, pair=pair)
-        with pytest.raises(ConfigError):   # the pair's ridge, not the options'
-            _train_variant(variant, X, Xhat, TrainOptions(ridge=1e-3),
-                           pair=prepare_pair(X, Xhat))
+        # a prepared pair serves the default ridge only
+        ridged = TrainOptions(outer_iterations=2, ridge=1e-3)
+        with pytest.raises(ConfigError):
+            _train_variant(variant, X, Xhat, ridged, pair=prepare_pair(X, Xhat))
+        assert _train_variant(variant, X, Xhat, ridged)[1].objectives
 
 
 class TestLinearTraining:

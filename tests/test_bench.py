@@ -258,6 +258,11 @@ class TestSweep:
         assert len(rows) == 5 and len(qr_calls) == 1
         assert evaluate_grid_point(tiny_config(algorithms=("svd",)), 0.0, 0)
         assert len(qr_calls) == 1   # no autoencoder, no factorization
+        # a baseline between two autoencoders does not end the sharing
+        mixed = tiny_config(algorithms=("svd", "dae", "wavelet", "sparse_dae"))
+        rows = evaluate_grid_point(mixed, 0.0, 0)
+        assert len(qr_calls) == 2
+        assert [r.train_seconds > 0 for r in rows] == [False, True, False, True]
 
     def test_mismatch_rows_follow_grid_order(self, monkeypatch):
         # 0.014 does not survive the round trip through mismatch_pct / 100

@@ -326,18 +326,21 @@ class TestIsta:
                 parts[:, cols] = ista_solve(D, Y[:, cols], 0.3, Z0[:, cols], opts).z
             np.testing.assert_array_equal(parts, full)
 
-    def test_partition_invariance_at_trainer_size(self):
-        # the trainers' shape: k = 256 codes, q = 240 columns (train_hrrp);
-        # one GEMM per sweep covers every row, so a column's codes rely on
-        # each GEMM row rounding alike at every padded row count
+    @pytest.mark.parametrize("k, sweeps", [(100, 12), (256, 25), (300, 25)])
+    def test_partition_invariance_at_trainer_size(self, k, sweeps):
+        # q = 240 columns, the train_hrrp width; 256 is the trainers' widest
+        # code.  At 100 and 300, not multiples of the BLAS kernel's tile, the
+        # transposed product (codes as rows) @ DtD.T rounds a row differently
+        # as the row count changes, so these widths check the layout.  The
+        # sweep caps leave some columns stopped and others running.
         rng = np.random.default_rng(41)
-        k, q = 256, 240
+        q = 240
         W = rng.standard_normal((128, k)) / np.sqrt(128)
         DtD = W.T @ W + np.eye(k)
         DtY = rng.standard_normal((k, q))
         yty = np.sum(DtY * DtY, axis=0) + 1.0
         Z0 = 0.1 * rng.standard_normal((k, q))
-        opts = IstaOptions(max_iterations=25, relative_tolerance=1e-4)
+        opts = IstaOptions(max_iterations=sweeps, relative_tolerance=1e-4)
         full = ista_gram(DtD, DtY, yty, 0.5, Z0, opts)
         assert 0 < full.converged < q   # some columns stop, others run
         order = np.random.default_rng(42).permutation(q)
