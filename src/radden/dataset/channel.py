@@ -18,6 +18,10 @@ __all__ = ["ChannelModel", "WallClass", "channel_response", "SPEED_OF_LIGHT"]
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, radar convention
 
+# how far (in units of the last place of the largest |f|) a frequency may sit
+# off the arithmetic grid through its end points
+_GRID_ULPS = 64
+
 
 class WallClass(enum.Enum):
     FREE_SPACE = "free_space"
@@ -94,15 +98,59 @@ class ChannelModel:
         return gains, delays
 
 
+def _frequency_grid(f):
+    """(f0, step, count) of `f`, a scalar or an arithmetic grid along its
+    last axis: f[..., k] = f0 + k * step.
+
+    The step is the span over count - 1, which tracks a direct evaluation
+    more closely than f[1] - f[0].  A last axis of length 1 (or a scalar)
+    is its own start, with no step.
+    """
+    f = np.asarray(f, dtype=float)
+    if f.ndim == 0 or f.shape[-1] <= 1:
+        return f, 0.0, 1
+    count = f.shape[-1]
+    f0 = f[..., :1]
+    step = (f[..., -1:] - f0) / (count - 1)
+    tol = _GRID_ULPS * np.finfo(float).eps * np.abs(f).max(axis=-1, keepdims=True)
+    if not np.all(np.abs(f - (f0 + step * np.arange(count))) <= tol):
+        raise ConfigError("frequencies must be a scalar or an arithmetic grid "
+                          "along the last axis")
+    return f0, step, count
+
+
+def _phasor(grid, d, gain=1.0):
+    """gain * exp(-j 2 pi f d) on a `_frequency_grid`, for delays `d` in
+    seconds and gains that broadcast with them.
+
+    Along the grid the phasor is geometric, gain * exp(-j 2 pi f0 d) * z**k
+    with z = exp(-j 2 pi step d), so each delay takes two `exp` calls and one
+    running product over the frequency axis.  Rows are independent.
+    """
+    f0, step, count = grid
+    d = np.asarray(d, dtype=float)
+    start = gain * np.exp(-2j * np.pi * f0 * d)
+    if count == 1:
+        return start
+    if d.ndim and d.shape[-1] != 1:
+        raise ConfigError("ranges and delays must not vary along the frequency axis")
+    out = np.empty(start.shape[:-1] + (count,), dtype=complex)
+    out[..., :1] = start
+    out[..., 1:] = np.exp(-2j * np.pi * step * d)
+    return np.cumprod(out, axis=-1, out=out)
+
+
 def channel_response(channel: ChannelModel, rho, f, eta):
     """Complex one-way channel response H at ground range rho and frequency f.
 
     Free space is exactly exp(-j 2 pi f rho / c) / sqrt(rho); walls add the
     ringing taps and lateral-image terms of the surrogate model.  `rho` and
-    `f` broadcast together.
+    `f` broadcast together.  `f` is a scalar or an arithmetic grid along its
+    last axis (anything else raises `ConfigError`), along which `rho` must
+    be constant; every phasor is a recurrence along that grid (`_phasor`).
     """
     rho = np.asarray(rho, dtype=float)
-    f = np.asarray(f, dtype=float)
+    grid = _frequency_grid(f)
     if np.any(rho <= 0):
         raise DomainError("ground range rho must be > 0")
     if not (1 <= int(eta) <= channel.realizations):
@@ -110,7 +158,7 @@ def channel_response(channel: ChannelModel, rho, f, eta):
             f"realization index {eta} outside 1..{channel.realizations}"
         )
     c = SPEED_OF_LIGHT
-    direct = np.exp(-2j * np.pi * f * rho / c) / np.sqrt(rho)
+    direct = _phasor(grid, rho / c, 1.0 / np.sqrt(rho))
     if channel.wall_class is WallClass.FREE_SPACE:
         return direct
     gains, delays = channel._jitter(eta)
@@ -119,12 +167,11 @@ def channel_response(channel: ChannelModel, rho, f, eta):
     step = channel.ring_delay_step
     for k in range(1, channel.tap_count + 1):
         g = channel.direct_gain * channel.tap_decay ** k * gains[k]
-        taps = taps + g * np.exp(-2j * np.pi * f * (k * step + delays[k]))
+        taps = taps + g * _phasor(grid, k * step + delays[k])
     H = direct * taps
     for m in range(channel.image_count):
         idx = 1 + channel.tap_count + m
         path = np.hypot(rho, 2.0 * channel.image_offsets[m])
-        g = channel.image_gains[m] * gains[idx]
-        delay = delays[idx]
-        H = H + g * np.exp(-2j * np.pi * f * (path / c + delay)) / np.sqrt(path)
+        g = channel.image_gains[m] * gains[idx] / np.sqrt(path)
+        H = H + _phasor(grid, path / c + delays[idx], g)
     return H

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from .channel import SPEED_OF_LIGHT, ChannelModel, channel_response
+from .channel import (SPEED_OF_LIGHT, ChannelModel, _frequency_grid, _phasor,
+                      channel_response)
 from .gait import ScattererTrack
 
 __all__ = ["RadarConfig", "hrrp", "radar_returns", "spectrogram", "to_db_normalize"]
@@ -81,15 +82,15 @@ def radar_returns(track: ScattererTrack, channel: ChannelModel,
     rows = np.arange(grid.size) if samples is None else np.asarray(samples)
     if rows.ndim != 1 or rows.dtype.kind not in "iu" or np.any((rows < 0) | (rows >= grid.size)):
         raise ConfigError(f"time samples must be integers in [0, {grid.size})")
-    freqs = radar.frequencies
-    c = SPEED_OF_LIGHT
-    out = np.zeros((rows.size, freqs.size), dtype=complex)
+    f = radar.frequencies[None, :]
+    grid = _frequency_grid(f)
+    out = np.zeros((rows.size, f.size), dtype=complex)
     for b in range(track.count):
         rho = track.ranges_ground[b][rows][:, None]
         r = track.ranges_3d[b][rows][:, None]
-        f = freqs[None, :]
         H = channel_response(channel, rho, f, eta)
-        out += track.reflectivity[b] * H * H * np.exp(-4j * np.pi * (f / c) * (r - rho))
+        out += H * H * _phasor(grid, 2.0 * (r - rho) / SPEED_OF_LIGHT,
+                               track.reflectivity[b])
     return out
 
 
@@ -130,10 +131,7 @@ def hrrp(s_rx, radar: RadarConfig):
     if s_rx.ndim != 2 or s_rx.shape[1] != radar.freq_count:
         raise ConfigError(f"expected (time, {radar.freq_count}) samples, got "
                           f"{s_rx.shape}")
-    freqs = radar.frequencies
-    steps = np.diff(freqs)
-    if not np.allclose(steps, steps[0], rtol=1e-9):
-        raise ConfigError("frequency grid must be uniform")
+    _frequency_grid(radar.frequencies)  # the inverse DFT needs a uniform grid
     profile = np.fft.ifft(s_rx, axis=1) * radar.freq_count
     power = (np.abs(profile) ** 2).T
     ranges = np.arange(radar.freq_count) * radar.range_resolution

@@ -1,9 +1,12 @@
 """Vectorized image stacks and their on-disk format.
 
-File layout: magic "RDAE1"; header u32 P, u32 Q, u8 value-kind, u8 role;
-Q column records (u16 interval index, u16 realization, u8 wall class); then
-P*Q little-endian float64 values, column-major.  A paired dataset is two such
-files plus a text manifest naming both and the generation config hash.
+File layout: magic "RDAE2"; header u32 P, u32 Q, u32 image rows, u32 image
+cols, u8 value-kind, u8 role; Q column records (u16 interval index, u16
+realization, u8 wall class); then P*Q little-endian float64 values,
+column-major.  Version 1 files ("RDAE1", no rows/cols in the header) still
+load, as square images when P is a square and as (P, 1) otherwise.  A paired
+dataset is two such files plus a text manifest naming both and the
+generation config hash.
 """
 from __future__ import annotations
 
@@ -18,7 +21,9 @@ from ..errors import ConfigError, FormatError
 
 __all__ = ["ImageStack", "load_dataset", "load_stack", "save_dataset", "save_stack"]
 
-_MAGIC = b"RDAE1"
+_MAGIC = b"RDAE2"
+# header layout after each magic: P, Q[, rows, cols], value-kind, role
+_HEADERS = {b"RDAE1": "<IIBB", _MAGIC: "<IIIIBB"}
 _ROLES = {"clean": 0, "corrupt": 1}
 
 VALUE_KINDS = {"generic": 0, "spectrogram": 1, "hrrp": 2, "frontal": 3}
@@ -96,8 +101,8 @@ def save_stack(stack: ImageStack, path):
     P, Q = stack.data.shape
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IIBB", P, Q, VALUE_KINDS[stack.value_kind],
-                             _ROLES[stack.role]))
+        fh.write(struct.pack(_HEADERS[_MAGIC], P, Q, *stack.image_shape,
+                             VALUE_KINDS[stack.value_kind], _ROLES[stack.role]))
         records = np.empty(Q, dtype=_RECORD)
         records["interval"] = stack.interval_index
         records["realization"] = stack.realization
@@ -109,14 +114,20 @@ def save_stack(stack: ImageStack, path):
 def load_stack(path):
     path = Path(path)
     raw = path.read_bytes()
-    if raw[: len(_MAGIC)] != _MAGIC:
+    header = _HEADERS.get(raw[: len(_MAGIC)])
+    if header is None:
         raise FormatError(f"bad magic in {path}")
     off = len(_MAGIC)
     try:
-        P, Q, kind_tag, role_tag = struct.unpack_from("<IIBB", raw, off)
+        P, Q, *shape, kind_tag, role_tag = struct.unpack_from(header, raw, off)
     except struct.error as exc:
         raise FormatError(f"truncated header in {path}") from exc
-    off += 10
+    off += struct.calcsize(header)
+    if not shape:  # version 1 did not record the image shape
+        side = int(round(np.sqrt(P)))
+        shape = (side, side) if side * side == P else (P, 1)
+    if shape[0] * shape[1] != P:
+        raise FormatError(f"image shape {tuple(shape)} != P={P} in {path}")
     kinds = {v: k for k, v in VALUE_KINDS.items()}
     roles = {v: k for k, v in _ROLES.items()}
     if kind_tag not in kinds or role_tag not in roles:
@@ -128,9 +139,7 @@ def load_stack(path):
     off += _RECORD.itemsize * Q
     data = np.frombuffer(raw, dtype="<f8", count=P * Q, offset=off)
     data = data.reshape((P, Q), order="F").copy()
-    side = int(round(np.sqrt(P)))
-    shape = (side, side) if side * side == P else (P, 1)
-    return ImageStack(data=data, image_shape=shape,
+    return ImageStack(data=data, image_shape=tuple(shape),
                       interval_index=records["interval"],
                       realization=records["realization"],
                       wall_class=records["wall"],

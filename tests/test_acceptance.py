@@ -258,11 +258,16 @@ def test_stacked_inference_is_faster():
     x = rng.random((P, 1))
 
     def timed(weights):
+        # the fastest of several 100-call repeats: a stall on a shared
+        # machine slows one repeat, not all of them
         infer(weights, x)  # warm up
-        t0 = time.perf_counter()
-        for _ in range(100):
-            infer(weights, x)
-        return (time.perf_counter() - t0) / 100 * 1e3
+        best = np.inf
+        for _ in range(7):
+            t0 = time.perf_counter()
+            for _ in range(100):
+                infer(weights, x)
+            best = min(best, time.perf_counter() - t0)
+        return best / 100 * 1e3
 
     flat_ms, deep_ms = timed(flat), timed(deep)
     assert inference_flops(deep) < inference_flops(flat)

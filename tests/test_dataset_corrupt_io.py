@@ -184,21 +184,56 @@ class TestStackIo:
         assert back.value_kind == stack.value_kind
         assert back.image_shape == (8, 8)
 
+    @staticmethod
+    def record_bytes(stack):
+        """Column records and values, laid out the same in both versions."""
+        out = b""
+        for q in range(stack.count):
+            out += struct.pack("<HHB", int(stack.interval_index[q]),
+                               int(stack.realization[q]),
+                               int(stack.wall_class[q]))
+        return out + stack.data.astype("<f8").tobytes(order="F")
+
     def test_bytes_match_record_by_record_layout(self, tmp_path):
-        stack = make_stack(P=16, Q=9, shape=(4, 4), role="corrupt")
+        stack = make_stack(P=16, Q=9, shape=(2, 8), role="corrupt")
         stack.interval_index[2] = 65535
         stack.realization[5] = 4097
         stack.wall_class[8] = 255
         path = tmp_path / "s.rdae"
         save_stack(stack, path)
-        expected = b"RDAE1" + struct.pack("<IIBB", 16, 9, 0, 1)
-        for q in range(9):
-            expected += struct.pack("<HHB", int(stack.interval_index[q]),
-                                    int(stack.realization[q]),
-                                    int(stack.wall_class[q]))
-        expected += stack.data.astype("<f8").tobytes(order="F")
+        expected = (b"RDAE2" + struct.pack("<IIIIBB", 16, 9, 2, 8, 0, 1)
+                    + self.record_bytes(stack))
         assert path.read_bytes() == expected
         assert load_stack(path).metadata_matches(stack)
+
+    @pytest.mark.parametrize("P, shape", [(16, (4, 4)), (12, (12, 1))])
+    def test_version_1_files_still_load(self, tmp_path, P, shape):
+        stack = make_stack(P=P, Q=9, shape=shape, role="corrupt")
+        stack.realization[5] = 4097
+        path = tmp_path / "v1.rdae"
+        path.write_bytes(b"RDAE1" + struct.pack("<IIBB", P, 9, 0, 1)
+                         + self.record_bytes(stack))
+        back = load_stack(path)
+        np.testing.assert_array_equal(back.data, stack.data)
+        assert back.metadata_matches(stack)
+        assert back.role == "corrupt" and back.image_shape == shape
+
+    def test_round_trip_nonsquare_stack(self, tmp_path):
+        stack = make_stack(P=64 * 48, Q=3, shape=(64, 48))
+        path = tmp_path / "s.rdae"
+        save_stack(stack, path)
+        back = load_stack(path)
+        assert back.image_shape == (64, 48)
+        np.testing.assert_array_equal(back.data, stack.data)
+        assert back.metadata_matches(stack)
+
+    def test_header_shape_inconsistent_with_pixel_count(self, tmp_path):
+        stack = make_stack(P=16, Q=2, shape=(4, 4))
+        path = tmp_path / "s.rdae"
+        path.write_bytes(b"RDAE2" + struct.pack("<IIIIBB", 16, 2, 4, 5, 0, 0)
+                         + self.record_bytes(stack))
+        with pytest.raises(FormatError):
+            load_stack(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.rdae"

@@ -18,6 +18,37 @@ def radial_track(r0, v, duration, rate, reflectivity=1.0):
     return ScattererTrack(t, rho, rho, [reflectivity])
 
 
+def _direct_returns(track, ch, radar, eta):
+    """radar_returns evaluated one frequency at a time with `np.exp`.
+
+    Also returns the scale of each sample: the same sum with every term
+    replaced by its magnitude, which no cancellation between terms shrinks.
+    """
+    gains, delays = ch._jitter(eta)
+    out = np.zeros((track.times.size, radar.freq_count), dtype=complex)
+    scale = np.zeros(out.shape)
+    for j, f in enumerate(radar.frequencies):
+        path = lambda d: np.exp(-2j * np.pi * f * d)  # noqa: E731
+        for b in range(track.count):
+            rho, r = track.ranges_ground[b], track.ranges_3d[b]
+            terms = [path(rho / C) / np.sqrt(rho)]
+            if ch.wall_class is not WallClass.FREE_SPACE:
+                taps = ch.direct_gain * gains[0]
+                for k in range(1, ch.tap_count + 1):
+                    g = ch.direct_gain * ch.tap_decay ** k * gains[k]
+                    taps = taps + g * path(k * ch.ring_delay_step + delays[k])
+                terms[0] = terms[0] * taps
+                for m in range(ch.image_count):
+                    i = 1 + ch.tap_count + m
+                    p = np.hypot(rho, 2.0 * ch.image_offsets[m])
+                    g = ch.image_gains[m] * gains[i]
+                    terms.append(g * path(p / C + delays[i]) / np.sqrt(p))
+            H = sum(terms)
+            out[:, j] += track.reflectivity[b] * H * H * path(2.0 * (r - rho) / C)
+            scale[:, j] += track.reflectivity[b] * sum(np.abs(t) for t in terms) ** 2
+    return out, scale
+
+
 class TestGait:
     def test_static_geometry(self):
         gait = GaitParams(speed=0.0, arm_swing=0.0, leg_swing=0.0,
@@ -127,6 +158,22 @@ class TestChannel:
         assert np.shape(got) == np.broadcast_shapes(np.shape(rho), np.shape(f))
         np.testing.assert_allclose(got, H, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("f", [
+        np.array([1.0e9, 1.1e9, 1.3e9]),
+        np.geomspace(1.4e9, 3.4e9, 16),
+        np.array([[1.0e9, 1.1e9, 1.2e9], [1.0e9, 1.1e9, 1.25e9]]),
+        np.array([1.0e9, np.nan, 1.2e9]),
+    ], ids=["uneven", "geometric", "one_bad_row", "nan"])
+    def test_frequencies_off_an_arithmetic_grid_refused(self, f):
+        for wall in (WallClass.FREE_SPACE, WallClass.LOW_CONDUCTIVITY):
+            with pytest.raises(ConfigError):
+                channel_response(ChannelModel(wall), 3.0, f, 1)
+
+    def test_range_varying_along_the_frequency_grid_refused(self):
+        f = np.linspace(1.4e9, 3.4e9, 5)
+        with pytest.raises(ConfigError):
+            channel_response(ChannelModel(), np.linspace(1.0, 6.0, 5), f, 1)
+
     def test_wall_classes_differ_in_structure(self):
         low = ChannelModel(WallClass.LOW_CONDUCTIVITY)
         high = ChannelModel(WallClass.HIGH_CONDUCTIVITY)
@@ -193,6 +240,20 @@ class TestRadarReturns:
         full = radar_returns(track, ch, radar, eta=2)
         np.testing.assert_array_equal(
             radar_returns(track, ch, radar, eta=2, samples=idx), full[idx])
+
+    @pytest.mark.parametrize("freq_count", [2, 133, 1024])
+    @pytest.mark.parametrize("wall", [WallClass.FREE_SPACE,
+                                      WallClass.LOW_CONDUCTIVITY])
+    def test_wideband_matches_per_frequency_exp(self, wall, freq_count):
+        radar = RadarConfig(bandwidth_hz=2e9, freq_count=freq_count,
+                            duration_s=0.2, sample_rate_hz=100.0)
+        track = gait_trajectory(GaitParams(), (0.5, 0.0), 0.2, 100.0)
+        ch = ChannelModel(wall, realizations=2, seed=5)
+        # relative to each sample's scale: where the scatterers' returns
+        # cancel, no evaluation order keeps a 1e-12 elementwise rtol
+        ref, scale = _direct_returns(track, ch, radar, 2)
+        err = np.abs(radar_returns(track, ch, radar, eta=2) - ref) / scale
+        assert err.max() <= 1e-12
 
     @pytest.mark.parametrize("samples", [[0, 50], [-1, 2], [0.0, 1.0],
                                          np.array([[1, 2]]), [True, False]],
