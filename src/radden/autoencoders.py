@@ -445,7 +445,7 @@ def infer(weights: AutoencoderWeights, xhat, clamp=True):
         out = weights.activation.apply(M @ out)
     out = decoder @ out
     if clamp:
-        out = np.clip(out, 0.0, 1.0)
+        np.clip(out, 0.0, 1.0, out=out)  # out is the decoder's fresh product
     return out[:, 0] if single else out
 
 

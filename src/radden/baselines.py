@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .metrics import _map_blocks
 
 __all__ = [
     "SvdFilterConfig",
@@ -48,46 +49,108 @@ class WaveletFilterConfig:
             raise ConfigError("keep_fraction must lie in (0, 1]")
 
 
-def svd_denoise(X, cfg: SvdFilterConfig | None = None):
+def _denoise_stack(kernel, x, out):
+    """kernel over one image, or over an (N, ..., rows, cols) stack one
+    BLOCK_IMAGES block per call; the result goes into out if it is given."""
+    if out is not None and out.shape != x.shape:
+        raise ConfigError(f"out shape {out.shape} != input shape {x.shape}")
+    if x.ndim == 2:
+        if out is None:
+            return kernel(x)
+        out[...] = kernel(x)
+        return out
+    if out is None:
+        out = np.empty_like(x)
+
+    def denoise(block):
+        out[block] = kernel(x[block])
+
+    _map_blocks(denoise, len(x))
+    return out
+
+
+def svd_denoise(X, cfg: SvdFilterConfig | None = None, out=None):
     """Best low-rank approximation of X, or of each image of an (N, rows,
     cols) stack; the retained rank is either fixed or the smallest one
-    holding the configured fraction of squared singular values."""
+    holding the configured fraction of squared singular values.  A stack
+    is filtered on every core; `out`, if given, receives the result."""
     cfg = cfg or SvdFilterConfig()
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise ConfigError("input contains non-finite entries")
+    n = min(X.shape[-2:])
+    if cfg.rank is not None and cfg.rank > n:
+        raise ConfigError(f"rank {cfg.rank} exceeds min dimension {n}")
+    return _denoise_stack(lambda x: _svd_filter(x, cfg), X, out)
+
+
+def _svd_filter(X, cfg: SvdFilterConfig):
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
     n = s.shape[-1]
     if cfg.rank is not None:
-        if cfg.rank > n:
-            raise ConfigError(f"rank {cfg.rank} exceeds min dimension {n}")
         k = cfg.rank
     else:
         energy = np.cumsum(s * s, axis=-1)
         target = cfg.energy_fraction * energy[..., -1:]
         k = np.sum(energy < target, axis=-1, keepdims=True) + 1
-    kept = np.where(np.arange(n) < k, s, 0.0)
-    return (U * kept[..., None, :]) @ Vt
+    U *= np.where(np.arange(n) < k, s, 0.0)[..., None, :]
+    return U @ Vt
 
 
-def _haar_fwd_1d(x, axis):
-    a = np.take(x, range(0, x.shape[axis], 2), axis=axis)
-    b = np.take(x, range(1, x.shape[axis], 2), axis=axis)
-    return (a + b) / _SQRT2, (a - b) / _SQRT2
+def _pairs(x, axis):
+    """Views of the even and the odd samples of x along a negative axis."""
+    rest = (slice(None),) * (-1 - axis)
+    return x[(..., slice(0, None, 2)) + rest], x[(..., slice(1, None, 2)) + rest]
 
 
-def _haar_inv_1d(lo, hi, axis):
-    """Interleave the synthesized even and odd samples along a negative axis."""
-    out_shape = list(lo.shape)
-    out_shape[axis] *= 2
-    return np.stack([(lo + hi) / _SQRT2, (lo - hi) / _SQRT2],
-                    axis=axis).reshape(out_shape)
+def _halves(x, axis):
+    """Views of the first and the second half of x along a negative axis."""
+    half, rest = x.shape[axis] // 2, (slice(None),) * (-1 - axis)
+    return x[(..., slice(None, half)) + rest], x[(..., slice(half, None)) + rest]
+
+
+def _butterfly(p, q, total, difference):
+    np.add(p, q, out=total)
+    total /= _SQRT2
+    np.subtract(p, q, out=difference)
+    difference /= _SQRT2
+
+
+def _haar_fwd_1d(x, axis, out):
+    """Haar averages of x's sample pairs along a negative axis into the
+    first half of out along it, and their differences into the second."""
+    _butterfly(*_pairs(x, axis), *_halves(out, axis))
+
+
+def _haar_inv_1d(x, axis, out):
+    """Inverse of _haar_fwd_1d: the two halves of x along a negative axis
+    synthesize the even and the odd samples of out."""
+    _butterfly(*_halves(x, axis), *_pairs(out, axis))
 
 
 def _check_divisible(x, levels):
     n = 2 ** levels
     if x.shape[-2] % n or x.shape[-1] % n:
         raise ConfigError(f"dimensions {x.shape[-2:]} not divisible by 2^{levels}")
+
+
+def _analyze(coef, levels, work):
+    """Haar analysis of coef in place; work is working space of its shape."""
+    r, c = coef.shape[-2:]
+    for _ in range(levels):
+        _haar_fwd_1d(coef[..., :r, :c], -2, work[..., :r, :c])
+        _haar_fwd_1d(work[..., :r, :c], -1, coef[..., :r, :c])
+        r //= 2
+        c //= 2
+
+
+def _synthesize(coef, levels, work):
+    """Inverse of _analyze, in place."""
+    rows, cols = coef.shape[-2:]
+    for level in reversed(range(levels)):
+        r, c = rows >> level, cols >> level
+        _haar_inv_1d(coef[..., :r, :c], -1, work[..., :r, :c])
+        _haar_inv_1d(work[..., :r, :c], -2, coef[..., :r, :c])
 
 
 def haar_analysis(img, levels):
@@ -99,14 +162,7 @@ def haar_analysis(img, levels):
     img = np.asarray(img, dtype=float)
     _check_divisible(img, levels)
     coef = img.copy()
-    r, c = img.shape[-2:]
-    for _ in range(levels):
-        lo_r, hi_r = _haar_fwd_1d(coef[..., :r, :c], axis=-2)
-        stacked = np.concatenate([lo_r, hi_r], axis=-2)
-        lo_c, hi_c = _haar_fwd_1d(stacked, axis=-1)
-        coef[..., :r, :c] = np.concatenate([lo_c, hi_c], axis=-1)
-        r //= 2
-        c //= 2
+    _analyze(coef, levels, np.empty_like(coef))
     return coef
 
 
@@ -114,34 +170,38 @@ def haar_synthesis(coef, levels):
     coef = np.asarray(coef, dtype=float)
     _check_divisible(coef, levels)
     out = coef.copy()
-    rows, cols = coef.shape[-2:]
-    for level in reversed(range(levels)):
-        r, c = rows >> level, cols >> level
-        block = out[..., :r, :c]
-        stacked = _haar_inv_1d(block[..., : c // 2], block[..., c // 2:], axis=-1)
-        out[..., :r, :c] = _haar_inv_1d(stacked[..., : r // 2, :],
-                                        stacked[..., r // 2:, :], axis=-2)
+    _synthesize(out, levels, np.empty_like(out))
     return out
 
 
-def wavelet_denoise(img, cfg: WaveletFilterConfig | None = None):
+def wavelet_denoise(img, cfg: WaveletFilterConfig | None = None, out=None):
     """Keep the top keep_fraction of Haar coefficients by magnitude, zero the
     rest, and synthesize; each image of an (N, rows, cols) stack has its own
-    cut-off.  Non-divisible sizes are padded reflectively."""
+    cut-off.  Non-divisible sizes are padded reflectively.  A stack is
+    filtered on every core; `out`, if given, receives the result."""
     cfg = cfg or WaveletFilterConfig()
     img = np.asarray(img, dtype=float)
     rows, cols = img.shape[-2:]
-    n = 2 ** cfg.levels
     if cfg.levels > int(np.log2(min(rows, cols))):
         raise ConfigError(f"too many levels {cfg.levels} for image {img.shape[-2:]}")
+    return _denoise_stack(lambda x: _wavelet_filter(x, cfg), img, out)
+
+
+def _wavelet_filter(img, cfg: WaveletFilterConfig):
+    rows, cols = img.shape[-2:]
+    n = 2 ** cfg.levels
     pad = [(0, 0)] * (img.ndim - 2) + [(0, (-rows) % n), (0, (-cols) % n)]
-    coef = haar_analysis(np.pad(img, pad, mode="reflect"), cfg.levels)
+    coef = np.pad(img, pad, mode="reflect")
+    work = np.empty_like(coef)
+    _analyze(coef, cfg.levels, work)
     size = coef.shape[-2] * coef.shape[-1]
     keep = max(1, int(np.ceil(cfg.keep_fraction * size)))
     if keep < size:
-        mags = np.abs(coef)
-        flat = mags.reshape(*coef.shape[:-2], size)
-        cutoff = np.partition(flat, size - keep, axis=-1)[..., size - keep]
-        coef = np.where(mags >= cutoff[..., None, None], coef, 0.0)
-    out = haar_synthesis(coef, cfg.levels)
-    return out[..., :rows, :cols]
+        # the cut-off partitions the magnitudes in work, which then holds
+        # them again, unpartitioned, for the mask
+        flat = np.abs(coef, out=work).reshape(*coef.shape[:-2], size)
+        flat.partition(size - keep, axis=-1)
+        cutoff = flat[..., size - keep, None, None].copy()
+        coef[~(np.abs(coef, out=work) >= cutoff)] = 0.0
+    _synthesize(coef, cfg.levels, work)
+    return coef[..., :rows, :cols]

@@ -22,8 +22,7 @@ from ..baselines import (SvdFilterConfig, WaveletFilterConfig, svd_denoise,
                          wavelet_denoise)
 from ..dataset import WallClass, shuffle_labels
 from ..errors import ConfigError, DomainError
-from ..metrics import (BLOCK_IMAGES, columns_to_images, images_to_columns,
-                       ssim_stack)
+from ..metrics import _map_blocks, columns_to_images, ssim_stack
 from ..sparse_solvers import IstaOptions
 from .config import AUTOENCODERS, DatasetSpec, ExperimentConfig, TrainSpec
 from .datasets import generate_pair
@@ -74,12 +73,27 @@ def _split_columns(Q, split, seed):
 
 
 def _mean_nmse(approx, reference):
-    """Mean over columns of ||approx_q - reference_q||^2 / ||reference_q||^2."""
-    energy = np.sum(reference * reference, axis=0)
+    """Mean over columns of ||approx_q - reference_q||^2 / ||reference_q||^2,
+    summed one BLOCK_IMAGES block of columns at a time on every core."""
+    count = reference.shape[1]
+    energy, error = np.empty(count), np.empty(count)
+
+    def column_sums(block):
+        # A one-column slice sums as a contiguous vector (pairwise), where a
+        # column of a wider C-ordered stack sums row by row: widen a lone
+        # last column by its neighbour so that every column sums as in a
+        # single full-width call.
+        start, stop, _ = block.indices(count)
+        first = max(0, min(start, stop - 2))
+        ref = reference[:, first:stop]
+        energy[start:stop] = np.sum(ref * ref, axis=0)[start - first:]
+        diff = approx[:, first:stop] - ref
+        error[start:stop] = np.sum(diff * diff, axis=0)[start - first:]
+
+    _map_blocks(column_sums, count)
     if np.any(energy == 0.0):
         raise DomainError("reference has zero energy")
-    diff = approx - reference
-    return float(np.mean(np.sum(diff * diff, axis=0) / energy))
+    return float(np.mean(error / energy))
 
 
 def train_model(algorithm, clean_tr, corrupt_tr, cfg: ExperimentConfig, seed,
@@ -113,11 +127,11 @@ def _baseline_denoise(algorithm, stack_cols, shape, cfg: ExperimentConfig):
     else:
         denoise, filter_cfg = wavelet_denoise, WaveletFilterConfig(
             levels=b.wavelet_levels, keep_fraction=b.wavelet_keep)
-    images = columns_to_images(stack_cols, shape)
+    # the input's memory order, which _mean_nmse's sums follow; the images of
+    # a C- or F-ordered P x N stack are a writable view of it
     out = np.empty_like(stack_cols)
-    for start in range(0, out.shape[1], BLOCK_IMAGES):
-        block = slice(start, start + BLOCK_IMAGES)
-        out[:, block] = images_to_columns(denoise(images[block], filter_cfg))
+    denoise(columns_to_images(stack_cols, shape), filter_cfg,
+            out=columns_to_images(out, shape))
     return np.clip(out, 0.0, 1.0, out=out)
 
 

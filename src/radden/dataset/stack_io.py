@@ -5,8 +5,9 @@ cols, u8 value-kind, u8 role; Q column records (u16 interval index, u16
 realization, u8 wall class); then P*Q little-endian float64 values,
 column-major.  Version 1 files ("RDAE1", no rows/cols in the header) still
 load, as square images when P is a square and as (P, 1) otherwise.  A paired
-dataset is two such files plus a text manifest naming both and the
-generation config hash.
+dataset is two such files plus a text manifest naming both, the image shape
+and the generation config hash.  Version 1 stacks take the manifest's image
+shape; version 2 headers must agree with it and with each other.
 """
 from __future__ import annotations
 
@@ -112,6 +113,11 @@ def save_stack(stack: ImageStack, path):
 
 
 def load_stack(path):
+    return _read_stack(path)[0]
+
+
+def _read_stack(path):
+    """(stack, whether its header recorded the image shape)."""
     path = Path(path)
     raw = path.read_bytes()
     header = _HEADERS.get(raw[: len(_MAGIC)])
@@ -123,7 +129,8 @@ def load_stack(path):
     except struct.error as exc:
         raise FormatError(f"truncated header in {path}") from exc
     off += struct.calcsize(header)
-    if not shape:  # version 1 did not record the image shape
+    recorded = bool(shape)
+    if not recorded:  # version 1 did not record the image shape
         side = int(round(np.sqrt(P)))
         shape = (side, side) if side * side == P else (P, 1)
     if shape[0] * shape[1] != P:
@@ -143,7 +150,8 @@ def load_stack(path):
                       interval_index=records["interval"],
                       realization=records["realization"],
                       wall_class=records["wall"],
-                      role=roles[role_tag], value_kind=kinds[kind_tag])
+                      role=roles[role_tag],
+                      value_kind=kinds[kind_tag]), recorded
 
 
 def save_dataset(clean: ImageStack, corrupt: ImageStack, directory, config_text=""):
@@ -178,14 +186,26 @@ def load_dataset(directory):
     for key in ("clean", "corrupt"):
         if key not in fields:
             raise FormatError(f"manifest missing {key} entry")
-    clean = load_stack(directory / fields["clean"])
-    corrupt = load_stack(directory / fields["corrupt"])
+    clean, clean_recorded = _read_stack(directory / fields["clean"])
+    corrupt, corrupt_recorded = _read_stack(directory / fields["corrupt"])
+    if clean_recorded and corrupt_recorded \
+            and clean.image_shape != corrupt.image_shape:
+        raise FormatError(f"stack headers disagree on the image shape: "
+                          f"{clean.image_shape} vs {corrupt.image_shape}")
     if "image_shape" in fields:
         rows, cols = (int(s) for s in fields["image_shape"].split("x"))
         if rows * cols != clean.pixel_count:
             raise FormatError("manifest image shape inconsistent with stacks")
-        clean.image_shape = (rows, cols)
-        corrupt.image_shape = (rows, cols)
+        # version 1 stacks take the manifest's shape; version 2 headers
+        # record their own, which must agree with it
+        for stack, recorded in ((clean, clean_recorded),
+                                (corrupt, corrupt_recorded)):
+            if not recorded:
+                stack.image_shape = (rows, cols)
+            elif stack.image_shape != (rows, cols):
+                raise FormatError(
+                    f"manifest image shape {rows}x{cols} != {stack.role} "
+                    f"stack header shape {stack.image_shape}")
     if clean.data.shape != corrupt.data.shape:
         raise FormatError("paired stacks disagree on (P, Q)")
     return clean, corrupt

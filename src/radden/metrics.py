@@ -1,6 +1,9 @@
 """SSIM and NMSE, used for every before/after-denoising comparison."""
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,10 +13,52 @@ from .errors import ConfigError, DomainError
 __all__ = ["BLOCK_IMAGES", "SsimParams", "columns_to_images",
            "images_to_columns", "nmse", "ssim", "ssim_stack"]
 
-# Images per stack call in scoring and the baselines.  It bounds the scratch
-# stacks of each call: the SVD and wavelet working copies, and SSIM's
-# contiguous inputs, window products and five filtered maps.
+# Images per stack call in scoring and the baselines, and the unit of work
+# that _map_blocks hands to a thread.  It bounds the temporary stacks of each
+# call: the SVD and wavelet working copies, and SSIM's contiguous inputs,
+# window products and filtered maps.
 BLOCK_IMAGES = 128
+
+
+def _core_count():
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_blocks(fn, count):
+    """Call fn(block) for every BLOCK_IMAGES slice of range(count).
+
+    The calling thread and one pool thread per further core take blocks in
+    turn until none is left; fn must write only its own block's outputs.  The
+    pool is created and shut down inside the call, so no thread outlives it
+    (a forked process-pool child inherits none).  fn runs on pool threads, so
+    it must call only private kernels: the benchmark's tracer keeps one span
+    stack and wraps the public entry points.
+    """
+    blocks = iter([slice(start, start + BLOCK_IMAGES)
+                   for start in range(0, count, BLOCK_IMAGES)])
+    workers = min(_core_count(), -(-count // BLOCK_IMAGES)) - 1
+    if workers < 1:
+        for block in blocks:
+            fn(block)
+        return
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                block = next(blocks, None)
+            if block is None:
+                return
+            fn(block)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        shares = [pool.submit(drain) for _ in range(workers)]
+        drain()
+        for share in shares:
+            share.result()
 
 
 @dataclass
@@ -69,6 +114,7 @@ def _ssim_images(a, b, params: SsimParams):
         mu_a, mu_b = a.mean(axis=-1), b.mean(axis=-1)
         var_a, var_b = a.var(axis=-1), b.var(axis=-1)
         cov = ((a - mu_a[:, None]) * (b - mu_b[:, None])).mean(axis=-1)
+        num, den = np.empty((2, n))
     else:
         # separable window: each local mean is R @ x @ C.T, two GEMMs per
         # image; one GEMM per image keeps a stack equal to per-image calls
@@ -76,27 +122,45 @@ def _ssim_images(a, b, params: SsimParams):
         Ct = _window_matrix(a.shape[-1], params).T.copy()
         buf = np.empty((n, a.shape[-2], Ct.shape[1]))
         stats = np.empty((5, n, R.shape[0], Ct.shape[1]))
-        mu_a, mu_b, aa, bb, ab = stats
+        mu_a, mu_b, var_a, var_b, cov = stats
 
-        def local_mean(x, out):
-            np.matmul(x, Ct, out=buf)
+        def local_mean(stack, out):
+            np.matmul(stack, Ct, out=buf)
             np.matmul(R, buf, out=out)
 
         # a strided stack view would take numpy's non-BLAS matmul loop,
-        # which rounds differently from the per-image call
-        a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-        prod = np.empty_like(a)
-        local_mean(a, mu_a)
-        local_mean(b, mu_b)
-        local_mean(np.multiply(a, a, out=prod), aa)
-        local_mean(np.multiply(b, b, out=prod), bb)
-        local_mean(np.multiply(a, b, out=prod), ab)
-        var_a = aa - mu_a * mu_a
-        var_b = bb - mu_b * mu_b
-        cov = ab - mu_a * mu_b
-    num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
-    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    return (num / den).reshape(n, -1).mean(axis=-1)
+        # which rounds differently from the per-image call: x and y are
+        # contiguous copies of a and b, then hold the products in turn
+        x, y = np.empty((2,) + a.shape)
+        np.copyto(x, a)
+        np.copyto(y, b)
+        local_mean(x, mu_a)
+        local_mean(y, mu_b)
+        local_mean(np.multiply(x, y, out=y), cov)
+        local_mean(np.multiply(b, b, out=y), var_b)
+        local_mean(np.multiply(x, x, out=x), var_a)
+        # the working copies are free now and hold the last two maps
+        num = x.reshape(-1)[:mu_a.size].reshape(mu_a.shape)
+        den = y.reshape(-1)[:mu_a.size].reshape(mu_a.shape)
+        var_a -= np.multiply(mu_a, mu_a, out=den)
+        var_b -= np.multiply(mu_b, mu_b, out=den)
+        cov -= np.multiply(mu_a, mu_b, out=den)
+    # (2 mu_a mu_b + c1)(2 cov + c2) / ((mu_a^2 + mu_b^2 + c1)(var_a + var_b
+    # + c2)) in place, each operation in the order of that formula
+    np.multiply(mu_a, mu_a, out=den)
+    den += np.multiply(mu_b, mu_b, out=num)
+    den += c1
+    var_a += var_b
+    var_a += c2
+    den *= var_a
+    np.multiply(2, mu_a, out=num)
+    num *= mu_b
+    num += c1
+    cov *= 2
+    cov += c2
+    num *= cov
+    num /= den
+    return num.reshape(n, -1).mean(axis=-1)
 
 
 def ssim(a, b, params: SsimParams | None = None):
@@ -118,8 +182,9 @@ def ssim(a, b, params: SsimParams | None = None):
 
 def ssim_stack(stack, ref_stack, image_shape, params: SsimParams | None = None):
     """Column-wise SSIM of two vectorized image stacks; returns the per-column
-    array.  Scores BLOCK_IMAGES columns per call, which bounds the scratch
-    memory of the window products and filtered maps."""
+    array.  Scores BLOCK_IMAGES columns per kernel call, which bounds the
+    temporary memory of the window products and filtered maps, on every core
+    (_map_blocks)."""
     stack = np.asarray(stack, dtype=float)
     ref_stack = np.asarray(ref_stack, dtype=float)
     if stack.shape != ref_stack.shape:
@@ -131,9 +196,11 @@ def ssim_stack(stack, ref_stack, image_shape, params: SsimParams | None = None):
     a = columns_to_images(stack, image_shape)
     b = columns_to_images(ref_stack, image_shape)
     out = np.empty(stack.shape[1])
-    for start in range(0, len(out), BLOCK_IMAGES):
-        block = slice(start, start + BLOCK_IMAGES)
+
+    def score(block):
         out[block] = _ssim_images(a[block], b[block], params)
+
+    _map_blocks(score, len(out))
     return out
 
 

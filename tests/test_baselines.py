@@ -165,3 +165,71 @@ class TestWaveletDenoise:
     def test_too_many_levels(self):
         with pytest.raises(ConfigError):
             wavelet_denoise(np.ones((4, 4)), WaveletFilterConfig(levels=3))
+
+
+def take_haar_analysis(img, levels):
+    """Haar analysis by per-level np.take copies and concatenations."""
+    def fwd(x, axis):
+        a = np.take(x, range(0, x.shape[axis], 2), axis=axis)
+        b = np.take(x, range(1, x.shape[axis], 2), axis=axis)
+        return (a + b) / np.sqrt(2.0), (a - b) / np.sqrt(2.0)
+
+    coef = img.copy()
+    r, c = img.shape[-2:]
+    for _ in range(levels):
+        lo, hi = fwd(coef[..., :r, :c], -2)
+        lo, hi = fwd(np.concatenate([lo, hi], axis=-2), -1)
+        coef[..., :r, :c] = np.concatenate([lo, hi], axis=-1)
+        r //= 2
+        c //= 2
+    return coef
+
+
+def stack_haar_synthesis(coef, levels):
+    """Haar synthesis that interleaves samples by np.stack and reshape."""
+    def inv(lo, hi, axis):
+        shape = list(lo.shape)
+        shape[axis] *= 2
+        return np.stack([(lo + hi) / np.sqrt(2.0), (lo - hi) / np.sqrt(2.0)],
+                        axis=axis).reshape(shape)
+
+    out = coef.copy()
+    rows, cols = coef.shape[-2:]
+    for level in reversed(range(levels)):
+        r, c = rows >> level, cols >> level
+        block = out[..., :r, :c]
+        half = inv(block[..., :c // 2], block[..., c // 2:], -1)
+        out[..., :r, :c] = inv(half[..., :r // 2, :], half[..., r // 2:, :], -2)
+    return out
+
+
+class TestStridedHaar:
+    """The strided-slice Haar steps give the bits of the copy-based ones."""
+
+    @pytest.mark.parametrize("shape", [(31, 31), (64, 64)])
+    def test_wavelet_stack_equals_copy_based_transform(self, shape):
+        rng = np.random.default_rng(11)
+        images = rng.random((6,) + shape)
+        cfg = WaveletFilterConfig()
+        n = 2 ** cfg.levels
+        padded = np.pad(images, [(0, 0), (0, -shape[0] % n), (0, -shape[1] % n)],
+                        mode="reflect")
+        coef = take_haar_analysis(padded, cfg.levels)
+        np.testing.assert_array_equal(haar_analysis(padded, cfg.levels), coef)
+        np.testing.assert_array_equal(haar_synthesis(coef, cfg.levels),
+                                      stack_haar_synthesis(coef, cfg.levels))
+        size = coef.shape[-2] * coef.shape[-1]
+        keep = int(np.ceil(cfg.keep_fraction * size))
+        flat = np.abs(coef).reshape(len(images), size)
+        cutoff = np.partition(flat, size - keep, axis=-1)[:, size - keep]
+        kept = np.where(np.abs(coef) >= cutoff[:, None, None], coef, 0.0)
+        expected = stack_haar_synthesis(kept, cfg.levels)[:, :shape[0], :shape[1]]
+        np.testing.assert_array_equal(wavelet_denoise(images, cfg), expected)
+
+    def test_out_receives_the_stack(self):
+        images = np.random.default_rng(12).random((3, 16, 16))
+        out = np.empty_like(images)
+        assert wavelet_denoise(images, out=out) is out
+        np.testing.assert_array_equal(out, wavelet_denoise(images))
+        with pytest.raises(ConfigError):
+            svd_denoise(images, out=np.empty((3, 16, 15)))

@@ -1,11 +1,17 @@
+import multiprocessing
+import threading
+from concurrent import futures
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from radden import baselines, metrics
 from radden import cli as cli_module
 from radden.autoencoders import load_weights
+from radden.baselines import (SvdFilterConfig, WaveletFilterConfig,
+                              svd_denoise, wavelet_denoise)
 from radden.bench import (DatasetSpec, ExperimentConfig, SweepSpec, TrainSpec,
                           csv_content_hash, evaluate_grid_point, generate_pair,
                           grid_search, load_config, load_rows, parse_config,
@@ -17,6 +23,8 @@ from radden.cli import main
 from radden.dataset import (add_noise, add_point_clutter, frontal_phantoms,
                             signal_reference)
 from radden.errors import ConfigError, DomainError
+from radden.metrics import (BLOCK_IMAGES, columns_to_images,
+                            images_to_columns, ssim_stack)
 
 
 def tiny_config(**sweep_kw):
@@ -573,3 +581,133 @@ class TestCli:
         assert saved.matrices.keys() == expected.matrices.keys()
         for name, M in expected.matrices.items():
             np.testing.assert_array_equal(saved.matrices[name], M)
+
+
+def serial_baseline(algorithm, stack_cols, shape, cfg):
+    """_baseline_denoise as one filter call per BLOCK_IMAGES block, each on
+    this thread (a block is one unit of work, never split)."""
+    b = cfg.baselines
+    if algorithm == "svd":
+        filter_cfg = SvdFilterConfig(energy_fraction=b.svd_energy)
+        denoise = svd_denoise
+    else:
+        filter_cfg = WaveletFilterConfig(levels=b.wavelet_levels,
+                                         keep_fraction=b.wavelet_keep)
+        denoise = wavelet_denoise
+    images = columns_to_images(stack_cols, shape)
+    out = np.empty_like(stack_cols)
+    for start in range(0, out.shape[1], BLOCK_IMAGES):
+        block = slice(start, start + BLOCK_IMAGES)
+        out[:, block] = images_to_columns(denoise(images[block], filter_cfg))
+    return np.clip(out, 0.0, 1.0)
+
+
+def serial_mean_nmse(approx, reference):
+    """The mean NMSE as one full-width computation."""
+    energy = np.sum(reference * reference, axis=0)
+    diff = approx - reference
+    return float(np.mean(np.sum(diff * diff, axis=0) / energy))
+
+
+def multi_block_pair(extra, order="C", seed=0):
+    """(corrupt, clean) 31x31 column stacks of 2 BLOCK_IMAGES + extra columns."""
+    rng = np.random.default_rng(seed)
+    shape = (31 * 31, 2 * BLOCK_IMAGES + extra)
+    clean = rng.random(shape)
+    corrupt = np.clip(clean + 0.3 * rng.standard_normal(shape), 0.0, 1.0)
+    return np.asarray(corrupt, order=order), np.asarray(clean, order=order)
+
+
+def _score_in_child():
+    corrupt, clean = multi_block_pair(5)
+    return ssim_stack(corrupt, clean, (31, 31)), _mean_nmse(corrupt, clean)
+
+
+class TestBlocksOnEveryCore:
+    """The evaluation layer's blocks run on the calling thread and a pool
+    thread per further core; every output equals the serial block loop."""
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("extra", [1, 5])
+    @pytest.mark.parametrize("algorithm", ["svd", "wavelet"])
+    def test_baselines_equal_serial_blocks(self, monkeypatch, algorithm, extra,
+                                           order, cores):
+        monkeypatch.setattr(metrics, "_core_count", lambda: cores)
+        corrupt, _ = multi_block_pair(extra, order)
+        cfg = ExperimentConfig()
+        expected = serial_baseline(algorithm, corrupt, (31, 31), cfg)
+        got = sweep_module._baseline_denoise(algorithm, corrupt, (31, 31), cfg)
+        np.testing.assert_array_equal(got, expected)
+        # the memory order decides how _mean_nmse sums each column
+        assert got.flags.f_contiguous == expected.flags.f_contiguous
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("extra", [1, 5])
+    def test_mean_nmse_equals_full_width(self, monkeypatch, extra, order, cores):
+        monkeypatch.setattr(metrics, "_core_count", lambda: cores)
+        corrupt, clean = multi_block_pair(extra, order)
+        assert _mean_nmse(corrupt, clean) == serial_mean_nmse(corrupt, clean)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_lone_last_column_sums_as_in_full_width(self, order):
+        # only the last column, a block of its own, has an error, so the mean
+        # shows the rounding of that column's sums alone
+        for seed in range(3):
+            corrupt, clean = multi_block_pair(1, order, seed)
+            approx = np.array(clean, order=order)
+            approx[:, -1] = corrupt[:, -1]
+            assert _mean_nmse(approx, clean) == serial_mean_nmse(approx, clean)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_zero_energy_column_in_last_block(self, monkeypatch, cores):
+        monkeypatch.setattr(metrics, "_core_count", lambda: cores)
+        corrupt, clean = multi_block_pair(5)
+        clean[:, -1] = 0.0
+        with pytest.raises(DomainError):
+            _mean_nmse(corrupt, clean)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_forked_child_scores_after_parent(self, monkeypatch):
+        # the parent runs a pool first, as a sweep job's parent process may;
+        # a pool thread that outlived its call would hang the forked child
+        monkeypatch.setattr(metrics, "_core_count", lambda: 2)
+        expected = _score_in_child()
+        pool = futures.ProcessPoolExecutor(
+            max_workers=1, mp_context=multiprocessing.get_context("fork"))
+        try:
+            values, nmse = pool.submit(_score_in_child).result(timeout=120)
+        except futures.TimeoutError:
+            for process in pool._processes.values():  # shutdown would wait
+                process.kill()
+            raise
+        finally:
+            pool.shutdown()
+        np.testing.assert_array_equal(values, expected[0])
+        assert nmse == expected[1]
+
+    def test_traced_entry_points_run_on_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_core_count", lambda: 3)
+        entered = []
+
+        def recording(name, fn):
+            def call(*args, **kwargs):
+                entered.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return call
+
+        for module, name in ((baselines, "svd_denoise"),
+                             (baselines, "wavelet_denoise"),
+                             (metrics, "ssim_stack")):
+            for holder in (module, sweep_module):
+                monkeypatch.setattr(holder, name,
+                                    recording(name, getattr(holder, name)))
+        cfg = tiny_config(algorithms=("svd", "wavelet"), split=0.1)
+        cfg = replace(cfg, dataset=replace(cfg.dataset, noise_draws=20))
+        rows = evaluate_grid_point(cfg, 0.0, 0)   # 288 test columns
+        assert len(rows) == 2
+        assert {name for name, _ in entered} == {
+            "svd_denoise", "wavelet_denoise", "ssim_stack"}
+        assert {ident for _, ident in entered} == {threading.get_ident()}

@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -279,6 +280,35 @@ class TestStackIo:
         b = make_stack(P=16, Q=3, shape=(4, 4))
         with pytest.raises(FormatError):
             save_dataset(a, b, tmp_path / "bad")
+
+    def test_manifest_shape_must_match_headers(self, tmp_path):
+        clean = make_stack(P=32, Q=3, shape=(8, 4))
+        save_dataset(clean, clean.copy(role="corrupt"), tmp_path / "ds")
+        manifest = tmp_path / "ds" / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("image_shape=8x4",
+                                                         "image_shape=4x8"))
+        with pytest.raises(FormatError):
+            load_dataset(tmp_path / "ds")
+
+    def test_headers_must_agree_with_each_other(self, tmp_path):
+        clean = make_stack(P=32, Q=3, shape=(8, 4))
+        corrupt = replace(clean, role="corrupt", image_shape=(4, 8))
+        save_dataset(clean, corrupt, tmp_path / "ds")
+        manifest = tmp_path / "ds" / "manifest.txt"
+        manifest.write_text("clean=clean.rdae\ncorrupt=corrupt.rdae\n")
+        with pytest.raises(FormatError):
+            load_dataset(tmp_path / "ds")
+
+    def test_version_1_pair_takes_manifest_shape(self, tmp_path):
+        clean = make_stack(P=32, Q=3, shape=(8, 4))
+        save_dataset(clean, clean.copy(role="corrupt"), tmp_path / "ds")
+        for name, role in (("clean.rdae", 0), ("corrupt.rdae", 1)):
+            path = tmp_path / "ds" / name
+            body = path.read_bytes()[len(b"RDAE2") + struct.calcsize("<IIIIBB"):]
+            path.write_bytes(b"RDAE1" + struct.pack("<IIBB", 32, 3, 0, role) + body)
+        c2, x2 = load_dataset(tmp_path / "ds")
+        assert c2.image_shape == (8, 4) and x2.image_shape == (8, 4)
+        np.testing.assert_array_equal(x2.data, clean.data)
 
 
 class TestFrontalPhantoms:

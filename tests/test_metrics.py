@@ -1,9 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from radden import metrics
 from radden.errors import ConfigError, DomainError
 from radden.metrics import (BLOCK_IMAGES, SsimParams, columns_to_images,
                             images_to_columns, nmse, ssim, ssim_stack)
@@ -165,3 +169,47 @@ class TestNmse:
         e = rng.standard_normal(50)
         assert nmse(x + alpha * e, x) == pytest.approx(
             alpha ** 2 * nmse(x + e, x), rel=1e-9, abs=1e-12)
+
+
+class TestMapBlocks:
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(31, 31), (7, 10)])
+    def test_multi_block_stack_matches_per_column(self, monkeypatch, shape,
+                                                  cores):
+        monkeypatch.setattr(metrics, "_core_count", lambda: cores)
+        rng = np.random.default_rng(13)
+        count = 2 * BLOCK_IMAGES + 5
+        a = rng.random((shape[0] * shape[1], count))
+        b = np.clip(a + 0.2 * rng.standard_normal(a.shape), 0.0, 1.0)
+        per = ssim_stack(a, b, shape)
+        for q in range(count):
+            assert per[q] == ssim(a[:, q].reshape(shape, order="F"),
+                                  b[:, q].reshape(shape, order="F"))
+
+    @pytest.mark.parametrize("cores", [1, 2, 8])
+    def test_every_block_once_and_no_thread_left(self, monkeypatch, cores):
+        # more threads than cores and a short switch interval: a block handed
+        # out twice or skipped would show in the list of blocks run
+        monkeypatch.setattr(metrics, "_core_count", lambda: cores)
+        before = threading.active_count()
+        count = 40 * BLOCK_IMAGES + 1
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            metrics._map_blocks(seen.append, count)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted((b.start, b.stop) for b in seen) == [
+            (s, s + BLOCK_IMAGES) for s in range(0, count, BLOCK_IMAGES)]
+        assert threading.active_count() == before
+
+    def test_block_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_core_count", lambda: 2)
+
+        def fail_last(block):
+            if block.start == 2 * BLOCK_IMAGES:
+                raise DomainError("last block")
+
+        with pytest.raises(DomainError):
+            metrics._map_blocks(fail_last, 2 * BLOCK_IMAGES + 5)
