@@ -42,7 +42,7 @@ __all__ = [
     "train_stacked_sdae",
 ]
 
-_ACTIVATION_KINDS = ("linear", "tanh", "sigmoid")
+_ACTIVATION_KINDS = ("linear",)   # index = the activation tag of a weights file
 # weight matrices of each variant in chain order, input side first
 _MATRIX_NAMES = {
     "dae": ("W1", "W2"),
@@ -54,8 +54,8 @@ _VARIANTS = tuple(_MATRIX_NAMES)
 
 @dataclass
 class Activation:
-    """Elementwise activation of `infer`.  Training is linear only; tanh and
-    sigmoid remain for inference with loaded weights."""
+    """The activation tag of a weights file.  Training is linear, so "linear"
+    is the one kind and `apply` is the identity."""
     kind: str = "linear"
 
     def __post_init__(self):
@@ -63,12 +63,7 @@ class Activation:
             raise ConfigError(f"unknown activation {self.kind!r}")
 
     def apply(self, v):
-        v = np.asarray(v, dtype=float)
-        if self.kind == "linear":
-            return v
-        if self.kind == "tanh":
-            return np.tanh(v)
-        return 1.0 / (1.0 + np.exp(-v))
+        return np.asarray(v, dtype=float)
 
 
 @dataclass
@@ -204,12 +199,9 @@ def objective_value(weights, codes, X, Xhat, lam=1.0, mu=0.0,
     Shallow variants pass a single code matrix Z; the stacked variant passes
     (Z0, Z1, Z2).  `lam` and `mu` are the shallow coupling and l1 weights (the
     DAE has no l1 term); `mu_layers`/`lam_layers` are the stacked coupling and
-    sparsity weights.  Training is linear, so only linear weights have an
-    objective.
+    sparsity weights.
     """
     X, Xhat = _check_pair(X, Xhat)
-    if weights.activation.kind != "linear":
-        raise ConfigError("the training objective is defined for linear weights only")
     if weights.stacked:
         c, s = mu_layers, lam_layers
     else:
@@ -439,11 +431,9 @@ def infer(weights: AutoencoderWeights, xhat, clamp=True):
         raise ConfigError(
             f"input pixel count {x.shape[0]} != weights P={weights.pixel_count}"
         )
-    *hidden, decoder = weights.chain
     out = x
-    for M in hidden:
-        out = weights.activation.apply(M @ out)
-    out = decoder @ out
+    for M in weights.chain:
+        out = M @ out
     if clamp:
         np.clip(out, 0.0, 1.0, out=out)  # out is the decoder's fresh product
     return out[:, 0] if single else out
@@ -501,4 +491,6 @@ def load_weights(path):
             if len(buf) != 8 * r * c:
                 raise FormatError(f"truncated matrix {name} in {path}")
             matrices[name] = np.frombuffer(buf, dtype="<f8").reshape((r, c), order="F").copy()
+        if fh.read(1):
+            raise FormatError(f"bytes after the last matrix in {path}")
         return AutoencoderWeights(variant, Activation(_ACTIVATION_KINDS[atag]), matrices)

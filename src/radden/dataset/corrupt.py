@@ -104,31 +104,22 @@ def _derangement(rng, k):
             return perm
 
 
-def shuffle_labels(stack: ImageStack, mismatch_fraction, seed, mode="columns"):
+def shuffle_labels(stack: ImageStack, mismatch_fraction, seed):
     """Break the clean/corrupt pairing for a fraction of the training columns.
 
-    `columns` mode (the default) deranges floor(fraction * Q) randomly chosen
-    columns so none keeps its partner.  `rows` mode instead scrambles the
-    pixel order within each selected column.  A single selected column is
-    left untouched (no derangement of size one exists).
+    Deranges floor(fraction * Q) randomly chosen columns so none keeps its
+    partner.  A single selected column is left untouched (no derangement of
+    size one exists).
     """
     if not (0.0 <= mismatch_fraction <= 1.0):
         raise ConfigError("mismatch fraction must lie in [0, 1]")
-    if mode not in ("columns", "rows"):
-        raise ConfigError(f"unknown shuffle mode {mode!r}")
     out = stack.copy()
     Q = stack.count
     k = int(np.floor(mismatch_fraction * Q))
-    if k < 2 and mode == "columns":
-        return out
-    if k < 1:
+    if k < 2:
         return out
     rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(Q, size=k, replace=False))
-    if mode == "columns":
-        perm = _derangement(rng, k)
-        out.data[:, chosen] = stack.data[:, chosen[perm]]
-    else:
-        for q in chosen:
-            out.data[:, q] = stack.data[rng.permutation(stack.pixel_count), q]
+    perm = _derangement(rng, k)
+    out.data[:, chosen] = stack.data[:, chosen[perm]]
     return out

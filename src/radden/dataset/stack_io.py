@@ -3,11 +3,9 @@
 File layout: magic "RDAE2"; header u32 P, u32 Q, u32 image rows, u32 image
 cols, u8 value-kind, u8 role; Q column records (u16 interval index, u16
 realization, u8 wall class); then P*Q little-endian float64 values,
-column-major.  Version 1 files ("RDAE1", no rows/cols in the header) still
-load, as square images when P is a square and as (P, 1) otherwise.  A paired
-dataset is two such files plus a text manifest naming both, the image shape
-and the generation config hash.  Version 1 stacks take the manifest's image
-shape; version 2 headers must agree with it and with each other.
+column-major, and nothing after them.  A paired dataset is two such files
+plus a text manifest naming both, the image shape and the generation config
+hash; the two headers must agree with the manifest and with each other.
 """
 from __future__ import annotations
 
@@ -23,8 +21,7 @@ from ..errors import ConfigError, FormatError
 __all__ = ["ImageStack", "load_dataset", "load_stack", "save_dataset", "save_stack"]
 
 _MAGIC = b"RDAE2"
-# header layout after each magic: P, Q[, rows, cols], value-kind, role
-_HEADERS = {b"RDAE1": "<IIBB", _MAGIC: "<IIIIBB"}
+_HEADER = "<IIIIBB"   # P, Q, rows, cols, value-kind, role
 _ROLES = {"clean": 0, "corrupt": 1}
 
 VALUE_KINDS = {"generic": 0, "spectrogram": 1, "hrrp": 2, "frontal": 3}
@@ -102,7 +99,7 @@ def save_stack(stack: ImageStack, path):
     P, Q = stack.data.shape
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack(_HEADERS[_MAGIC], P, Q, *stack.image_shape,
+        fh.write(struct.pack(_HEADER, P, Q, *stack.image_shape,
                              VALUE_KINDS[stack.value_kind], _ROLES[stack.role]))
         records = np.empty(Q, dtype=_RECORD)
         records["interval"] = stack.interval_index
@@ -113,45 +110,35 @@ def save_stack(stack: ImageStack, path):
 
 
 def load_stack(path):
-    return _read_stack(path)[0]
-
-
-def _read_stack(path):
-    """(stack, whether its header recorded the image shape)."""
     path = Path(path)
     raw = path.read_bytes()
-    header = _HEADERS.get(raw[: len(_MAGIC)])
-    if header is None:
+    if raw[: len(_MAGIC)] != _MAGIC:
         raise FormatError(f"bad magic in {path}")
     off = len(_MAGIC)
     try:
-        P, Q, *shape, kind_tag, role_tag = struct.unpack_from(header, raw, off)
+        P, Q, rows, cols, kind_tag, role_tag = struct.unpack_from(_HEADER, raw, off)
     except struct.error as exc:
         raise FormatError(f"truncated header in {path}") from exc
-    off += struct.calcsize(header)
-    recorded = bool(shape)
-    if not recorded:  # version 1 did not record the image shape
-        side = int(round(np.sqrt(P)))
-        shape = (side, side) if side * side == P else (P, 1)
-    if shape[0] * shape[1] != P:
-        raise FormatError(f"image shape {tuple(shape)} != P={P} in {path}")
+    off += struct.calcsize(_HEADER)
+    if rows * cols != P:
+        raise FormatError(f"image shape {(rows, cols)} != P={P} in {path}")
     kinds = {v: k for k, v in VALUE_KINDS.items()}
     roles = {v: k for k, v in _ROLES.items()}
     if kind_tag not in kinds or role_tag not in roles:
         raise FormatError(f"unknown kind/role tag in {path}")
     need = off + _RECORD.itemsize * Q + 8 * P * Q
-    if len(raw) < need:
-        raise FormatError(f"truncated stack in {path}: {len(raw)} < {need} bytes")
+    if len(raw) != need:
+        raise FormatError(f"{path} holds {len(raw)} bytes; its header calls for {need}")
     records = np.frombuffer(raw, dtype=_RECORD, count=Q, offset=off)
     off += _RECORD.itemsize * Q
     data = np.frombuffer(raw, dtype="<f8", count=P * Q, offset=off)
     data = data.reshape((P, Q), order="F").copy()
-    return ImageStack(data=data, image_shape=tuple(shape),
+    return ImageStack(data=data, image_shape=(rows, cols),
                       interval_index=records["interval"],
                       realization=records["realization"],
                       wall_class=records["wall"],
                       role=roles[role_tag],
-                      value_kind=kinds[kind_tag]), recorded
+                      value_kind=kinds[kind_tag])
 
 
 def save_dataset(clean: ImageStack, corrupt: ImageStack, directory, config_text=""):
@@ -186,26 +173,16 @@ def load_dataset(directory):
     for key in ("clean", "corrupt"):
         if key not in fields:
             raise FormatError(f"manifest missing {key} entry")
-    clean, clean_recorded = _read_stack(directory / fields["clean"])
-    corrupt, corrupt_recorded = _read_stack(directory / fields["corrupt"])
-    if clean_recorded and corrupt_recorded \
-            and clean.image_shape != corrupt.image_shape:
+    clean = load_stack(directory / fields["clean"])
+    corrupt = load_stack(directory / fields["corrupt"])
+    if clean.image_shape != corrupt.image_shape:
         raise FormatError(f"stack headers disagree on the image shape: "
                           f"{clean.image_shape} vs {corrupt.image_shape}")
     if "image_shape" in fields:
         rows, cols = (int(s) for s in fields["image_shape"].split("x"))
-        if rows * cols != clean.pixel_count:
-            raise FormatError("manifest image shape inconsistent with stacks")
-        # version 1 stacks take the manifest's shape; version 2 headers
-        # record their own, which must agree with it
-        for stack, recorded in ((clean, clean_recorded),
-                                (corrupt, corrupt_recorded)):
-            if not recorded:
-                stack.image_shape = (rows, cols)
-            elif stack.image_shape != (rows, cols):
-                raise FormatError(
-                    f"manifest image shape {rows}x{cols} != {stack.role} "
-                    f"stack header shape {stack.image_shape}")
+        if clean.image_shape != (rows, cols):
+            raise FormatError(f"manifest image shape {rows}x{cols} != stack "
+                              f"header shape {clean.image_shape}")
     if clean.data.shape != corrupt.data.shape:
         raise FormatError("paired stacks disagree on (P, Q)")
     return clean, corrupt

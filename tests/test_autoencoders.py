@@ -35,9 +35,10 @@ class TestActivation:
         v = np.linspace(-3, 3, 11)
         np.testing.assert_array_equal(act.apply(v), v)
 
-    def test_invalid_kind(self):
+    @pytest.mark.parametrize("kind", ["relu", "tanh", "sigmoid"])
+    def test_invalid_kind(self, kind):
         with pytest.raises(ConfigError):
-            Activation("relu")
+            Activation(kind)
 
 
 class TestTrainDae:
@@ -437,16 +438,6 @@ class TestTrainingPair:
 
 
 class TestLinearTraining:
-    @pytest.mark.parametrize("kind", ["tanh", "sigmoid"])
-    def test_objective_refuses_nonlinear_weights(self, kind):
-        rng = np.random.default_rng(25)
-        X, Xhat = rng.random((6, 4)), rng.random((6, 4))
-        w = AutoencoderWeights("dae", Activation(kind),
-                               {"W1": rng.standard_normal((3, 6)),
-                                "W2": rng.standard_normal((6, 3))})
-        with pytest.raises(ConfigError):
-            objective_value(w, np.zeros((3, 4)), X, Xhat)
-
     def test_trainers_return_linear_weights(self):
         X, Xhat = synthetic_pair(seed=26)
         opts = tight_opts(outer=2)
@@ -486,11 +477,9 @@ class TestInfer:
                 "W12": rng.standard_normal((6, 8)),
                 "W21": rng.standard_normal((4, 6)),
                 "W22": rng.standard_normal((12, 4))}
-        act = Activation("tanh")
-        w = AutoencoderWeights("stacked_sdae", act, mats)
+        w = AutoencoderWeights("stacked_sdae", Activation(), mats)
         x = rng.random(12)
-        explicit = mats["W22"] @ act.apply(
-            mats["W21"] @ act.apply(mats["W12"] @ act.apply(mats["W11"] @ x)))
+        explicit = mats["W22"] @ (mats["W21"] @ (mats["W12"] @ (mats["W11"] @ x)))
         np.testing.assert_allclose(infer(w, x, clamp=False), explicit, atol=1e-12)
 
     def test_dimension_mismatch(self):
@@ -575,7 +564,7 @@ class TestWeightsIo:
                     "W12": rng.standard_normal((6, 8)),
                     "W21": rng.standard_normal((4, 6)),
                     "W22": rng.standard_normal((12, 4))}
-            w = AutoencoderWeights("stacked_sdae", Activation("tanh"), mats)
+            w = AutoencoderWeights("stacked_sdae", Activation(), mats)
         else:
             w = AutoencoderWeights("dae", Activation(),
                                    {"W1": rng.standard_normal((5, 9)),
@@ -591,7 +580,7 @@ class TestWeightsIo:
     def test_reserved_header_slot_ignored(self, tmp_path):
         # files with any value in the float64 after the tags load alike
         rng = np.random.default_rng(27)
-        w = AutoencoderWeights("sparse_dae", Activation("sigmoid"),
+        w = AutoencoderWeights("sparse_dae", Activation(),
                                {"W1": rng.standard_normal((4, 7)),
                                 "W2": rng.standard_normal((7, 4))})
         path = tmp_path / "weights.bin"
@@ -603,6 +592,48 @@ class TestWeightsIo:
         assert loaded.activation == w.activation
         for k in w.matrices:
             np.testing.assert_array_equal(loaded.matrices[k], w.matrices[k])
+
+    def test_bytes_match_chain_layout(self, tmp_path):
+        rng = np.random.default_rng(28)
+        mats = {"W11": rng.standard_normal((8, 12)),
+                "W12": rng.standard_normal((6, 8)),
+                "W21": rng.standard_normal((4, 6)),
+                "W22": rng.standard_normal((12, 4))}
+        path = tmp_path / "weights.bin"
+        save_weights(AutoencoderWeights("stacked_sdae", Activation(), mats), path)
+        # magic, variant tag 2, activation tag 0 (linear), the reserved
+        # float64, the sizes P, l0, l1, l2, then each matrix column-major
+        expected = (b"RDAEW1" + struct.pack("<BBd", 2, 0, 1e-6)
+                    + struct.pack("<H4I", 4, 12, 8, 6, 4)
+                    + b"".join(mats[k].astype("<f8").tobytes(order="F")
+                               for k in ("W11", "W12", "W21", "W22")))
+        assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("tag", [1, 2])
+    def test_nonlinear_activation_tag_refused(self, tmp_path, tag):
+        # tags 1 and 2 once stood for tanh and sigmoid
+        rng = np.random.default_rng(29)
+        w = AutoencoderWeights("dae", Activation(),
+                               {"W1": rng.standard_normal((3, 6)),
+                                "W2": rng.standard_normal((6, 3))})
+        path = tmp_path / "weights.bin"
+        save_weights(w, path)
+        raw = bytearray(path.read_bytes())
+        raw[7] = tag
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            load_weights(path)
+
+    def test_trailing_bytes_refused(self, tmp_path):
+        rng = np.random.default_rng(30)
+        w = AutoencoderWeights("dae", Activation(),
+                               {"W1": rng.standard_normal((3, 6)),
+                                "W2": rng.standard_normal((6, 3))})
+        path = tmp_path / "weights.bin"
+        save_weights(w, path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError):
+            load_weights(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "weights.bin"
