@@ -106,6 +106,13 @@ class SweepSpec:
             raise ConfigError("split fraction must lie in (0, 1)")
         if not (0.0 <= self.mismatch <= 1.0):
             raise ConfigError("mismatch must lie in [0, 1]")
+        if self.axis == "mismatch" and self.mismatch != 0.0:
+            raise ConfigError("a fixed mismatch is ignored on the mismatch "
+                              "axis, whose values set it")
+        for name in ("values", "seeds", "algorithms"):
+            listed = getattr(self, name)
+            if len(set(listed)) != len(listed):
+                raise ConfigError(f"sweep {name} {listed} repeat an entry")
 
 
 @dataclass

@@ -40,34 +40,40 @@ def summarize(rows):
     return "\n".join(lines) + "\n"
 
 
-def write_plot_data(rows, axis, directory):
-    """One .dat file per signature kind, <kind>_<axis>_ssim_ad.dat: grid
-    value, then per-algorithm mean and spread columns of ssim_ad.  Diverged
-    rows are dropped from the aggregation; the dropped count is reported in
-    the header comment.  A ConfigError, before any file is written, when
-    the rows of one kind vary along another sweep axis: their levels would
-    fold into one line under the wrong axis name."""
-    field = SWEEP_AXES[axis]
-    kinds = sorted({r.kind for r in rows})
-    for kind in kinds:
-        for other, column in SWEEP_AXES.items():
-            levels = sorted({getattr(r, column) for r in rows if r.kind == kind})
-            if other != axis and len(levels) > 1:
-                raise ConfigError(f"{kind} rows vary along the {other} axis "
-                                  f"({column} {levels}); report them with "
-                                  f"axis {other}, not {axis}")
+def _axis(kind, kind_rows):
+    """The one sweep axis whose column varies among a kind's rows; snr when
+    none does.  A ConfigError when two do: their levels would fold into one
+    line under either axis name."""
+    varying = [axis for axis, column in SWEEP_AXES.items()
+               if len({getattr(r, column) for r in kind_rows}) > 1]
+    if len(varying) > 1:
+        raise ConfigError(f"{kind} rows vary along more than one sweep axis "
+                          f"({', '.join(varying)}); report them apart")
+    return varying[0] if varying else "snr"
+
+
+def write_plot_data(rows, directory):
+    """One .dat file per signature kind, <kind>_<axis>_ssim_ad.dat, along
+    the axis its rows vary on (see _axis): grid value, then per-algorithm
+    mean and spread columns of ssim_ad.  Diverged rows are dropped from the
+    aggregation; the dropped count is reported in the header comment.  Every
+    kind's axis is settled before any file is written."""
+    groups = defaultdict(list)
+    for row in rows:
+        groups[row.kind].append(row)
+    axes = {kind: _axis(kind, kind_rows) for kind, kind_rows in groups.items()}
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
-    for kind in kinds:
-        kind_rows = [r for r in rows if r.kind == kind]
+    for kind in sorted(groups):
+        kind_rows, axis = groups[kind], axes[kind]
+        field = SWEEP_AXES[axis]
         algorithms = sorted({r.algorithm for r in kind_rows})
         values = sorted({getattr(r, field) for r in kind_rows})
         dropped = sum(r.diverged for r in kind_rows)
-        header = ["# " + f"dropped_diverged={dropped}",
-                  "# " + " ".join([axis] + [f"{a}_mean {a}_spread"
-                                            for a in algorithms])]
-        lines = list(header)
+        lines = [f"# dropped_diverged={dropped}",
+                 "# " + " ".join([axis] + [f"{a}_mean {a}_spread"
+                                           for a in algorithms])]
         for value in values:
             cells = [f"{value:g}"]
             for algorithm in algorithms:

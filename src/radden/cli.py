@@ -11,9 +11,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .autoencoders import save_weights
-from .bench import (AUTOENCODERS, SWEEP_AXES, generate_pair, load_config,
-                    load_rows, run_sweep, summarize, train_model,
-                    write_plot_data, write_rows)
+from .bench import (AUTOENCODERS, generate_pair, load_config, load_rows,
+                    run_sweep, summarize, train_model, write_plot_data,
+                    write_rows)
 from .dataset import save_dataset
 from .errors import ConfigError, DomainError, FormatError
 
@@ -47,7 +47,6 @@ def _build_parser():
     report = sub.add_parser("report", help="summarize sweep CSVs")
     report.add_argument("csv", nargs="+", help="result CSV files")
     report.add_argument("--out", default=None, help="plot-data directory")
-    report.add_argument("--axis", default="snr", choices=list(SWEEP_AXES))
     sub.add_parser("accept", help="run the acceptance test suite")
     return parser
 
@@ -94,7 +93,7 @@ def _cmd_sweep(args):
     path = write_rows(rows, out / "sweep.csv")
     print(f"wrote {len(rows)} rows to {path}")
     print(summarize(rows), end="")
-    for path in write_plot_data(rows, cfg.sweep.axis, out / "plots"):
+    for path in write_plot_data(rows, out / "plots"):
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -105,7 +104,7 @@ def _cmd_report(args):
         rows.extend(load_rows(path))
     print(summarize(rows), end="")
     if args.out:
-        for path in write_plot_data(rows, args.axis, args.out):
+        for path in write_plot_data(rows, args.out):
             print(f"wrote {path}")
     return EXIT_OK
 

@@ -3,9 +3,10 @@
 File layout: magic "RDAE2"; header u32 P, u32 Q, u32 image rows, u32 image
 cols, u8 value-kind, u8 role; Q column records (u16 interval index, u16
 realization, u8 wall class); then P*Q little-endian float64 values,
-column-major, and nothing after them.  A paired dataset is two such files
-plus a text manifest naming both, the image shape and the generation config
-hash; the two headers must agree with the manifest and with each other.
+column-major, and nothing after them.  A paired dataset is a directory
+holding two such files, clean.rdae and corrupt.rdae, whose headers must
+agree, and a manifest.txt recording the generation config hash for
+provenance; nothing reads the manifest back.
 """
 from __future__ import annotations
 
@@ -150,39 +151,22 @@ def save_dataset(clean: ImageStack, corrupt: ImageStack, directory, config_text=
     save_stack(clean, directory / "clean.rdae")
     save_stack(corrupt, directory / "corrupt.rdae")
     digest = hashlib.sha256(config_text.encode()).hexdigest()
-    rows, cols = clean.image_shape
-    manifest = (
-        f"clean=clean.rdae\ncorrupt=corrupt.rdae\n"
-        f"image_shape={rows}x{cols}\nconfig_hash={digest}\n"
-    )
-    (directory / "manifest.txt").write_text(manifest)
+    (directory / "manifest.txt").write_text(f"config_hash={digest}\n")
     return directory / "manifest.txt"
 
 
 def load_dataset(directory):
     """Load a paired dataset written by save_dataset; returns (clean, corrupt)."""
-    directory = Path(directory)
-    manifest_path = directory / "manifest.txt"
-    if not manifest_path.exists():
-        raise FormatError(f"missing manifest in {directory}")
-    fields = {}
-    for line in manifest_path.read_text().splitlines():
-        if "=" in line:
-            k, v = line.split("=", 1)
-            fields[k.strip()] = v.strip()
-    for key in ("clean", "corrupt"):
-        if key not in fields:
-            raise FormatError(f"manifest missing {key} entry")
-    clean = load_stack(directory / fields["clean"])
-    corrupt = load_stack(directory / fields["corrupt"])
+    stacks = []
+    for name in ("clean.rdae", "corrupt.rdae"):
+        path = Path(directory) / name
+        if not path.is_file():
+            raise FormatError(f"missing {path}")
+        stacks.append(load_stack(path))
+    clean, corrupt = stacks
     if clean.image_shape != corrupt.image_shape:
         raise FormatError(f"stack headers disagree on the image shape: "
                           f"{clean.image_shape} vs {corrupt.image_shape}")
-    if "image_shape" in fields:
-        rows, cols = (int(s) for s in fields["image_shape"].split("x"))
-        if clean.image_shape != (rows, cols):
-            raise FormatError(f"manifest image shape {rows}x{cols} != stack "
-                              f"header shape {clean.image_shape}")
     if clean.data.shape != corrupt.data.shape:
         raise FormatError("paired stacks disagree on (P, Q)")
     return clean, corrupt

@@ -111,6 +111,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             SweepSpec(axis="nodes")
 
+    def test_repeated_value_rejected(self):
+        # the grid point would run twice and its rows count twice
+        with pytest.raises(ConfigError, match="values"):
+            parse_config("[sweep]\nvalues = 10 0 10.0\n")
+
+    def test_repeated_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seeds"):
+            parse_config("[sweep]\nseeds = 1 2 1\n")
+
+    def test_repeated_algorithm_rejected(self):
+        with pytest.raises(ConfigError, match="algorithms"):
+            parse_config("[sweep]\nalgorithms = dae svd dae\n")
+
+    def test_fixed_mismatch_on_mismatch_axis_rejected(self):
+        # the grid values set the mismatch; a fixed one would be ignored
+        with pytest.raises(ConfigError, match="mismatch"):
+            SweepSpec(axis="mismatch", values=(0.0, 0.5), mismatch=0.25)
+        assert SweepSpec(axis="mismatch", values=(0.0, 0.5), mismatch=0.0)
+        assert SweepSpec(axis="snr", mismatch=0.25).mismatch == 0.25
+
 
 def _clutter_then_noise(stack, clean, spec, pfa):
     """The corruption contract: clutter at `pfa` with seed [seed, 3], then
@@ -432,12 +452,39 @@ class TestReport:
 
     def test_plot_data_mean_and_spread(self, tmp_path):
         rows = [make_row(ssim_ad=0.6), make_row(seed=1, ssim_ad=0.8)]
-        (path,) = write_plot_data(rows, "snr", tmp_path)
+        (path,) = write_plot_data(rows, tmp_path)
         data_line = [ln for ln in path.read_text().splitlines()
                      if not ln.startswith("#")][0]
         cells = data_line.split()
         assert float(cells[1]) == pytest.approx(0.7)   # mean
         assert float(cells[2]) == pytest.approx(0.2)   # max - min
+
+    @pytest.mark.parametrize("axis, column, levels", [
+        ("snr", "snr_db", (-10.0, 0.0, 10.0)),
+        ("mismatch", "mismatch_pct", (0.0, 25.0, 50.0)),
+        ("scr", "scr_db", (0.0, 10.0, 20.0))])
+    def test_plot_axis_is_the_varying_column(self, tmp_path, axis, column,
+                                             levels):
+        rows = [make_row(**{column: v}, ssim_ad=0.1 * i)
+                for i, v in enumerate(levels)]
+        (path,) = write_plot_data(rows, tmp_path)
+        assert path.name == f"spectrogram_{axis}_ssim_ad.dat"
+        lines = path.read_text().splitlines()
+        assert lines[1] == f"# {axis} dae_mean dae_spread"
+        assert [float(ln.split()[0]) for ln in lines[2:]] == list(levels)
+
+    def test_one_value_grid_plots_along_snr(self, tmp_path):
+        rows = [make_row(mismatch_pct=50.0), make_row(seed=1, mismatch_pct=50.0)]
+        (path,) = write_plot_data(rows, tmp_path)
+        assert path.name == "spectrogram_snr_ssim_ad.dat"
+
+    def test_two_axes_in_one_kind_refused_before_writing(self, tmp_path):
+        rows = [make_row(kind="frontal", snr_db=v) for v in (0.0, 10.0)]
+        rows += [make_row(snr_db=0.0, mismatch_pct=v) for v in (0.0, 50.0)]
+        rows += [make_row(snr_db=10.0, mismatch_pct=v) for v in (0.0, 50.0)]
+        with pytest.raises(ConfigError, match="spectrogram.*snr, mismatch"):
+            write_plot_data(rows, tmp_path / "plots")
+        assert not (tmp_path / "plots").exists()
 
     def test_missing_csv_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -522,11 +569,12 @@ class TestCli:
         csv_path = tmp_path / "out" / "sweep.csv"
         assert csv_path.exists()
         assert main(["report", str(csv_path), "--out",
-                     str(tmp_path / "plots"), "--axis", "snr"]) == 0
+                     str(tmp_path / "plots")]) == 0
         assert (tmp_path / "plots" / "frontal_snr_ssim_ad.dat").exists()
 
     @pytest.mark.parametrize("axis, values", [("snr", "10 20"),
-                                              ("mismatch", "0 0.5")])
+                                              ("mismatch", "0 0.5"),
+                                              ("scr", "0 10")])
     def test_sweep_writes_report_plot_data(self, tmp_path, capsys, axis, values):
         ini = tmp_path / "exp.ini"
         ini.write_text(
@@ -540,12 +588,26 @@ class TestCli:
         plot = tmp_path / "out" / "plots" / name
         assert f"wrote {plot}" in capsys.readouterr().out
         assert main(["report", str(tmp_path / "out" / "sweep.csv"), "--out",
-                     str(tmp_path / "report"), "--axis", axis]) == 0
+                     str(tmp_path / "report")]) == 0
         assert plot.read_bytes() == (tmp_path / "report" / name).read_bytes()
 
-    def test_report_refuses_the_wrong_axis(self, tmp_path, capsys):
-        # a two-level mismatch sweep reported along snr would fold both
-        # levels into one snr line
+    def test_report_plots_each_kind_along_its_own_axis(self, tmp_path):
+        snr = [make_row(snr_db=v, seed=s) for v in (0.0, 10.0) for s in (0, 1)]
+        mismatch = [make_row(kind="hrrp", mismatch_pct=v) for v in (0.0, 50.0)]
+        a = write_rows(snr, tmp_path / "a.csv")
+        b = write_rows(mismatch, tmp_path / "b.csv")
+        assert main(["report", str(a), str(b), "--out",
+                     str(tmp_path / "report")]) == 0
+        assert sorted(p.name for p in (tmp_path / "report").iterdir()) == [
+            "hrrp_mismatch_ssim_ad.dat", "spectrogram_snr_ssim_ad.dat"]
+        for kind, rows in (("spectrogram", snr), ("hrrp", mismatch)):
+            (alone,) = write_plot_data(rows, tmp_path / kind)
+            assert (tmp_path / "report" / alone.name).read_bytes() == \
+                alone.read_bytes()
+
+    def test_report_refuses_a_kind_on_two_axes(self, tmp_path, capsys):
+        # a mismatch sweep reported together with the same sweep at another
+        # snr would fold both levels into one line under either axis
         ini = tmp_path / "exp.ini"
         ini.write_text(
             "[dataset]\nkind = frontal\nrealizations = 2\nintervals = 4\n"
@@ -554,14 +616,18 @@ class TestCli:
             "algorithms = wavelet\n"
             f"[output]\ndirectory = {tmp_path / 'out'}\n")
         assert main(["sweep", "--config", str(ini)]) == 0
-        csv_path = str(tmp_path / "out" / "sweep.csv")
+        csv_path = tmp_path / "out" / "sweep.csv"
+        shifted = write_rows([replace(r, snr_db=20.0)
+                              for r in load_rows(csv_path)],
+                             tmp_path / "shifted.csv")
         capsys.readouterr()
-        assert main(["report", csv_path, "--out", str(tmp_path / "report"),
-                     "--axis", "snr"]) == 2
-        assert "mismatch axis" in capsys.readouterr().err
+        assert main(["report", str(csv_path), str(shifted), "--out",
+                     str(tmp_path / "report")]) == 2
+        assert "more than one sweep axis" in capsys.readouterr().err
         assert not (tmp_path / "report").exists()
-        assert main(["report", csv_path, "--out", str(tmp_path / "report"),
-                     "--axis", "mismatch"]) == 0
+        assert main(["report", str(csv_path), "--out",
+                     str(tmp_path / "report")]) == 0
+        assert (tmp_path / "report" / "frontal_mismatch_ssim_ad.dat").exists()
 
     def test_train_saves_the_seeded_model(self, tmp_path):
         ini = tmp_path / "exp.ini"

@@ -256,7 +256,7 @@ class TestStackIo:
         save_dataset(clean, clean.copy(role="corrupt"), tmp_path / "d",
                      config_text="alpha")
         text = (tmp_path / "d" / "manifest.txt").read_text()
-        assert "config_hash=" in text and "image_shape=4x4" in text
+        assert "config_hash=" in text
         save_dataset(clean, clean.copy(role="corrupt"), tmp_path / "e",
                      config_text="beta")
         assert (tmp_path / "e" / "manifest.txt").read_text() != text
@@ -271,13 +271,27 @@ class TestStackIo:
         with pytest.raises(FormatError):
             save_dataset(a, b, tmp_path / "bad")
 
-    def test_manifest_shape_must_match_headers(self, tmp_path):
+    @pytest.mark.parametrize("manifest", [
+        None, "clean=missing.rdae\ncorrupt=missing.rdae\nimage_shape=64by64\n"],
+        ids=["absent", "malformed"])
+    def test_manifest_is_not_read(self, tmp_path, manifest):
         clean = make_stack(P=32, Q=3, shape=(8, 4))
         save_dataset(clean, clean.copy(role="corrupt"), tmp_path / "ds")
-        manifest = tmp_path / "ds" / "manifest.txt"
-        manifest.write_text(manifest.read_text().replace("image_shape=8x4",
-                                                         "image_shape=4x8"))
-        with pytest.raises(FormatError):
+        path = tmp_path / "ds" / "manifest.txt"
+        if manifest is None:
+            path.unlink()
+        else:
+            path.write_text(manifest)
+        c2, x2 = load_dataset(tmp_path / "ds")
+        np.testing.assert_array_equal(c2.data, clean.data)
+        assert c2.image_shape == x2.image_shape == (8, 4)
+
+    @pytest.mark.parametrize("name", ["clean.rdae", "corrupt.rdae"])
+    def test_missing_stack_named(self, tmp_path, name):
+        clean = make_stack(P=16, Q=2, shape=(4, 4))
+        save_dataset(clean, clean.copy(role="corrupt"), tmp_path / "ds")
+        (tmp_path / "ds" / name).unlink()
+        with pytest.raises(FormatError, match=name):
             load_dataset(tmp_path / "ds")
 
     def test_headers_must_agree_with_each_other(self, tmp_path):
