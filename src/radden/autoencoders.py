@@ -115,7 +115,6 @@ class TrainOptions:
     outer_iterations: int = 50
     outer_tolerance: float = 1e-4
     seed: int = 0
-    ridge: float | None = None
     ista: IstaOptions = field(default_factory=IstaOptions)
 
     def __post_init__(self):
@@ -160,8 +159,7 @@ class TrainingPair:
     Xhat through `design`, RidgeDesign(Xhat) at the default ridge, whose hat
     matrix is formed on first use.  `prepare_pair` builds one, and any number
     of trainer calls on the same two arrays share it through their `pair`
-    keyword; a trainer handed a pair of other arrays, or one whose options
-    set a ridge, raises ConfigError.
+    keyword; a trainer handed a pair of other arrays raises ConfigError.
     """
     X: np.ndarray
     Xhat: np.ndarray
@@ -169,27 +167,10 @@ class TrainingPair:
     design: RidgeDesign
 
 
-def _factored(X, Xhat, ridge):
-    X, Xhat = _check_pair(X, Xhat)
-    return TrainingPair(X, Xhat, np.linalg.qr(X, mode="r"), RidgeDesign(Xhat, ridge))
-
-
 def prepare_pair(X, Xhat):
-    """The TrainingPair of X and Xhat, for trainers at the default ridge."""
-    return _factored(X, Xhat, None)
-
-
-def _training_pair(X, Xhat, ridge, pair):
-    """`pair` if it was prepared from these very arrays and the options keep
-    the default ridge; a new pair at `ridge` if it is None."""
-    if pair is None:
-        return _factored(X, Xhat, ridge)
-    if pair.X is not X or pair.Xhat is not Xhat:
-        raise ConfigError("training pair prepared from other arrays")
-    if ridge is not None:
-        raise ConfigError(f"a prepared training pair trains at the default "
-                          f"ridge, not at {ridge}")
-    return pair
+    """The TrainingPair of X and Xhat."""
+    X, Xhat = _check_pair(X, Xhat)
+    return TrainingPair(X, Xhat, np.linalg.qr(X, mode="r"), RidgeDesign(Xhat))
 
 
 def objective_value(weights, codes, X, Xhat, lam=1.0, mu=0.0,
@@ -279,10 +260,9 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts, pair=None):
     shallow order); the stacked order refits the decoder first.
 
     X and Xhat are read through `pair`, a TrainingPair prepared from these
-    very arrays (only at the default ridge), or built here at `opts.ridge`
-    when none is given: its RidgeDesign(Xhat) serves the encoder and its R
-    factor of X the decoder side, so trainers that share one pair factor
-    each stack once.
+    very arrays, or built here when none is given: its RidgeDesign(Xhat)
+    serves the encoder and its R factor of X the decoder side, so trainers
+    that share one pair factor each stack once.
 
     Each outer iteration forms every chain product once.  E[i] = W_i Z_{i-1}
     is kept until W_i or Z_{i-1} changes, and serves both the code update of
@@ -301,7 +281,10 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts, pair=None):
     X K is formed once, after the loop, from the code it was last fit to.
     """
     opts = opts or TrainOptions()
-    pair = _training_pair(X, Xhat, opts.ridge, pair)
+    if pair is None:
+        pair = prepare_pair(X, Xhat)
+    elif pair.X is not X or pair.Xhat is not Xhat:
+        raise ConfigError("training pair prepared from other arrays")
     X, Xhat = pair.X, pair.Xhat
     rng = np.random.default_rng(opts.seed)
     L = len(sizes)
@@ -335,7 +318,7 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts, pair=None):
             else:
                 if i == L:   # fit R K in place of the decoder X K
                     decoder_code, H[-1] = H[i], pair.R
-                W[i] = solve_least_squares(H[i], H[i + 1], ridge=opts.ridge)
+                W[i] = solve_least_squares(H[i], H[i + 1])
                 if i < len(E):
                     E[i] = None
         E = [W[i] @ H[i] if e is None else e for i, e in enumerate(E)]
@@ -348,7 +331,7 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts, pair=None):
             if abs(prev - obj) <= opts.outer_tolerance * max(abs(prev), 1e-300):
                 break
     W[0] = pair.design.solve(encoder_target)
-    W[-1] = solve_least_squares(decoder_code, X, ridge=opts.ridge)
+    W[-1] = solve_least_squares(decoder_code, X)
     matrices = dict(zip(_MATRIX_NAMES[variant], W))
     return AutoencoderWeights(variant, Activation(), matrices), trace
 

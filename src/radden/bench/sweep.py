@@ -6,8 +6,11 @@ order.  Timing columns are excluded from the reproducibility hash.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -22,13 +25,13 @@ from ..baselines import (SvdFilterConfig, WaveletFilterConfig, svd_denoise,
                          wavelet_denoise)
 from ..dataset import WallClass, shuffle_labels
 from ..errors import ConfigError, DomainError
-from ..metrics import _map_blocks, columns_to_images, ssim_stack
+from ..metrics import _core_count, _map_blocks, columns_to_images, ssim_stack
 from ..sparse_solvers import IstaOptions
-from .config import AUTOENCODERS, DatasetSpec, ExperimentConfig, TrainSpec
+from .config import AUTOENCODERS, DatasetSpec, ExperimentConfig
 from .datasets import generate_pair
 
-__all__ = ["ResultRow", "csv_content_hash", "grid_search", "load_rows",
-           "run_sweep", "train_model", "write_rows"]
+__all__ = ["ResultRow", "csv_content_hash", "load_rows", "run_sweep",
+           "train_model", "write_rows"]
 
 @dataclass
 class ResultRow:
@@ -231,50 +234,50 @@ def evaluate_grid_point(cfg: ExperimentConfig, value, seed):
     return rows
 
 
-def grid_search(cfg: ExperimentConfig, algorithm, candidates, value=None,
-                seed=None):
-    """Score TrainSpec candidates; returns [(spec, mean ssim_ad)] best-first.
-
-    The paper's regularizers have no published values.  `value` and `seed`
-    default to the first configured sweep value and seed; every candidate is
-    trained and scored on one dataset and split, so scores are comparable,
-    and on one TrainingPair of its training columns.
-    """
-    if algorithm not in AUTOENCODERS:
-        raise ConfigError(f"cannot tune algorithm {algorithm!r}")
-    candidates = list(candidates)
-    if not candidates:
-        raise ConfigError("need at least one candidate training spec")
-    if not all(isinstance(cand, TrainSpec) for cand in candidates):
-        raise ConfigError("candidates must be TrainSpec instances")
-    if value is None:
-        value = cfg.sweep.values[0]
-    if seed is None:
-        seed = cfg.sweep.seeds[0]
-    data = _grid_data(cfg, value, seed)
-    pair = prepare_pair(data.clean_tr, data.corrupt_tr)
-    scored = []
-    for cand in candidates:
-        denoised, _, _ = _fit(algorithm, data, replace(cfg, train=cand), seed, pair)
-        scored.append((cand, _score(denoised, data)[0]))
-    scored.sort(key=lambda entry: entry[1], reverse=True)
-    return scored
-
-
 def _job(args):
     cfg, value, seed = args
     return evaluate_grid_point(cfg, value, seed)
 
 
+# the variables that set a BLAS library's thread count when it loads
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                          "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _blas_threads_for_children(threads):
+    """os.environ with every _BLAS_THREAD_VARIABLES entry set to `threads`,
+    restored on exit.  A process started inside inherits it; this process's
+    BLAS, already loaded, keeps its own thread count."""
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, str(threads)))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def run_sweep(cfg: ExperimentConfig, jobs=1):
-    """All grid points x seeds, sorted by (kind, algorithm, grid position)."""
+    """All grid points x seeds, sorted by (kind, algorithm, grid position).
+
+    With jobs > 1 the grid points run on that many spawned worker processes,
+    each starting with its share of the cores, max(1, cores // jobs), as its
+    BLAS thread count, so that the workers' BLAS threads do not outnumber
+    the cores.  (A forked worker would keep the thread count of the BLAS
+    this process has loaded.)"""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     tasks = [(cfg, value, seed) for value in cfg.sweep.values
              for seed in sorted(cfg.sweep.seeds)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_job, tasks))
+        spawn = multiprocessing.get_context("spawn")
+        with _blas_threads_for_children(max(1, _core_count() // jobs)):
+            with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+                chunks = list(pool.map(_job, tasks))
     else:
         chunks = [_job(t) for t in tasks]
     # tasks are already in (grid position, seed) order; the sort is stable

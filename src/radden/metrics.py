@@ -4,13 +4,12 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 
-__all__ = ["BLOCK_IMAGES", "SsimParams", "columns_to_images",
+__all__ = ["BLOCK_IMAGES", "columns_to_images",
            "images_to_columns", "nmse", "ssim", "ssim_stack"]
 
 # Images per stack call in scoring and the baselines, and the unit of work
@@ -61,21 +60,13 @@ def _map_blocks(fn, count):
             share.result()
 
 
-@dataclass
-class SsimParams:
-    window_size: int = 11
-    window_sigma: float = 1.5
-    k1: float = 0.01
-    k2: float = 0.03
-    data_range: float = 1.0
-
-    def __post_init__(self):
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ConfigError("stabilizers k1, k2 must be > 0")
-        if self.window_size < 1 or self.window_sigma <= 0:
-            raise ConfigError("invalid window")
-        if not self.data_range > 0:
-            raise ConfigError("data_range must be > 0")
+# SSIM's Gaussian window (size and sigma in pixels), its stabilizers k1 and
+# k2, and the data range of the images
+_WINDOW_SIZE = 11
+_WINDOW_SIGMA = 1.5
+_K1 = 0.01
+_K2 = 0.03
+_DATA_RANGE = 1.0
 
 
 def columns_to_images(columns, image_shape):
@@ -89,27 +80,27 @@ def images_to_columns(images):
     return images.reshape(images.shape[0], -1, order="F").T
 
 
-def _window_matrix(n, params: SsimParams):
+def _window_matrix(n):
     """(n - w + 1) x n banded Toeplitz matrix of the normalized 1-D Gaussian
     taps: M @ x is the `valid` window mean down a length-n axis.  The 2-D
     window is the outer product of the taps, so the local means of an r x c
     image X are _window_matrix(r) @ X @ _window_matrix(c).T."""
-    w = params.window_size
+    w = _WINDOW_SIZE
     half = (w - 1) / 2.0
-    g = np.exp(-0.5 * ((np.arange(w) - half) / params.window_sigma) ** 2)
+    g = np.exp(-0.5 * ((np.arange(w) - half) / _WINDOW_SIGMA) ** 2)
     band = np.zeros((n - w + 1, n))
     rows = np.arange(n - w + 1)[:, None]
     band[rows, rows + np.arange(w)] = g / g.sum()
     return band
 
 
-def _ssim_images(a, b, params: SsimParams):
+def _ssim_images(a, b):
     """Mean SSIM of each image pair along the leading axis of two
     (N, rows, cols) stacks."""
-    c1 = (params.k1 * params.data_range) ** 2
-    c2 = (params.k2 * params.data_range) ** 2
+    c1 = (_K1 * _DATA_RANGE) ** 2
+    c2 = (_K2 * _DATA_RANGE) ** 2
     n = a.shape[0]
-    if min(a.shape[-2:]) < params.window_size:
+    if min(a.shape[-2:]) < _WINDOW_SIZE:
         a, b = a.reshape(n, -1), b.reshape(n, -1)
         mu_a, mu_b = a.mean(axis=-1), b.mean(axis=-1)
         var_a, var_b = a.var(axis=-1), b.var(axis=-1)
@@ -118,8 +109,8 @@ def _ssim_images(a, b, params: SsimParams):
     else:
         # separable window: each local mean is R @ x @ C.T, two GEMMs per
         # image; one GEMM per image keeps a stack equal to per-image calls
-        R = _window_matrix(a.shape[-2], params)
-        Ct = _window_matrix(a.shape[-1], params).T.copy()
+        R = _window_matrix(a.shape[-2])
+        Ct = _window_matrix(a.shape[-1]).T.copy()
         buf = np.empty((n, a.shape[-2], Ct.shape[1]))
         stats = np.empty((5, n, R.shape[0], Ct.shape[1]))
         mu_a, mu_b, var_a, var_b, cov = stats
@@ -163,7 +154,7 @@ def _ssim_images(a, b, params: SsimParams):
     return num.reshape(n, -1).mean(axis=-1)
 
 
-def ssim(a, b, params: SsimParams | None = None):
+def ssim(a, b):
     """Mean structural similarity between two images in [0, 1].
 
     Local Gaussian-window statistics when the image fits the window, a single
@@ -177,10 +168,10 @@ def ssim(a, b, params: SsimParams | None = None):
     if a.ndim == 1:
         a = a[:, None]
         b = b[:, None]
-    return float(_ssim_images(a[None], b[None], params or SsimParams())[0])
+    return float(_ssim_images(a[None], b[None])[0])
 
 
-def ssim_stack(stack, ref_stack, image_shape, params: SsimParams | None = None):
+def ssim_stack(stack, ref_stack, image_shape):
     """Column-wise SSIM of two vectorized image stacks; returns the per-column
     array.  Scores BLOCK_IMAGES columns per kernel call, which bounds the
     temporary memory of the window products and filtered maps, on every core
@@ -192,13 +183,12 @@ def ssim_stack(stack, ref_stack, image_shape, params: SsimParams | None = None):
     rows, cols = image_shape
     if rows * cols != stack.shape[0]:
         raise ConfigError("image_shape inconsistent with stack pixel count")
-    params = params or SsimParams()
     a = columns_to_images(stack, image_shape)
     b = columns_to_images(ref_stack, image_shape)
     out = np.empty(stack.shape[1])
 
     def score(block):
-        out[block] = _ssim_images(a[block], b[block], params)
+        out[block] = _ssim_images(a[block], b[block])
 
     _map_blocks(score, len(out))
     return out

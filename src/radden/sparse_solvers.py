@@ -70,39 +70,52 @@ def default_ridge(A):
 
 
 class RidgeDesign:
-    """Precomputed ridge least squares against a fixed design A.
+    """Ridge least squares against a fixed n x q design A.
 
-    solve(B) returns W minimizing ||B - W A||_F^2 + ridge ||W||_F^2 as one
-    product B @ K.  K (q x n for an n x q design) is formed once, through the
-    Gram matrix on the smaller side of A, so every solve is a single GEMM
-    whatever the number of target rows.  At ridge 0, K is the pseudo-inverse
-    of A and W the minimum-norm least-squares solution.  fitted(B) is W A,
-    through the q x q hat matrix K A.
+    solve(B) returns W minimizing ||B - W A||_F^2 + ridge ||W||_F^2, with the
+    rows of B as right-hand sides.  At ridge > 0 only the ridged Gram matrix
+    on the smaller side of A is kept: W = solve(A A.T + rI, A B.T).T for a
+    wide design (n <= q), W = solve(A.T A + rI, B.T).T A.T for a tall one, so
+    no q x n operator is ever formed.  At ridge 0 the pseudo-inverse _K
+    (q x n) is kept and W = B _K, the minimum-norm least-squares solution.
+    fitted(B) is W A, through the q x q hat matrix formed on first use.
     """
 
     def __init__(self, A, ridge=None):
         A, ridge = self.A, self.ridge = _checked_design(A, ridge)
         n, q = A.shape
+        self._tall = q < n
         if ridge == 0:
             self._K = np.linalg.pinv(A)
-        elif q < n:   # (A.T A + rI)^-1 A.T
-            self._K = np.linalg.solve(A.T @ A + ridge * np.eye(q), A.T)
-        else:         # A.T (A A.T + rI)^-1, the same matrix for r > 0
-            self._K = np.linalg.solve(A @ A.T + ridge * np.eye(n), A).T
+        elif self._tall:
+            self._gram = A.T @ A + ridge * np.eye(q)
+        else:
+            self._gram = A @ A.T + ridge * np.eye(n)
         self._hat = None
 
     def solve(self, B):
-        return _checked_target(B, self.A) @ self._K
+        B = _checked_target(B, self.A)
+        if self.ridge == 0:
+            return B @ self._K
+        if self._tall:
+            return np.linalg.solve(self._gram, B.T).T @ self.A.T
+        return np.linalg.solve(self._gram, self.A @ B.T).T
 
     def fitted(self, B):
-        """solve(B) @ A, the fit on the design's own columns, as B @ (K A).
+        """solve(B) @ A, the fit on the design's own columns, as B @ H.
 
-        The q x q hat matrix K A is formed on first use, so each call costs
+        The q x q hat matrix H is formed on first use, so each call costs
         q^2 per target row instead of the 2 n q of forming W and then W A;
         that is cheaper while q < 2n.
         """
         if self._hat is None:
-            self._hat = self._K @ self.A
+            A = self.A
+            if self.ridge == 0:
+                self._hat = self._K @ A
+            elif self._tall:   # (A.T A + rI)^-1 A.T A
+                self._hat = np.linalg.solve(self._gram, A.T @ A)
+            else:              # A.T (A A.T + rI)^-1 A
+                self._hat = A.T @ np.linalg.solve(self._gram, A)
         return _checked_target(B, self.A) @ self._hat
 
 
@@ -128,19 +141,9 @@ def _checked_target(B, A):
 
 
 def solve_least_squares(A, B, ridge=None):
-    """W minimizing ||B - W A||_F^2 (+ ridge ||W||_F^2), closed form, for one B.
-
-    With fewer rows in B than on A's larger side, a Gram solve with B's rows
-    as right-hand sides costs less than forming RidgeDesign's K; otherwise,
-    and at ridge 0, it is RidgeDesign(A, ridge).solve(B) bit for bit."""
-    A, ridge = _checked_design(A, ridge)
-    B = _checked_target(B, A)
-    n, q = A.shape
-    if ridge == 0 or B.shape[0] >= max(n, q):
-        return RidgeDesign(A, ridge).solve(B)
-    if q < n:   # B (A.T A + rI)^-1 A.T
-        return np.linalg.solve(A.T @ A + ridge * np.eye(q), B.T).T @ A.T
-    return np.linalg.solve(A @ A.T + ridge * np.eye(n), A @ B.T).T  # B A.T (A A.T + rI)^-1
+    """W minimizing ||B - W A||_F^2 (+ ridge ||W||_F^2), closed form, for one B:
+    RidgeDesign(A, ridge).solve(B)."""
+    return RidgeDesign(A, ridge).solve(B)
 
 
 def _gram_bound(G):

@@ -126,7 +126,6 @@ def test_variant_reduction_and_inference_composition():
     X = rng.random((P, Q))
     Xhat = np.clip(X + 0.2 * rng.standard_normal((P, Q)), 0.0, 1.0)
     opts = TrainOptions(outer_iterations=8, outer_tolerance=1e-30, seed=3,
-                        ridge=1e-6,
                         ista=IstaOptions(max_iterations=4000,
                                          relative_tolerance=1e-15))
     _, trace_plain = train_dae(X, Xhat, nodes, lam=1.0, opts=opts)

@@ -294,8 +294,8 @@ def reference_train(variant, X, Xhat, sizes, c, s, opts, order):
         stats = []
         for block, i in order:
             if block == "W":
-                W[i] = (RidgeDesign(Xhat, ridge=opts.ridge).solve(H[1]) if i == 0
-                        else solve_least_squares(H[i], H[i + 1], ridge=opts.ridge))
+                W[i] = (RidgeDesign(Xhat).solve(H[1]) if i == 0
+                        else solve_least_squares(H[i], H[i + 1]))
                 continue
             a, b = np.sqrt(cc[i + 1]), np.sqrt(cc[i])
             D = np.vstack([a * W[i + 1], b * np.eye(len(H[i + 1]))])
@@ -424,17 +424,12 @@ class TestTrainingPair:
                 (own_trace.objectives, own_trace.ista)
 
     @pytest.mark.parametrize("variant", ["dae", "sparse_dae", "stacked_sdae"])
-    def test_pair_of_other_arrays_or_ridge_refused(self, variant):
+    def test_pair_of_other_arrays_refused(self, variant):
         X, Xhat = synthetic_pair(seed=9)
         opts = TrainOptions(outer_iterations=2)
         for pair in (prepare_pair(X.copy(), Xhat), prepare_pair(X, Xhat.copy())):
             with pytest.raises(ConfigError):
                 _train_variant(variant, X, Xhat, opts, pair=pair)
-        # a prepared pair serves the default ridge only
-        ridged = TrainOptions(outer_iterations=2, ridge=1e-3)
-        with pytest.raises(ConfigError):
-            _train_variant(variant, X, Xhat, ridged, pair=prepare_pair(X, Xhat))
-        assert _train_variant(variant, X, Xhat, ridged)[1].objectives
 
 
 class TestLinearTraining:

@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 import threading
 from concurrent import futures
 from dataclasses import replace
@@ -14,9 +15,8 @@ from radden.baselines import (SvdFilterConfig, WaveletFilterConfig,
                               svd_denoise, wavelet_denoise)
 from radden.bench import (DatasetSpec, ExperimentConfig, SweepSpec, TrainSpec,
                           csv_content_hash, evaluate_grid_point, generate_pair,
-                          grid_search, load_config, load_rows, parse_config,
-                          run_sweep, summarize, train_model, write_plot_data,
-                          write_rows)
+                          load_config, load_rows, parse_config, run_sweep,
+                          summarize, train_model, write_plot_data, write_rows)
 from radden.bench import sweep as sweep_module
 from radden.bench.sweep import ResultRow, _mean_nmse
 from radden.cli import main
@@ -368,6 +368,36 @@ def _no_pool(*args, **kwargs):
     raise AssertionError("a worker pool was started")
 
 
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("cores, jobs, threads", [(4, 2, "2"), (2, 3, "1")])
+def test_sweep_workers_start_with_their_share_of_blas_threads(
+        monkeypatch, cores, jobs, threads):
+    # the parent's own settings, which a worker must not inherit
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "5")
+    monkeypatch.setattr(sweep_module, "_core_count", lambda: cores)
+    started = []
+
+    class Probing(futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(kwargs["mp_context"].get_start_method())
+
+        def map(self, fn, *iterables, **kwargs):
+            started.append([self.submit(os.getenv, name).result(timeout=120)
+                            for name in BLAS_VARIABLES])
+            return super().map(fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", Probing)
+    rows = run_sweep(tiny_config(algorithms=("wavelet",)), jobs=jobs)
+    assert len(rows) == 1
+    assert started == ["spawn", [threads] * 3]
+    assert [os.environ.get(name) for name in BLAS_VARIABLES] == ["7", None, "5"]
+
+
 def test_run_sweep_rejects_jobs_below_one(monkeypatch):
     monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", _no_pool)
     with pytest.raises(ConfigError):
@@ -388,52 +418,6 @@ class TestMeanNmse:
         ref[:, 1] = 0.0
         with pytest.raises(DomainError):
             _mean_nmse(np.ones((4, 3)), ref)
-
-
-class TestGridSearch:
-    def test_candidates_scored_best_first(self):
-        cfg = tiny_config(values=(10.0,), algorithms=("dae",))
-        candidates = [replace(cfg.train, dae_nodes=8),
-                      replace(cfg.train, dae_nodes=32)]
-        scored = grid_search(cfg, "dae", candidates)
-        assert len(scored) == 2
-        assert scored[0][1] >= scored[1][1]
-        assert {s.dae_nodes for s, _ in scored} == {8, 32}
-
-    def test_candidates_share_one_dataset(self, monkeypatch):
-        calls = []
-
-        def counting(spec):
-            calls.append(spec)
-            return generate_pair(spec)
-        monkeypatch.setattr(sweep_module, "generate_pair", counting)
-        cfg = tiny_config(values=(10.0,), algorithms=("wavelet",))
-        candidates = [replace(cfg.train, sparse_nodes=n) for n in (8, 16, 24)]
-        scored = grid_search(cfg, "sparse_dae", candidates)
-        assert len(calls) == 1
-        # each score is the one evaluate_grid_point reports for the candidate
-        for cand, score in scored:
-            local = replace(cfg, train=cand, sweep=replace(
-                cfg.sweep, algorithms=("sparse_dae",)))
-            (row,) = evaluate_grid_point(local, 10.0, 0)
-            assert score == row.ssim_ad
-
-    def test_candidates_share_one_factorization(self, monkeypatch):
-        qr_calls = count_qr(monkeypatch)
-        cfg = tiny_config(values=(10.0,), algorithms=("wavelet",))
-        candidates = [replace(cfg.train, sparse_nodes=n) for n in (8, 16, 24)]
-        grid_search(cfg, "sparse_dae", candidates)
-        assert len(qr_calls) == 1
-
-    def test_untrainable_algorithm_rejected(self):
-        cfg = tiny_config()
-        with pytest.raises(ConfigError):
-            grid_search(cfg, "svd", [cfg.train])
-
-    def test_empty_candidates_rejected(self):
-        cfg = tiny_config()
-        with pytest.raises(ConfigError):
-            grid_search(cfg, "dae", [])
 
 
 class TestReport:

@@ -177,21 +177,42 @@ class TestLeastSquares:
         W_ref = np.linalg.lstsq(A.T, B.T, rcond=None)[0].T
         np.testing.assert_allclose(W, W_ref, rtol=0, atol=1e-10)
 
-    def test_wide_design_many_target_rows(self):
+    @pytest.mark.parametrize("shape", [(12, 40), (40, 12)], ids=["wide", "tall"])
+    def test_wide_design_many_target_rows(self, shape):
         rng = np.random.default_rng(15)
-        A = rng.standard_normal((12, 40))
-        B = rng.standard_normal((4096, 40))
+        A = rng.standard_normal(shape)
+        n, q = shape
+        B = rng.standard_normal((4096, q))
         ridge = 0.1
         design = RidgeDesign(A, ridge=ridge)
         W = design.solve(B)
-        W_ref = np.linalg.solve(A @ A.T + ridge * np.eye(12), A @ B.T).T
-        np.testing.assert_allclose(W, W_ref, rtol=1e-10)
-        B2 = rng.standard_normal((7, 40))
+        W_ref = np.linalg.solve(A @ A.T + ridge * np.eye(n), A @ B.T).T
+        # normwise: for a tall A the n x n reference is the side that rounds
+        # worse, by up to 4e-8 relative on its entries nearest zero
+        assert np.linalg.norm(W - W_ref) <= 1e-12 * np.linalg.norm(W_ref)
+        if n <= q:
+            np.testing.assert_allclose(W, W_ref, rtol=1e-10)
+        B2 = rng.standard_normal((7, q))
         np.testing.assert_array_equal(design.solve(B2),
                                       RidgeDesign(A, ridge=ridge).solve(B2))
         np.testing.assert_allclose(solve_least_squares(A, B2, ridge=ridge),
                                    design.solve(B2), rtol=1e-10)
         np.testing.assert_array_equal(W, solve_least_squares(A, B, ridge=ridge))
+
+    @pytest.mark.parametrize("ridge", [None, 0.1])
+    def test_tall_design_keeps_no_operator_of_its_height(self, ridge):
+        # a training pair's design is P x Q with Q < P: after solves and
+        # fits, no array with P entries on a side is held besides A itself
+        rng = np.random.default_rng(18)
+        P, q = 300, 24
+        design = RidgeDesign(rng.standard_normal((P, q)), ridge=ridge)
+        design.solve(rng.standard_normal((40, q)))
+        design.fitted(rng.standard_normal((5, q)))
+        held = [value for value in vars(design).values()
+                if isinstance(value, np.ndarray) and value is not design.A]
+        assert held
+        assert all(P not in value.shape for value in held), \
+            [value.shape for value in held]
 
     @pytest.mark.parametrize("shape", [(12, 40), (40, 12), (30, 8)],
                              ids=["wide", "tall", "tall_30x8"])
