@@ -398,6 +398,33 @@ def test_sweep_workers_start_with_their_share_of_blas_threads(
     assert [os.environ.get(name) for name in BLAS_VARIABLES] == ["7", None, "5"]
 
 
+def test_sweep_restores_blas_variables_when_the_pool_fails(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "5")
+    monkeypatch.setattr(sweep_module, "_core_count", lambda: 4)
+    seen = []
+
+    class Failing:
+        def __init__(self, *args, **kwargs):
+            seen.append([os.environ.get(name) for name in BLAS_VARIABLES])
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, **kwargs):
+            raise RuntimeError("a worker died")
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", Failing)
+    with pytest.raises(RuntimeError, match="a worker died"):
+        run_sweep(tiny_config(algorithms=("wavelet",)), jobs=2)
+    assert seen == [["2"] * 3]
+    assert [os.environ.get(name) for name in BLAS_VARIABLES] == ["7", None, "5"]
+
+
 def test_run_sweep_rejects_jobs_below_one(monkeypatch):
     monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", _no_pool)
     with pytest.raises(ConfigError):

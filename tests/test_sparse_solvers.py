@@ -240,6 +240,29 @@ class TestLeastSquares:
             got = design.fitted(B)
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("shape, ridge", [((40, 12), None), ((12, 40), None),
+                                              ((40, 12), 0.0)],
+                             ids=["tall", "wide", "ridge0"])
+    def test_hat_matrix_formed_on_first_fit_only(self, shape, ridge):
+        rng = np.random.default_rng(19)
+        design = RidgeDesign(rng.standard_normal(shape), ridge=ridge)
+        design.solve(rng.standard_normal((5, shape[1])))
+        assert design._hat is None   # solves alone never form it
+        design.fitted(rng.standard_normal((5, shape[1])))
+        hat = design._hat
+        assert hat.shape == (shape[1], shape[1])
+        design.fitted(rng.standard_normal((3, shape[1])))
+        assert design._hat is hat
+
+    @pytest.mark.parametrize("shape", [(40, 12), (12, 40)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("ridge", [None, 0.0])
+    def test_empty_target(self, shape, ridge):
+        n, q = shape
+        design = RidgeDesign(np.random.default_rng(20).standard_normal(shape),
+                             ridge=ridge)
+        assert design.solve(np.zeros((0, q))).shape == (0, n)
+        assert design.fitted(np.zeros((0, q))).shape == (0, q)
+
 
 class TestLipschitzBound:
     def test_scaled_identity(self):
