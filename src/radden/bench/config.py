@@ -56,7 +56,7 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in SIGNATURE_KINDS:
             raise ConfigError(f"unknown signature kind {self.kind!r}")
-        WallClass(self.wall_class)  # raises ValueError on bad names
+        WallClass(self.wall_class)  # ConfigError on an unknown name
         for name in ("realizations", "intervals", "noise_draws"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")

@@ -29,61 +29,49 @@ class WallClass(enum.Enum):
     MEDIUM_CONDUCTIVITY = "medium"
     HIGH_CONDUCTIVITY = "high"
 
+    @classmethod
+    def _missing_(cls, value):
+        names = ", ".join(w.value for w in cls)
+        raise ConfigError(f"unknown wall class {value!r} (expected one of {names})")
 
-# per-class defaults: direct-path gain, ringing decay, image-reflection gains
-_CLASS_DEFAULTS = {
-    WallClass.FREE_SPACE: dict(direct_gain=1.0, tap_decay=0.0, image_gains=()),
-    WallClass.LOW_CONDUCTIVITY: dict(direct_gain=0.35, tap_decay=0.55,
-                                     image_gains=(0.15, 0.08)),
-    WallClass.MEDIUM_CONDUCTIVITY: dict(direct_gain=0.05, tap_decay=0.3,
-                                        image_gains=(0.55, 0.35)),
-    WallClass.HIGH_CONDUCTIVITY: dict(direct_gain=0.0, tap_decay=0.0,
-                                      image_gains=(0.85, 0.5)),
+
+# the wall surrogate's fixed geometry; only the wall class varies
+EPSILON_R = 4.0
+WALL_THICKNESS = 0.2        # m
+RELATIVE_SPREAD = 0.3       # std of the per-realization gain and delay jitter
+TAP_COUNT = 4               # in-wall ringing taps behind a wall
+IMAGE_OFFSETS = (1.0, 2.0)  # lateral wall distances, m
+
+# per class: direct-path gain, ringing decay, one gain per image offset
+_WALLS = {
+    WallClass.FREE_SPACE: (1.0, 0.0, ()),
+    WallClass.LOW_CONDUCTIVITY: (0.35, 0.55, (0.15, 0.08)),
+    WallClass.MEDIUM_CONDUCTIVITY: (0.05, 0.3, (0.55, 0.35)),
+    WallClass.HIGH_CONDUCTIVITY: (0.0, 0.0, (0.85, 0.5)),
 }
 
 
 @dataclass
 class ChannelModel:
+    """The wall channel of one class: free space has no taps and no images,
+    every wall has `TAP_COUNT` taps and one image per `IMAGE_OFFSETS` entry."""
     wall_class: WallClass = WallClass.FREE_SPACE
-    epsilon_r: float = 4.0
-    relative_spread: float = 0.3
-    tap_count: int = 4
-    image_count: int = 2
     realizations: int = 1
     seed: int = 0
-    wall_thickness: float = 0.2
-    image_offsets: tuple[float, ...] = (1.0, 2.0)  # lateral wall distances, m
-    # explicit overrides; None picks the wall-class default
-    direct_gain: float | None = None
-    tap_decay: float | None = None
-    image_gains: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if isinstance(self.wall_class, str):
-            self.wall_class = WallClass(self.wall_class)
+        self.wall_class = WallClass(self.wall_class)
         if self.realizations < 1:
             raise ConfigError("realization count M must be >= 1")
-        if self.relative_spread < 0:
-            raise ConfigError("relative_spread must be >= 0")
-        defaults = _CLASS_DEFAULTS[self.wall_class]
-        if self.direct_gain is None:
-            self.direct_gain = defaults["direct_gain"]
-        if self.tap_decay is None:
-            self.tap_decay = defaults["tap_decay"]
-        if self.image_gains is None:
-            self.image_gains = defaults["image_gains"]
-        if self.wall_class is WallClass.FREE_SPACE:
-            self.tap_count = 0
-            self.image_count = 0
-        self.image_count = min(self.image_count, len(self.image_gains),
-                               len(self.image_offsets))
-        if self.wall_class is WallClass.LOW_CONDUCTIVITY and self.tap_count < 1:
-            raise ConfigError("low-conductivity walls need at least one ringing tap")
+        self.direct_gain, self.tap_decay, self.image_gains = _WALLS[self.wall_class]
+        self.tap_count = 0 if self.wall_class is WallClass.FREE_SPACE else TAP_COUNT
+        self.image_count = len(self.image_gains)
+        self.image_offsets = IMAGE_OFFSETS
 
     @property
     def ring_delay_step(self):
         """In-wall round-trip delay: 2 * thickness * sqrt(eps_r) / c."""
-        return 2.0 * self.wall_thickness * np.sqrt(self.epsilon_r) / SPEED_OF_LIGHT
+        return 2.0 * WALL_THICKNESS * np.sqrt(EPSILON_R) / SPEED_OF_LIGHT
 
     def _jitter(self, eta):
         """Per-realization multiplicative gain and additive delay jitter.
@@ -93,8 +81,8 @@ class ChannelModel:
         """
         n_terms = 1 + self.tap_count + self.image_count
         rng = np.random.default_rng([self.seed, int(eta)])
-        gains = 1.0 + self.relative_spread * rng.standard_normal(n_terms)
-        delays = self.relative_spread * self.ring_delay_step * rng.standard_normal(n_terms)
+        gains = 1.0 + RELATIVE_SPREAD * rng.standard_normal(n_terms)
+        delays = RELATIVE_SPREAD * self.ring_delay_step * rng.standard_normal(n_terms)
         return gains, delays
 
 

@@ -44,14 +44,17 @@ def add_noise(stack: ImageStack, snr_db, seed, signal_ref=None):
     return stack.copy(data=np.clip(stack.data + noise, 0.0, 1.0))
 
 
-def _cell_grid(rows, cols, cells):
-    """Split the image into exactly `cells` rectangular cells, choosing the
-    divisor pair of `cells` closest to the image aspect ratio."""
+CLUTTER_CELLS = 84  # candidate clutter sites per image
+
+
+def _cell_grid(rows, cols):
+    """Split the image into exactly `CLUTTER_CELLS` rectangular cells,
+    choosing the divisor pair closest to the image aspect ratio."""
     best = None
-    for gr in range(1, cells + 1):
-        if cells % gr:
+    for gr in range(1, CLUTTER_CELLS + 1):
+        if CLUTTER_CELLS % gr:
             continue
-        gc = cells // gr
+        gc = CLUTTER_CELLS // gr
         score = abs(np.log((gr / gc) * (cols / rows)))
         if best is None or score < best[0]:
             best = (score, gr, gc)
@@ -61,10 +64,9 @@ def _cell_grid(rows, cols, cells):
     return r_edges, c_edges
 
 
-def add_point_clutter(stack: ImageStack, scr_db, pfa, seed, cells=84,
-                      signal_ref=None):
-    """Discrete point clutter: each coarse-grid cell independently hosts a
-    clutter site with probability pfa.
+def add_point_clutter(stack: ImageStack, scr_db, pfa, seed, signal_ref=None):
+    """Discrete point clutter: each of the `CLUTTER_CELLS` coarse-grid cells
+    independently hosts a clutter site with probability pfa.
 
     Site amplitudes are complex, uniform phase, Rayleigh magnitude with mean
     square power set by scr_db against the reference level; each site lights a
@@ -79,7 +81,7 @@ def add_point_clutter(stack: ImageStack, scr_db, pfa, seed, cells=84,
     clutter_power = signal_ref * 10.0 ** (-scr_db / 10.0)
     rayleigh_scale = np.sqrt(clutter_power / 2.0)
     rows, cols = stack.image_shape
-    r_edges, c_edges = _cell_grid(rows, cols, cells)
+    r_edges, c_edges = _cell_grid(rows, cols)
     rng = np.random.default_rng(seed)
     out = stack.data.copy()   # C-ordered, so each img below is a view into it
     for q in range(stack.count):

@@ -14,6 +14,10 @@ from ..errors import ConfigError
 
 __all__ = ["GaitParams", "ScattererTrack", "gait_trajectory"]
 
+# the fixed body, in track order: torso, left arm, right arm, left leg, right leg
+BODY_HEIGHTS = (1.0, 1.1, 1.1, 0.5, 0.5)  # m above the ground
+REFLECTIVITIES = (1.0, 0.3, 0.3, 0.5, 0.5)
+
 
 @dataclass
 class ScattererTrack:
@@ -54,10 +58,6 @@ class GaitParams:
     leg_swing: float = 0.4
     start_xz: tuple[float, float] = (-3.0, 3.0)
     direction: tuple[float, float] = (1.0, 0.0)
-    torso_height: float = 1.0
-    arm_height: float = 1.1
-    leg_height: float = 0.5
-    reflectivities: tuple[float, ...] = (1.0, 0.3, 0.3, 0.5, 0.5)  # torso, arms, legs
 
 
 def gait_trajectory(gait: GaitParams, radar_xz, duration, sample_rate):
@@ -88,12 +88,10 @@ def gait_trajectory(gait: GaitParams, radar_xz, duration, sample_rate):
         gait.leg_swing * np.sin(phase),    # left leg
         gait.leg_swing * np.sin(phase + np.pi),  # right leg
     ]
-    heights = [gait.torso_height, gait.arm_height, gait.arm_height,
-               gait.leg_height, gait.leg_height]
     rho = np.empty((5, n))
     r3 = np.empty((5, n))
-    for b, (off, h) in enumerate(zip(offsets, heights)):
+    for b, (off, h) in enumerate(zip(offsets, BODY_HEIGHTS)):
         pos = torso + d[:, None] * off[None, :]
         rho[b] = np.hypot(pos[0] - radar[0], pos[1] - radar[1])
         r3[b] = np.sqrt(rho[b] ** 2 + h ** 2)
-    return ScattererTrack(t, r3, rho, np.asarray(gait.reflectivities, dtype=float))
+    return ScattererTrack(t, r3, rho, np.asarray(REFLECTIVITIES, dtype=float))

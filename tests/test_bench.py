@@ -107,6 +107,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("[sweep]\nalgorithms = dae perceptron\n")
 
+    def test_unknown_wall_class_rejected(self):
+        with pytest.raises(ConfigError, match="brick"):
+            parse_config("[dataset]\nwall_class = brick\n")
+
     def test_nodes_axis_rejected(self):
         with pytest.raises(ConfigError):
             SweepSpec(axis="nodes")
@@ -557,6 +561,14 @@ class TestCli:
         bad = tmp_path / "bad.ini"
         bad.write_text("[dataset]\nbogus = 1\n")
         assert main(["generate", "--config", str(bad)]) == 2
+
+    def test_unknown_wall_class_exit_code(self, tmp_path, capsys):
+        ini = tmp_path / "brick.ini"
+        ini.write_text("[dataset]\nwall_class = brick\n"
+                       f"[output]\ndirectory = {tmp_path / 'out'}\n")
+        assert main(["generate", "--config", str(ini)]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown wall class 'brick'")
+        assert not (tmp_path / "out").exists()
 
     def test_generate_writes_dataset(self, tmp_path):
         ini = tmp_path / "exp.ini"

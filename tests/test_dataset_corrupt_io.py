@@ -10,6 +10,7 @@ from radden.dataset import (ImageStack, add_noise, add_point_clutter,
                             frontal_phantoms, load_dataset, load_stack,
                             noise_power_for, save_dataset, save_stack,
                             shuffle_labels, signal_reference)
+from radden.dataset.corrupt import CLUTTER_CELLS
 from radden.errors import ConfigError, FormatError
 
 
@@ -86,21 +87,19 @@ class TestAddPointClutter:
         np.testing.assert_array_equal(out.data, stack.data)
 
     def test_site_count_tracks_cell_probability(self):
-        Q, pfa, cells = 50, 0.1, 84
+        Q, pfa = 50, 0.1
         stack = ImageStack(np.zeros((4096, Q)), (64, 64))
-        out = add_point_clutter(stack, 20.0, pfa, seed=3, cells=cells,
-                                signal_ref=1.0)
+        out = add_point_clutter(stack, 20.0, pfa, seed=3, signal_ref=1.0)
         changed = int(np.count_nonzero(out.data != stack.data))
-        expect = cells * pfa * Q
-        sigma = np.sqrt(cells * pfa * (1 - pfa) * Q)
+        expect = CLUTTER_CELLS * pfa * Q
+        sigma = np.sqrt(CLUTTER_CELLS * pfa * (1 - pfa) * Q)
         assert abs(changed - expect) <= 4 * sigma
 
     def test_per_image_site_count_bounded_by_cells(self):
         stack = ImageStack(np.zeros((4096, 4)), (64, 64))
-        out = add_point_clutter(stack, 20.0, 1.0, seed=0, cells=84,
-                                signal_ref=1.0)
+        out = add_point_clutter(stack, 20.0, 1.0, seed=0, signal_ref=1.0)
         per_image = np.count_nonzero(out.data != 0.0, axis=0)
-        assert np.all(per_image <= 84)
+        assert np.all(per_image <= CLUTTER_CELLS)
 
     def test_clutter_power_against_ratio(self):
         # zero signal + explicit reference: changed pixels are pure clutter

@@ -6,6 +6,7 @@ from radden.dataset import (SPEED_OF_LIGHT, ChannelModel, GaitParams,
                             RadarConfig, ScattererTrack, WallClass,
                             channel_response, gait_trajectory, hrrp,
                             radar_returns, spectrogram, to_db_normalize)
+from radden.dataset.gait import BODY_HEIGHTS
 from radden.errors import ConfigError, DomainError
 
 C = SPEED_OF_LIGHT
@@ -52,10 +53,11 @@ def _direct_returns(track, ch, radar, eta):
 class TestGait:
     def test_static_geometry(self):
         gait = GaitParams(speed=0.0, arm_swing=0.0, leg_swing=0.0,
-                          start_xz=(0.5, 3.0), torso_height=1.0)
+                          start_xz=(0.5, 3.0))
         track = gait_trajectory(gait, (0.5, 0.0), duration=1.0, sample_rate=100.0)
         np.testing.assert_allclose(track.ranges_ground[0], 3.0, atol=1e-12)
-        np.testing.assert_allclose(track.ranges_3d[0], np.sqrt(10.0), atol=1e-12)
+        np.testing.assert_allclose(track.ranges_3d[0],
+                                   np.sqrt(9.0 + BODY_HEIGHTS[0] ** 2), atol=1e-12)
 
     def test_tangential_pass_symmetry(self):
         gait = GaitParams(speed=1.0, arm_swing=0.0, leg_swing=0.0,
@@ -108,16 +110,6 @@ class TestChannel:
         ch = ChannelModel(WallClass.FREE_SPACE)
         assert abs(channel_response(ch, 4.0, 2.4e9, 1)) == pytest.approx(0.5)
 
-    def test_single_image_reflection_closed_form(self):
-        g, offset = 0.6, 1.5
-        ch = ChannelModel(WallClass.HIGH_CONDUCTIVITY, relative_spread=0.0,
-                          tap_count=0, image_count=1, image_gains=(g,),
-                          image_offsets=(offset,), direct_gain=0.0)
-        rho = 2.0
-        path = np.hypot(rho, 2 * offset)
-        H = channel_response(ch, rho, 5.0e9, 1)
-        assert abs(H) == pytest.approx(g / np.sqrt(path), rel=1e-12)
-
     def test_realization_determinism_and_variation(self):
         ch = ChannelModel(WallClass.LOW_CONDUCTIVITY, realizations=4, seed=3)
         a = channel_response(ch, 3.0, 2.4e9, 2)
@@ -125,6 +117,11 @@ class TestChannel:
         c = channel_response(ch, 3.0, 2.4e9, 3)
         assert a == b
         assert a != c
+
+    def test_wall_class_by_name(self):
+        assert ChannelModel("medium") == ChannelModel(WallClass.MEDIUM_CONDUCTIVITY)
+        with pytest.raises(ConfigError, match="brick"):
+            ChannelModel("brick")
 
     def test_domain_errors(self):
         ch = ChannelModel(WallClass.FREE_SPACE, realizations=2)
@@ -140,7 +137,8 @@ class TestChannel:
         (2.5, np.linspace(1.4e9, 3.4e9, 5)),
     ], ids=["scalar", "grid", "rho_vector", "f_vector"])
     @pytest.mark.parametrize("wall", [WallClass.LOW_CONDUCTIVITY,
-                                      WallClass.MEDIUM_CONDUCTIVITY])
+                                      WallClass.MEDIUM_CONDUCTIVITY,
+                                      WallClass.HIGH_CONDUCTIVITY])
     def test_factored_taps_match_per_tap_sum(self, wall, rho, f):
         ch = ChannelModel(wall, realizations=3, seed=7)
         gains, delays = ch._jitter(2)
