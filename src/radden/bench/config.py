@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..dataset import WallClass
+from ..dataset.frontal import FRONTAL_SHAPE
 from ..errors import ConfigError
 
 __all__ = [
@@ -46,11 +47,6 @@ class DatasetSpec:
     snr_db: float = -10.0
     scr_db: float = 0.0
     pfa: float = 0.0
-    image_rows: int = 64
-    image_cols: int = 64
-    db_floor: float = -70.0
-    db_ceil: float = -20.0
-    headroom_db: float = 20.0
     seed: int = 0
 
     def __post_init__(self):
@@ -64,10 +60,9 @@ class DatasetSpec:
             raise ConfigError("pfa must lie in [0, 1]")
         if self.kind == "hrrp" and self.bandwidth_hz <= 0:
             raise ConfigError("hrrp generation needs bandwidth_hz > 0")
-        if self.db_ceil <= self.db_floor:
-            raise ConfigError("db_ceil must exceed db_floor")
-        if not (0.0 <= self.headroom_db < self.db_ceil - self.db_floor):
-            raise ConfigError("headroom_db must lie in [0, dB span)")
+        if self.kind == "spectrogram" and self.bandwidth_hz > 0:
+            # the STFT reads one frequency, f0 = carrier - bandwidth / 2
+            raise ConfigError("spectrogram generation needs bandwidth_hz = 0")
 
     @property
     def count(self):
@@ -76,9 +71,8 @@ class DatasetSpec:
 
     @property
     def image_shape(self):
-        if self.kind == "frontal":
-            return (31, 31)
-        return (self.image_rows, self.image_cols)
+        """64 x 64 radar images; frontal phantoms have their own size."""
+        return FRONTAL_SHAPE if self.kind == "frontal" else (64, 64)
 
 
 @dataclass

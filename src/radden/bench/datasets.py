@@ -14,6 +14,8 @@ from ..dataset import (ChannelModel, GaitParams, ImageStack, RadarConfig,
                        WallClass, add_noise, add_point_clutter,
                        frontal_phantoms, gait_trajectory, hrrp, radar_returns,
                        signal_reference, spectrogram, to_db_normalize)
+from ..dataset.corrupt import CLUTTER_PFA
+from ..dataset.signatures import DB_WINDOW
 from ..errors import ConfigError
 from .config import DatasetSpec
 
@@ -30,6 +32,7 @@ _SAMPLE_RATE = 500.0
 _DURATION = 6.0
 _STFT_WINDOW = 50   # samples (0.1 s)
 _STFT_HOP = 5
+HEADROOM_DB = 20.0  # dB between each radar image's peak and the window's ceil
 
 
 def _radar_config(spec: DatasetSpec):
@@ -67,17 +70,19 @@ def _spectrogram_images(signal, spec: DatasetSpec):
                                   _STFT_WINDOW / _SAMPLE_RATE,
                                   hop=_STFT_HOP, doppler_bins=rows)
         if power.shape[1] < cols:
-            raise ConfigError("interval too short for the requested image width")
+            raise ConfigError(f"intervals = {spec.intervals} leaves {power.shape[1]} STFT "
+                              f"frames per interval; a spectrogram image needs {cols}")
         images.append(power[:, :cols])
     return images
 
 
 def _hrrp_images(s_rx, radar, spec: DatasetSpec):
-    """One power image per interval from returns at its `image_cols` samples."""
+    """One power image per interval from the returns at its kept time samples."""
     rows, cols = spec.image_shape
     power, _ = hrrp(s_rx, radar)
     if power.shape[0] < rows:
-        raise ConfigError("too few range bins for the requested image height")
+        raise ConfigError(f"freq_count = {spec.freq_count} gives {power.shape[0]} range "
+                          f"bins; an HRRP image needs {rows}")
     return [power[:rows, i * cols:(i + 1) * cols] for i in range(spec.intervals)]
 
 
@@ -95,7 +100,8 @@ def _base_power_images(spec: DatasetSpec):
     # an HRRP column needs only its own time sample; the STFT needs them all
     samples = None
     if spec.kind == "hrrp":
-        samples = np.concatenate([np.linspace(lo, hi - 1, spec.image_cols).astype(int)
+        cols = spec.image_shape[1]
+        samples = np.concatenate([np.linspace(lo, hi - 1, cols).astype(int)
                                   for lo, hi in _interval_bounds(spec)])
 
     def images_for(track, channel, eta):
@@ -114,9 +120,9 @@ def _base_power_images(spec: DatasetSpec):
                  for images in (clean, corrupt))
 
 
-def _unit_db(power, spec: DatasetSpec):
+def _unit_db(power):
     """Per-image gain control: each column's own peak power is mapped a fixed
-    headroom below the dB ceiling, then the clamped dB range is rescaled to
+    headroom below the dB ceiling, then the clamped dB window is rescaled to
     [0, 1].  Per-image calibration keeps heavily attenuated through-wall
     returns visible instead of letting one bright free-space frame swamp the
     shared scale; the headroom leaves room above the signal peak for additive
@@ -124,18 +130,18 @@ def _unit_db(power, spec: DatasetSpec):
     peak = power.max(axis=0)
     if np.any(peak <= 0):
         raise ConfigError("degenerate image: no signal energy")
-    scale = 10.0 ** ((spec.db_ceil - spec.headroom_db) / 10.0) / peak
-    return to_db_normalize(power * scale, (spec.db_floor, spec.db_ceil))
+    scale = 10.0 ** ((DB_WINDOW[1] - HEADROOM_DB) / 10.0) / peak
+    return to_db_normalize(power * scale)
 
 
 def _base_columns(spec: DatasetSpec):
     """Clean and corrupt P x n base columns in [0, 1], before corruption."""
     if spec.kind == "frontal":
         base = frontal_phantoms(spec.intervals * spec.realizations,
-                                seed=spec.seed, image_shape=spec.image_shape)
+                                seed=spec.seed)
         return base.data, base.data
     clean, corrupt = _base_power_images(spec)
-    return _unit_db(clean, spec), _unit_db(corrupt, spec)
+    return _unit_db(clean), _unit_db(corrupt)
 
 
 def generate_pair(spec: DatasetSpec):
@@ -143,9 +149,9 @@ def generate_pair(spec: DatasetSpec):
 
     Base column c is replicated across the noise draws, so stack column
     q = c * noise_draws + draw.  The corrupt stack then receives point
-    clutter (frontal corruption defaults to the 5-sites rate 0.06 when
-    pfa = 0) and one independent noise draw per replica, both scaled to the
-    clean stack's reference level.
+    clutter (frontal corruption defaults to `CLUTTER_PFA` when pfa = 0) and
+    one independent noise draw per replica, both scaled to the clean stack's
+    reference level.
     """
     clean_base, corrupt_base = _base_columns(spec)
     d = spec.noise_draws
@@ -161,7 +167,7 @@ def generate_pair(spec: DatasetSpec):
 
     clean, corrupt = stack(clean_base, "clean"), stack(corrupt_base, "corrupt")
     ref = signal_reference(clean)
-    pfa = 0.06 if spec.kind == "frontal" and spec.pfa == 0.0 else spec.pfa
+    pfa = CLUTTER_PFA if spec.kind == "frontal" and spec.pfa == 0.0 else spec.pfa
     if pfa > 0.0:
         corrupt = add_point_clutter(corrupt, spec.scr_db, pfa,
                                     seed=[spec.seed, 3], signal_ref=ref)

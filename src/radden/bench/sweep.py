@@ -24,6 +24,7 @@ from ..autoencoders import (TrainOptions, infer, prepare_pair, train_dae,
 from ..baselines import (SvdFilterConfig, WaveletFilterConfig, svd_denoise,
                          wavelet_denoise)
 from ..dataset import WallClass, shuffle_labels
+from ..dataset.corrupt import CLUTTER_PFA
 from ..errors import ConfigError, DomainError
 from ..metrics import _core_count, _map_blocks, columns_to_images, ssim_stack
 from ..sparse_solvers import IstaOptions
@@ -157,7 +158,7 @@ def _grid_data(cfg: ExperimentConfig, value, seed):
     if cfg.sweep.axis == "snr":
         spec = replace(spec, snr_db=float(value))
     elif cfg.sweep.axis == "scr":
-        spec = replace(spec, scr_db=float(value), pfa=max(spec.pfa, 0.06))
+        spec = replace(spec, scr_db=float(value), pfa=max(spec.pfa, CLUTTER_PFA))
     elif cfg.sweep.axis == "mismatch":
         mismatch = float(value)
     clean, corrupt = generate_pair(spec)

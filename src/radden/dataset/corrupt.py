@@ -10,41 +10,36 @@ from .stack_io import ImageStack
 __all__ = [
     "add_noise",
     "add_point_clutter",
-    "noise_power_for",
     "shuffle_labels",
     "signal_reference",
 ]
 
 
-def signal_reference(stack, floor=0.0):
-    """Mean power of the above-floor pixels: the SNR/SCR reference level."""
+def signal_reference(stack):
+    """Mean power of the nonzero pixels: the SNR/SCR reference level."""
     data = stack.data if isinstance(stack, ImageStack) else np.asarray(stack)
-    above = data[data > floor]
+    above = data[data > 0.0]
     if above.size == 0:
         return 0.0
     return float(np.mean(above ** 2))
 
 
-def noise_power_for(stack, snr_db, signal_ref=None):
-    """Noise variance N_p so that 10 log10(signal_ref / N_p) = snr_db."""
-    if signal_ref is None:
-        signal_ref = signal_reference(stack)
-    return signal_ref * 10.0 ** (-snr_db / 10.0)
-
-
 def add_noise(stack: ImageStack, snr_db, seed, signal_ref=None):
-    """Per-pixel additive Gaussian noise at the requested SNR, re-clamped to
-    [0, 1].  An infinite snr_db is the no-noise sentinel; deterministic under
-    the seed."""
+    """Per-pixel additive Gaussian noise of variance N_p, with
+    10 log10(signal_ref / N_p) = snr_db, re-clamped to [0, 1].  An infinite
+    snr_db is the no-noise sentinel; deterministic under the seed."""
     if snr_db is None or np.isinf(snr_db):
         return stack.copy()
-    n_p = noise_power_for(stack, snr_db, signal_ref)
+    if signal_ref is None:
+        signal_ref = signal_reference(stack)
+    n_p = signal_ref * 10.0 ** (-snr_db / 10.0)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, np.sqrt(n_p), size=stack.data.shape)
     return stack.copy(data=np.clip(stack.data + noise, 0.0, 1.0))
 
 
 CLUTTER_CELLS = 84  # candidate clutter sites per image
+CLUTTER_PFA = 0.06  # default site rate, about 5 of the 84 cells
 
 
 def _cell_grid(rows, cols):

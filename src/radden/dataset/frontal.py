@@ -9,6 +9,8 @@ from .stack_io import ImageStack
 
 __all__ = ["frontal_phantoms"]
 
+FRONTAL_SHAPE = (31, 31)  # (rows, cols) of every phantom image
+
 
 def _blob(rows, cols, cy, cx, sy, sx, amp):
     y = np.arange(rows)[:, None]
@@ -16,12 +18,12 @@ def _blob(rows, cols, cy, cx, sy, sx, amp):
     return amp * np.exp(-0.5 * (((y - cy) / sy) ** 2 + ((x - cx) / sx) ** 2))
 
 
-def frontal_phantoms(count, seed=0, image_shape=(31, 31)):
+def frontal_phantoms(count, seed=0):
     """Clean frontal image stack: torso + head + two arms + two legs blobs
     with per-image jitter in position, scale, and limb spread."""
     if count < 1:
         raise ConfigError("count must be >= 1")
-    rows, cols = image_shape
+    rows, cols = FRONTAL_SHAPE
     rng = np.random.default_rng(seed)
     data = np.empty((rows * cols, count))
     for q in range(count):
@@ -38,5 +40,5 @@ def frontal_phantoms(count, seed=0, image_shape=(31, 31)):
                          rows * 0.12, cols * 0.05, 0.6)
         img /= img.max()
         data[:, q] = img.ravel(order="F")
-    return ImageStack(data=data, image_shape=image_shape, role="clean",
+    return ImageStack(data=data, image_shape=FRONTAL_SHAPE, role="clean",
                       value_kind="frontal")

@@ -12,6 +12,8 @@ from .gait import ScattererTrack
 
 __all__ = ["RadarConfig", "hrrp", "radar_returns", "spectrogram", "to_db_normalize"]
 
+DB_WINDOW = (-70.0, -20.0)  # (floor, ceil) in dB of every radar image
+
 
 @dataclass
 class RadarConfig:
@@ -138,12 +140,10 @@ def hrrp(s_rx, radar: RadarConfig):
     return power, ranges
 
 
-def to_db_normalize(img, dynamic_range_db=(-70.0, -20.0)):
+def to_db_normalize(img):
     """Map a power (or complex-amplitude) image to [0, 1] through a clamped
-    dB scale: 10 log10 clamped to [floor, ceil], then affine to [0, 1]."""
-    floor, ceil = dynamic_range_db
-    if floor >= ceil:
-        raise ConfigError("dB floor must be below ceil")
+    dB scale: 10 log10 clamped to `DB_WINDOW`, then affine to [0, 1]."""
+    floor, ceil = DB_WINDOW
     img = np.asarray(img)
     power = np.abs(img) ** 2 if np.iscomplexobj(img) else np.asarray(img, dtype=float)
     with np.errstate(divide="ignore"):

@@ -111,6 +111,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="brick"):
             parse_config("[dataset]\nwall_class = brick\n")
 
+    @pytest.mark.parametrize("path", sorted(
+        (Path(__file__).parents[1] / "configs").glob("*.ini")),
+        ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        assert isinstance(load_config(path), ExperimentConfig)
+
+    @pytest.mark.parametrize("key", ["image_rows", "image_cols", "db_floor",
+                                     "db_ceil", "headroom_db"])
+    def test_fixed_image_setting_rejected(self, key):
+        # image sizes, the dB window and the headroom are not settable
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(f"[dataset]\nkind = frontal\n{key} = 32\n")
+
+    def test_wideband_spectrogram_rejected(self):
+        # the STFT would read only f0 = carrier - bandwidth / 2
+        with pytest.raises(ConfigError, match="bandwidth_hz"):
+            parse_config("[dataset]\nkind = spectrogram\n"
+                         "bandwidth_hz = 2e9\nfreq_count = 133\n")
+
     def test_nodes_axis_rejected(self):
         with pytest.raises(ConfigError):
             SweepSpec(axis="nodes")
@@ -199,7 +218,7 @@ class TestGeneration:
                            seed=7)
         clean, corrupt = generate_pair(spec)
         c = np.repeat(np.arange(6), 2)
-        base = frontal_phantoms(6, seed=7, image_shape=spec.image_shape)
+        base = frontal_phantoms(6, seed=7)
         np.testing.assert_array_equal(clean.data, base.data[:, c])
         np.testing.assert_array_equal(
             corrupt.data, _clutter_then_noise(base.select(c), clean, spec, rate))
@@ -220,6 +239,19 @@ class TestGeneration:
         for stack in (clean, corrupt):
             np.testing.assert_array_equal(stack.interval_index, c % 2)
             np.testing.assert_array_equal(stack.realization, c // 2 + 1)
+
+    def test_too_few_stft_frames_refused(self):
+        # 3,000 samples over 9 intervals give 57 frames, not 64
+        spec = DatasetSpec(kind="spectrogram", realizations=1, intervals=9,
+                           noise_draws=1)
+        with pytest.raises(ConfigError, match=r"intervals = 9 .*needs 64"):
+            generate_pair(spec)
+
+    def test_too_few_range_bins_refused(self):
+        spec = DatasetSpec(kind="hrrp", bandwidth_hz=2e9, freq_count=32,
+                           realizations=1, intervals=2, noise_draws=1)
+        with pytest.raises(ConfigError, match=r"freq_count = 32 .*needs 64"):
+            generate_pair(spec)
 
     def test_noise_draws_differ(self):
         spec = DatasetSpec(kind="spectrogram", realizations=1, intervals=2,
@@ -568,6 +600,15 @@ class TestCli:
                        f"[output]\ndirectory = {tmp_path / 'out'}\n")
         assert main(["generate", "--config", str(ini)]) == 2
         assert capsys.readouterr().err.startswith("error: unknown wall class 'brick'")
+        assert not (tmp_path / "out").exists()
+
+    def test_wideband_spectrogram_exit_code(self, tmp_path, capsys):
+        ini = tmp_path / "wide.ini"
+        ini.write_text("[dataset]\nkind = spectrogram\nbandwidth_hz = 2e9\n"
+                       "freq_count = 133\n"
+                       f"[output]\ndirectory = {tmp_path / 'out'}\n")
+        assert main(["generate", "--config", str(ini)]) == 2
+        assert capsys.readouterr().err.startswith("error: spectrogram")
         assert not (tmp_path / "out").exists()
 
     def test_generate_writes_dataset(self, tmp_path):

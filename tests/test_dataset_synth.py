@@ -284,7 +284,7 @@ class TestSpectrogram:
 
     def test_silence_hits_db_floor(self):
         power, _, _ = spectrogram(np.zeros(500, dtype=complex), 500.0, 0.1)
-        img = to_db_normalize(power, (-70, -20))
+        img = to_db_normalize(power)
         np.testing.assert_array_equal(img, np.zeros_like(img))
 
     def test_two_tone_power_ratio(self):
@@ -357,22 +357,18 @@ class TestHrrp:
 
 class TestToDbNormalize:
     def test_upper_clamp(self):
-        assert to_db_normalize(np.array([1.0]), (-70, -20))[0] == 1.0
+        assert to_db_normalize(np.array([1.0]))[0] == 1.0
 
     def test_zero_power_floor(self):
-        assert to_db_normalize(np.array([0.0]), (-70, -20))[0] == 0.0
+        assert to_db_normalize(np.array([0.0]))[0] == 0.0
 
     def test_affine_midpoint(self):
         mid = 10.0 ** (-45.0 / 10.0)
-        assert to_db_normalize(np.array([mid]), (-70, -20))[0] == pytest.approx(0.5)
+        assert to_db_normalize(np.array([mid]))[0] == pytest.approx(0.5)
 
     def test_complex_input_uses_power(self):
         z = np.array([10 ** (-22.5 / 10.0) + 0j])
-        assert to_db_normalize(z, (-70, -20))[0] == pytest.approx(0.5)
-
-    def test_bad_range(self):
-        with pytest.raises(ConfigError):
-            to_db_normalize(np.ones(3), (-20, -20))
+        assert to_db_normalize(z)[0] == pytest.approx(0.5)
 
 
 def _full_grid_hrrp_images(s_rx, radar, spec):
