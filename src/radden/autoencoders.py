@@ -234,7 +234,9 @@ def _update_code(W, H, c, i, mu, ista, E=None, stats=None):
         E = W[i] @ H[i]
     Wn, T = W[i + 1], H[i + 2]
     if mu is None:
-        return E + solve_least_squares(Wn.T, (T - Wn @ E).T, ridge=c[i] / c[i + 1]).T
+        V = Wn @ E
+        np.subtract(T, V, out=V)   # T - Wn E in one buffer
+        return E + solve_least_squares(Wn.T, V.T, ridge=c[i] / c[i + 1]).T
     DtD = c[i + 1] * (Wn.T @ Wn)
     DtD[np.diag_indices_from(DtD)] += c[i]
     DtY = c[i + 1] * (Wn.T @ T) + c[i] * E
@@ -289,14 +291,18 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts, pair=None):
     rng = np.random.default_rng(opts.seed)
     L = len(sizes)
     dims = (X.shape[0], *sizes, X.shape[0])
-    W = [_init_matrix(rng, dims[i + 1], dims[i]) for i in range(L)]
+    # each random W_i forms its code before the next is drawn, in chain
+    # order, so the P-wide W_0, never read since E[0] comes from the input
+    # design, is freed before the decoder is drawn
+    W, H = [], [Xhat]
+    for i in range(L):
+        M = _init_matrix(rng, dims[i + 1], dims[i])
+        H.append(M @ H[-1])
+        W.append(M if i else None)
+    del M
     W.append(_init_matrix(rng, dims[L + 1], dims[L])
              if order.index(("Z", L - 1)) < order.index(("W", L)) else None)
-    H = [Xhat]
-    for M in W[:-1]:
-        H.append(M @ H[-1])
     H.append(X)
-    W[0] = None   # never read: E[0] comes from the input design
     E = H[1:-1]   # E[i] = W_i H[i] of each code's coupling term; None when stale
     couplings = (*c, 1.0)
     encoder_target = decoder_code = None

@@ -93,16 +93,21 @@ def _base_power_images(spec: DatasetSpec):
     once through realization eta of the wall channel (corrupt); its interval
     i lands in column (eta - 1) * intervals + i.
     """
-    radar = _radar_config(spec)
-    free = ChannelModel(WallClass.FREE_SPACE)
-    wall = ChannelModel(spec.wall_class, realizations=spec.realizations,
-                        seed=spec.seed)
     # an HRRP column needs only its own time sample; the STFT needs them all
     samples = None
     if spec.kind == "hrrp":
         cols = spec.image_shape[1]
+        bounds = _interval_bounds(spec)
+        per = bounds[0][1] - bounds[0][0]
+        if per < cols:   # the image would repeat time samples
+            raise ConfigError(f"intervals = {spec.intervals} leaves {per} time "
+                              f"samples per interval; an HRRP image needs {cols}")
         samples = np.concatenate([np.linspace(lo, hi - 1, cols).astype(int)
-                                  for lo, hi in _interval_bounds(spec)])
+                                  for lo, hi in bounds])
+    radar = _radar_config(spec)
+    free = ChannelModel(WallClass.FREE_SPACE)
+    wall = ChannelModel(spec.wall_class, realizations=spec.realizations,
+                        seed=spec.seed)
 
     def images_for(track, channel, eta):
         s_rx = radar_returns(track, channel, radar, eta=eta, samples=samples)

@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
+import functools
 import hashlib
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -170,20 +172,26 @@ def _grid_data(cfg: ExperimentConfig, value, seed):
                      clean.data[:, test_idx], corrupt.data[:, test_idx])
 
 
-def _fit(algorithm, data: _GridData, cfg: ExperimentConfig, seed, pair):
+def _train_timed(algorithm, data: _GridData, cfg: ExperimentConfig, seed,
+                 pair):
+    """((weights, trace), wall seconds) of one trainer call on data's
+    training columns, whose TrainingPair is `pair`."""
+    t0 = time.perf_counter()
+    trained = train_model(algorithm, data.clean_tr, data.corrupt_tr, cfg,
+                          seed, pair=pair)
+    return trained, time.perf_counter() - t0
+
+
+def _fit(algorithm, data: _GridData, cfg: ExperimentConfig, trained):
     """(denoised test columns, train_seconds, test_ms) of one algorithm;
     denoised is None when the training objective trace is not finite.
-    An autoencoder trains on `pair`, the TrainingPair of data's training
-    columns; a baseline ignores it."""
-    if algorithm not in AUTOENCODERS:
+    `trained` is an autoencoder's _train_timed result; a baseline has None."""
+    if trained is None:
         t0 = time.perf_counter()
         denoised = _baseline_denoise(algorithm, data.corrupt_te,
                                      data.spec.image_shape, cfg)
         return denoised, 0.0, (time.perf_counter() - t0) * 1e3
-    t0 = time.perf_counter()
-    weights, trace = train_model(algorithm, data.clean_tr, data.corrupt_tr,
-                                 cfg, seed, pair=pair)
-    train_seconds = time.perf_counter() - t0
+    (weights, trace), train_seconds = trained
     if not all(np.isfinite(v) for v in trace.objectives):
         return None, train_seconds, 0.0
     t0 = time.perf_counter()
@@ -199,39 +207,116 @@ def _score(denoised, data: _GridData):
     return float(np.mean(ssim)), _mean_nmse(denoised, data.clean_te)
 
 
+@functools.cache
+def _blas_thread_functions():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
+
+    numpy's wheels link OpenBLAS into `_multiarray_umath`, and its handle
+    finds the library's symbols: `scipy_openblas_*_num_threads64_` in numpy 2
+    wheels, the plain `openblas_*_num_threads` in older ones."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:   # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """This process's BLAS on one thread for the block, and the thread count
+    it had restored on exit.  Yields that count; yields 1 and changes
+    nothing when no thread setter is found."""
+    functions = _blas_thread_functions()
+    if functions is None:
+        yield 1
+        return
+    get, set_ = functions
+    threads = get()
+    set_(1)
+    try:
+        yield threads
+    finally:
+        set_(threads)
+
+
+# the autoencoders that a grid point may train on pool threads, longest first
+_POOLED_TRAINERS = ("stacked_sdae", "sparse_dae")
+
+
 def evaluate_grid_point(cfg: ExperimentConfig, value, seed):
     """Train/evaluate every configured algorithm at one grid point.
 
+    The call's thread budget is the BLAS thread count the process has,
+    capped by its cores (1 when no BLAS thread setter is found).  BLAS runs
+    on one thread for the whole call, so the rows do not depend on that
+    count, and the budget goes to trainers instead: before the algorithm
+    loop, one pool thread per unit of budget beyond the first starts one of
+    _POOLED_TRAINERS, in that order.  The calling thread runs every other
+    step in algorithm order, waiting for a pooled trainer when it reaches
+    it, so inference and scoring stay on the calling thread and in order.
+    The BLAS thread count is process-wide, so grid points must not run
+    concurrently on threads of one process.
+
     The autoencoders share one TrainingPair of the training columns, built
-    before the first of them trains (its train_seconds include the build)
-    and dropped after the last, so the pair's Q x P matrices are not alive
-    while the baselines and the remaining scores run."""
+    before the loop (the first autoencoder's train_seconds include the
+    build) and dropped once the last has finished, so the pair's Q x P
+    matrices are not alive while the remaining baselines and scores run."""
+    with _one_blas_thread() as blas_threads:
+        return _evaluate(cfg, value, seed, min(blas_threads, _core_count()))
+
+
+def _evaluate(cfg: ExperimentConfig, value, seed, budget):
+    """evaluate_grid_point's rows with `budget` threads, BLAS on one."""
     data = _grid_data(cfg, value, seed)
     spec = data.spec
     ssim_bd, nmse_bd = _score(data.corrupt_te, data)
     algorithms = cfg.sweep.algorithms
     last_fit = max((i for i, a in enumerate(algorithms) if a in AUTOENCODERS),
                    default=-1)
-    pair = None
-    rows = []
-    for i, algorithm in enumerate(algorithms):
-        pair_seconds = 0.0
-        if pair is None and algorithm in AUTOENCODERS:
-            t0 = time.perf_counter()
-            pair = prepare_pair(data.clean_tr, data.corrupt_tr)
-            pair_seconds = time.perf_counter() - t0
-        denoised, train_seconds, test_ms = _fit(algorithm, data, cfg, seed, pair)
-        if i == last_fit:
-            pair = None
-        ssim_ad, nmse_ad = _score(denoised, data)
-        rows.append(ResultRow(
-            kind=spec.kind, algorithm=algorithm, carrier_hz=spec.carrier_hz,
-            wall_class=WallClass(spec.wall_class).value,
-            snr_db=spec.snr_db, scr_db=spec.scr_db,
-            mismatch_pct=100.0 * data.mismatch, ssim_bd=ssim_bd,
-            ssim_ad=ssim_ad, nmse_bd=nmse_bd, nmse_ad=nmse_ad,
-            train_seconds=train_seconds + pair_seconds, test_ms=test_ms,
-            seed=seed))
+    pair, pair_seconds = None, 0.0
+    if last_fit >= 0:
+        t0 = time.perf_counter()
+        pair = prepare_pair(data.clean_tr, data.corrupt_tr)
+        pair_seconds = time.perf_counter() - t0
+    trainers = [a for a in _POOLED_TRAINERS if a in algorithms][:budget - 1]
+    pooled, rows = {}, []
+    with contextlib.ExitStack() as stack:
+        if trainers:
+            pool = stack.enter_context(ThreadPoolExecutor(len(trainers)))
+            pooled = {a: pool.submit(_train_timed, a, data, cfg, seed, pair)
+                      for a in trainers}
+        for i, algorithm in enumerate(algorithms):
+            trained = None
+            if algorithm in pooled:
+                trained = pooled[algorithm].result()
+            elif algorithm in AUTOENCODERS:
+                trained = _train_timed(algorithm, data, cfg, seed, pair)
+            denoised, train_seconds, test_ms = _fit(algorithm, data, cfg,
+                                                    trained)
+            if trained is not None:   # the first autoencoder counts the pair
+                train_seconds, pair_seconds = train_seconds + pair_seconds, 0.0
+            if i == last_fit:
+                pair = None
+            ssim_ad, nmse_ad = _score(denoised, data)
+            rows.append(ResultRow(
+                kind=spec.kind, algorithm=algorithm,
+                carrier_hz=spec.carrier_hz,
+                wall_class=WallClass(spec.wall_class).value,
+                snr_db=spec.snr_db, scr_db=spec.scr_db,
+                mismatch_pct=100.0 * data.mismatch, ssim_bd=ssim_bd,
+                ssim_ad=ssim_ad, nmse_bd=nmse_bd, nmse_ad=nmse_ad,
+                train_seconds=train_seconds, test_ms=test_ms, seed=seed))
     return rows
 
 

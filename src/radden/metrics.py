@@ -17,6 +17,10 @@ __all__ = ["BLOCK_IMAGES", "columns_to_images",
 # call: the SVD and wavelet working copies, and SSIM's contiguous inputs,
 # window products and filtered maps.
 BLOCK_IMAGES = 128
+# SSIM's scratch grows with the pixels it scores at once, so a block is
+# scored in chunks of at most the pixels of one block of 31 x 31 (frontal)
+# images
+_SSIM_CHUNK_PIXELS = BLOCK_IMAGES * 31 * 31
 
 
 def _core_count():
@@ -173,9 +177,9 @@ def ssim(a, b):
 
 def ssim_stack(stack, ref_stack, image_shape):
     """Column-wise SSIM of two vectorized image stacks; returns the per-column
-    array.  Scores BLOCK_IMAGES columns per kernel call, which bounds the
-    temporary memory of the window products and filtered maps, on every core
-    (_map_blocks)."""
+    array.  Scores BLOCK_IMAGES columns per block on every core (_map_blocks),
+    and at most _SSIM_CHUNK_PIXELS pixels per kernel call, which bounds the
+    temporary memory of the window products and filtered maps."""
     stack = np.asarray(stack, dtype=float)
     ref_stack = np.asarray(ref_stack, dtype=float)
     if stack.shape != ref_stack.shape:
@@ -186,9 +190,13 @@ def ssim_stack(stack, ref_stack, image_shape):
     a = columns_to_images(stack, image_shape)
     b = columns_to_images(ref_stack, image_shape)
     out = np.empty(stack.shape[1])
+    chunk = max(1, _SSIM_CHUNK_PIXELS // (rows * cols))
 
     def score(block):
-        out[block] = _ssim_images(a[block], b[block])
+        start, stop, _ = block.indices(len(out))
+        for lo in range(start, stop, chunk):
+            part = slice(lo, min(lo + chunk, stop))
+            out[part] = _ssim_images(a[part], b[part])
 
     _map_blocks(score, len(out))
     return out

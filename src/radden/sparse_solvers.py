@@ -1,6 +1,7 @@
 """Dense ridge least squares and ISTA, the two kernels behind every autoencoder variant."""
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +93,7 @@ class RidgeDesign:
         else:
             self._gram = A @ A.T + ridge * np.eye(n)
         self._hat = None
+        self._hat_lock = threading.Lock()   # trainers on threads share one
 
     def solve(self, B):
         B = _checked_target(B, self.A)
@@ -108,14 +110,15 @@ class RidgeDesign:
         q^2 per target row instead of the 2 n q of forming W and then W A;
         that is cheaper while q < 2n.
         """
-        if self._hat is None:
-            A = self.A
-            if self.ridge == 0:
-                self._hat = self._K @ A
-            elif self._tall:   # (A.T A + rI)^-1 A.T A
-                self._hat = np.linalg.solve(self._gram, A.T @ A)
-            else:              # A.T (A A.T + rI)^-1 A
-                self._hat = A.T @ np.linalg.solve(self._gram, A)
+        with self._hat_lock:
+            if self._hat is None:
+                A = self.A
+                if self.ridge == 0:
+                    self._hat = self._K @ A
+                elif self._tall:   # (A.T A + rI)^-1 A.T A
+                    self._hat = np.linalg.solve(self._gram, A.T @ A)
+                else:              # A.T (A A.T + rI)^-1 A
+                    self._hat = A.T @ np.linalg.solve(self._gram, A)
         return _checked_target(B, self.A) @ self._hat
 
 

@@ -17,6 +17,7 @@ from radden.bench import (DatasetSpec, ExperimentConfig, SweepSpec, TrainSpec,
                           csv_content_hash, evaluate_grid_point, generate_pair,
                           load_config, load_rows, parse_config, run_sweep,
                           summarize, train_model, write_plot_data, write_rows)
+from radden.bench import datasets as datasets_module
 from radden.bench import sweep as sweep_module
 from radden.bench.sweep import ResultRow, _mean_nmse
 from radden.cli import main
@@ -253,6 +254,31 @@ class TestGeneration:
         with pytest.raises(ConfigError, match=r"freq_count = 32 .*needs 64"):
             generate_pair(spec)
 
+    def test_hrrp_intervals_short_of_64_samples_refused(self, monkeypatch):
+        # 3,000 samples over 47 intervals leave 63 per interval
+        def synthesis(*args, **kwargs):
+            raise AssertionError("synthesis started")
+        monkeypatch.setattr(datasets_module, "radar_returns", synthesis)
+        spec = DatasetSpec(kind="hrrp", bandwidth_hz=2e9, freq_count=64,
+                           realizations=1, intervals=47, noise_draws=1)
+        with pytest.raises(ConfigError, match=r"intervals = 47 .*needs 64"):
+            generate_pair(spec)
+
+    def test_hrrp_46_intervals_keep_64_distinct_samples(self, monkeypatch):
+        seen, original = [], datasets_module.radar_returns
+
+        def recording(*args, samples=None, **kwargs):
+            seen.append(samples)
+            return original(*args, samples=samples, **kwargs)
+        monkeypatch.setattr(datasets_module, "radar_returns", recording)
+        spec = DatasetSpec(kind="hrrp", bandwidth_hz=2e9, freq_count=64,
+                           realizations=1, intervals=46, noise_draws=1)
+        clean, _ = generate_pair(spec)
+        assert clean.count == 46 and len(seen) == 2
+        for samples in seen:
+            per_interval = samples.reshape(46, 64)
+            assert all(len(set(row)) == 64 for row in per_interval)
+
     def test_noise_draws_differ(self):
         spec = DatasetSpec(kind="spectrogram", realizations=1, intervals=2,
                            noise_draws=3, snr_db=0.0)
@@ -459,6 +485,116 @@ def test_sweep_restores_blas_variables_when_the_pool_fails(monkeypatch):
         run_sweep(tiny_config(algorithms=("wavelet",)), jobs=2)
     assert seen == [["2"] * 3]
     assert [os.environ.get(name) for name in BLAS_VARIABLES] == ["7", None, "5"]
+
+
+SNR_SWEEP = Path(__file__).parents[1] / "configs" / "snr_sweep.ini"
+
+
+def _untimed(rows):
+    return [replace(r, train_seconds=0.0, test_ms=0.0) for r in rows]
+
+
+@pytest.fixture
+def process_blas():
+    """Set this process's BLAS thread count through the grid point's own
+    setter; the count it had is restored after the test."""
+    functions = sweep_module._blas_thread_functions()
+    if functions is None:
+        pytest.skip("no BLAS thread setter found")
+    get, set_ = functions
+    saved = get()
+    yield functions
+    set_(saved)
+
+
+def test_grid_point_rows_do_not_depend_on_blas_threads(process_blas):
+    # at 2 BLAS threads StackedSDAE's SSIM here read 0.6988211526, at 1
+    # 0.6988208410, before the grid point ran BLAS on one thread
+    get, set_ = process_blas
+    cfg = load_config(SNR_SWEEP)
+    rows = {}
+    for threads in (2, 1):
+        set_(threads)
+        rows[threads] = _untimed(evaluate_grid_point(cfg, 5.0, 1))
+        assert get() == threads
+    assert rows[2] == rows[1]
+
+
+class FakeBlas:
+    """A BLAS thread get/set pair that records each count set."""
+    def __init__(self, threads):
+        self.threads, self.set_to = threads, []
+
+    def get(self):
+        return self.threads
+
+    def set(self, threads):
+        self.threads = threads
+        self.set_to.append(threads)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_grid_point_restores_blas_threads(monkeypatch, cores):
+    blas = FakeBlas(2)
+    monkeypatch.setattr(sweep_module, "_blas_thread_functions",
+                        lambda: (blas.get, blas.set))
+    monkeypatch.setattr(sweep_module, "_core_count", lambda: cores)
+    cfg = tiny_config(algorithms=("dae", "stacked_sdae"))
+    assert len(evaluate_grid_point(cfg, 0.0, 0)) == 2
+    assert blas.set_to == [1, 2]
+    seen = []
+
+    def failing(*args, **kwargs):
+        seen.append(blas.threads)
+        raise RuntimeError("trainer failed")
+    monkeypatch.setattr(sweep_module, "train_stacked_sdae", failing)
+    with pytest.raises(RuntimeError, match="trainer failed"):
+        evaluate_grid_point(cfg, 0.0, 0)
+    assert seen == [1] and blas.set_to == [1, 2, 1, 2]
+
+
+def _record_threads(monkeypatch):
+    """The thread of each trainer call and of each ssim_stack call."""
+    threads = {"ssim_stack": []}
+
+    def recording(name, fn):
+        def call(*args, **kwargs):
+            threads.setdefault(name, []).append(threading.get_ident())
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(sweep_module, name, call)
+    for name in ("train_dae", "train_sparse_dae", "train_stacked_sdae",
+                 "ssim_stack"):
+        recording(name, getattr(sweep_module, name))
+    return threads
+
+
+def test_grid_point_trains_on_pool_threads_alike(monkeypatch, process_blas):
+    process_blas[1](2)   # a budget of min(2, cores)
+    cfg = tiny_config(algorithms=("dae", "sparse_dae", "stacked_sdae",
+                                  "svd", "wavelet"))
+    rows, threads = {}, {}
+    for cores in (1, 2):
+        monkeypatch.setattr(sweep_module, "_core_count", lambda: cores)
+        threads[cores] = _record_threads(monkeypatch)
+        rows[cores] = _untimed(evaluate_grid_point(cfg, 0.0, 0))
+        monkeypatch.undo()
+    assert rows[1] == rows[2]
+    caller = threading.get_ident()
+    assert all(set(calls) == {caller} for calls in threads[1].values())
+    assert caller not in threads[2]["train_stacked_sdae"]
+    assert set(threads[2]["ssim_stack"]) == {caller}
+    assert len(threads[2]["ssim_stack"]) == 1 + len(rows[2])
+
+
+def test_grid_point_pools_nothing_without_a_blas_setter(monkeypatch):
+    monkeypatch.setattr(sweep_module, "_blas_thread_functions", lambda: None)
+    monkeypatch.setattr(sweep_module, "_core_count", lambda: 2)
+    monkeypatch.setattr(sweep_module, "ThreadPoolExecutor", _no_pool)
+    threads = _record_threads(monkeypatch)
+    cfg = tiny_config(algorithms=("dae", "sparse_dae", "stacked_sdae"))
+    assert len(evaluate_grid_point(cfg, 0.0, 0)) == 3
+    caller = threading.get_ident()
+    assert all(set(calls) == {caller} for calls in threads.values())
 
 
 def test_run_sweep_rejects_jobs_below_one(monkeypatch):
