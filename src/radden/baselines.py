@@ -85,16 +85,27 @@ def svd_denoise(X, cfg: SvdFilterConfig | None = None, out=None):
 
 
 def _svd_filter(X, cfg: SvdFilterConfig):
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    n = s.shape[-1]
+    """svd_denoise's kernel through the eigendecomposition of the Gram matrix
+    on X's smaller side: for a tall or square X, X^T X = V diag(s^2) V^T and
+    the result is X V_k V_k^T; for a wide X, U_k U_k^T X from X X^T.  The
+    eigenvalues, clamped at 0, are the squared singular values and pick the
+    rank.  The Gram matrix's memory then holds the projector."""
+    wide = X.shape[-2] < X.shape[-1]
+    Xt = X.swapaxes(-1, -2)
+    G = X @ Xt if wide else Xt @ X
+    s2, V = np.linalg.eigh(G)   # ascending, so the top k are the last k
+    n = s2.shape[-1]
     if cfg.rank is not None:
         k = cfg.rank
     else:
-        energy = np.cumsum(s * s, axis=-1)
+        np.maximum(s2, 0.0, out=s2)
+        energy = np.cumsum(s2[..., ::-1], axis=-1)
         target = cfg.energy_fraction * energy[..., -1:]
         k = np.sum(energy < target, axis=-1, keepdims=True) + 1
-    U *= np.where(np.arange(n) < k, s, 0.0)[..., None, :]
-    return U @ Vt
+    V *= (np.arange(n) >= n - k)[..., None, :]
+    np.matmul(V, V.swapaxes(-1, -2), out=G)
+    del V
+    return G @ X if wide else X @ G
 
 
 def _pairs(x, axis):

@@ -63,6 +63,13 @@ class DatasetSpec:
         if self.kind == "spectrogram" and self.bandwidth_hz > 0:
             # the STFT reads one frequency, f0 = carrier - bandwidth / 2
             raise ConfigError("spectrogram generation needs bandwidth_hz = 0")
+        if self.kind == "frontal":
+            # phantoms have no wall and no radar: rows would record settings
+            # that the images never saw
+            for name, default in _RADAR_DEFAULTS.items():
+                if getattr(self, name) != default:
+                    raise ConfigError(f"frontal images take no {name}; "
+                                      f"leave it at {default!r}")
 
     @property
     def count(self):
@@ -73,6 +80,12 @@ class DatasetSpec:
     def image_shape(self):
         """64 x 64 radar images; frontal phantoms have their own size."""
         return FRONTAL_SHAPE if self.kind == "frontal" else (64, 64)
+
+
+# the radar settings that a frontal DatasetSpec must leave at these defaults
+_RADAR_DEFAULTS = {f.name: f.default for f in fields(DatasetSpec)
+                   if f.name in ("wall_class", "carrier_hz", "bandwidth_hz",
+                                 "freq_count")}
 
 
 @dataclass

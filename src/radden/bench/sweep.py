@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import ctypes
-import functools
 import hashlib
 import multiprocessing
 import os
@@ -28,7 +26,8 @@ from ..baselines import (SvdFilterConfig, WaveletFilterConfig, svd_denoise,
 from ..dataset import WallClass, shuffle_labels
 from ..dataset.corrupt import CLUTTER_PFA
 from ..errors import ConfigError, DomainError
-from ..metrics import _core_count, _map_blocks, columns_to_images, ssim_stack
+from ..metrics import (_blas_thread_functions, _core_count, _map_blocks,
+                       _one_blas_thread, columns_to_images, ssim_stack)
 from ..sparse_solvers import IstaOptions
 from .config import AUTOENCODERS, DatasetSpec, ExperimentConfig
 from .datasets import generate_pair
@@ -207,49 +206,6 @@ def _score(denoised, data: _GridData):
     return float(np.mean(ssim)), _mean_nmse(denoised, data.clean_te)
 
 
-@functools.cache
-def _blas_thread_functions():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
-
-    numpy's wheels link OpenBLAS into `_multiarray_umath`, and its handle
-    finds the library's symbols: `scipy_openblas_*_num_threads64_` in numpy 2
-    wheels, the plain `openblas_*_num_threads` in older ones."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:   # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
-    try:
-        lib = ctypes.CDLL(umath.__file__)
-    except OSError:
-        return None
-    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
-        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-        set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = (), ctypes.c_int
-            set_.argtypes, set_.restype = (ctypes.c_int,), None
-            return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """This process's BLAS on one thread for the block, and the thread count
-    it had restored on exit.  Yields that count; yields 1 and changes
-    nothing when no thread setter is found."""
-    functions = _blas_thread_functions()
-    if functions is None:
-        yield 1
-        return
-    get, set_ = functions
-    threads = get()
-    set_(1)
-    try:
-        yield threads
-    finally:
-        set_(threads)
-
-
 # the autoencoders that a grid point may train on pool threads, longest first
 _POOLED_TRAINERS = ("stacked_sdae", "sparse_dae")
 
@@ -272,7 +228,7 @@ def evaluate_grid_point(cfg: ExperimentConfig, value, seed):
     before the loop (the first autoencoder's train_seconds include the
     build) and dropped once the last has finished, so the pair's Q x P
     matrices are not alive while the remaining baselines and scores run."""
-    with _one_blas_thread() as blas_threads:
+    with _one_blas_thread(_blas_thread_functions()) as blas_threads:
         return _evaluate(cfg, value, seed, min(blas_threads, _core_count()))
 
 

@@ -1,6 +1,9 @@
 """SSIM and NMSE, used for every before/after-denoising comparison."""
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -30,6 +33,68 @@ def _core_count():
     return os.cpu_count() or 1
 
 
+@functools.cache
+def _blas_thread_functions():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
+
+    numpy's wheels link OpenBLAS into `_multiarray_umath`, and its handle
+    finds the library's symbols: `scipy_openblas_*_num_threads64_` in numpy 2
+    wheels, the plain `openblas_*_num_threads` in older ones."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:   # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            return get, set_
+    return None
+
+
+# the open _one_blas_thread blocks of all threads, and the thread count and
+# setter that the last of them to close restores
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_threads, _pin_set = 1, None
+
+
+@contextlib.contextmanager
+def _one_blas_thread(functions):
+    """This process's BLAS on one thread for the block, through `functions`,
+    a (get, set) pair from _blas_thread_functions.  Yields the thread count
+    the process had before; yields 1 and changes nothing when `functions`
+    is None.
+
+    The count is process-wide, so the blocks of all threads share one pin:
+    the first to open sets 1 and the last to close restores the count, and
+    blocks opened in between, nested or on other threads, set nothing and
+    yield the count the first one found."""
+    global _pin_depth, _pin_threads, _pin_set
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_threads, _pin_set = 1, None
+            if functions is not None:
+                get, _pin_set = functions
+                _pin_threads = get()
+                _pin_set(1)
+        _pin_depth += 1
+        threads = _pin_threads
+    try:
+        yield threads
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0 and _pin_set is not None:
+                _pin_set(_pin_threads)
+
+
 def _map_blocks(fn, count):
     """Call fn(block) for every BLOCK_IMAGES slice of range(count).
 
@@ -39,14 +104,18 @@ def _map_blocks(fn, count):
     (a forked process-pool child inherits none).  fn runs on pool threads, so
     it must call only private kernels: the benchmark's tracer keeps one span
     stack and wraps the public entry points.
+
+    Every block runs with BLAS on one thread (_one_blas_thread), pooled or
+    not, and the call restores the thread count on exit, also when a block
+    raises.  These kernels' small GEMMs and factorizations gain nothing from
+    BLAS threads, and threads of both kinds would oversubscribe the cores.
+    They round alike at one BLAS thread and at more, so a stack's outputs
+    stay bitwise equal to one call per image at the process's count (the
+    tests check both where this pin changes the count and where it is 1).
     """
     blocks = iter([slice(start, start + BLOCK_IMAGES)
                    for start in range(0, count, BLOCK_IMAGES)])
     workers = min(_core_count(), -(-count // BLOCK_IMAGES)) - 1
-    if workers < 1:
-        for block in blocks:
-            fn(block)
-        return
     lock = threading.Lock()
 
     def drain():
@@ -57,11 +126,15 @@ def _map_blocks(fn, count):
                 return
             fn(block)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        shares = [pool.submit(drain) for _ in range(workers)]
-        drain()
-        for share in shares:
-            share.result()
+    with _one_blas_thread(_blas_thread_functions()):
+        if workers < 1:
+            drain()
+            return
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            shares = [pool.submit(drain) for _ in range(workers)]
+            drain()
+            for share in shares:
+                share.result()
 
 
 # SSIM's Gaussian window (size and sigma in pixels), its stabilizers k1 and

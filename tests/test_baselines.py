@@ -81,6 +81,52 @@ class TestSvdDenoise:
             SvdFilterConfig(rank=2, energy_fraction=0.9)
 
 
+def svd_reference(X, cfg):
+    """Truncated SVD of one image by np.linalg.svd: the reconstruction, the
+    rank kept by cfg's rule, and the singular values."""
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    k = cfg.rank
+    if k is None:
+        energy = np.cumsum(s * s)
+        k = int(np.sum(energy < cfg.energy_fraction * energy[-1])) + 1
+    return (U[:, :k] * s[:k]) @ Vt[:k], k, s
+
+
+def reference_images():
+    rng = np.random.default_rng(21)
+    return {
+        "tall": rng.standard_normal((12, 7)),
+        "wide": rng.standard_normal((7, 12)),
+        "square": rng.standard_normal((9, 9)),
+        # rank 3 on both sides of the Gram matrix's choice
+        "rank_deficient": rng.standard_normal((10, 3)) @ rng.standard_normal((3, 8)),
+        "rank_deficient_wide": rng.standard_normal((6, 3)) @ rng.standard_normal((3, 11)),
+        "zero": np.zeros((6, 5)),
+    }
+
+
+class TestSvdAgainstReference:
+    """svd_denoise, computed from the Gram matrix's eigendecomposition, keeps
+    the rank and gives the reconstruction of the truncated np.linalg.svd."""
+
+    @pytest.mark.parametrize("cfg", [SvdFilterConfig(),
+                                     SvdFilterConfig(energy_fraction=1.0),
+                                     SvdFilterConfig(rank=2)],
+                             ids=["energy_0.95", "energy_1", "rank_2"])
+    @pytest.mark.parametrize("name", list(reference_images()))
+    def test_matches_truncated_svd(self, name, cfg):
+        X = reference_images()[name]
+        expected, k, s = svd_reference(X, cfg)
+        out = svd_denoise(X, cfg)
+        assert np.max(np.abs(out - expected), initial=0.0) <= 1e-12
+        # the rank kept: what the rule keeps of X's own rank
+        kept = min(k, np.linalg.matrix_rank(X))
+        assert np.linalg.matrix_rank(out, tol=1e-8) == kept
+        # Eckart-Young: the residual energy is the dropped squared spectrum
+        energy = np.sum(X * X)
+        assert abs(np.sum((X - out) ** 2) - np.sum(s[k:] ** 2)) <= 1e-9 * energy
+
+
 class TestHaar:
     def test_round_trip(self):
         x = np.random.default_rng(3).standard_normal((16, 16))

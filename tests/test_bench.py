@@ -131,6 +131,18 @@ class TestConfigParsing:
             parse_config("[dataset]\nkind = spectrogram\n"
                          "bandwidth_hz = 2e9\nfreq_count = 133\n")
 
+    @pytest.mark.parametrize("key, value", [("wall_class", "high"),
+                                            ("carrier_hz", "1e9"),
+                                            ("bandwidth_hz", "2e9"),
+                                            ("freq_count", "133")])
+    def test_frontal_radar_setting_rejected(self, key, value):
+        # phantoms have no wall and no radar; the rows would record the key
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"[dataset]\nkind = frontal\n{key} = {value}\n")
+        default = getattr(DatasetSpec(), key)
+        cfg = parse_config(f"[dataset]\nkind = frontal\n{key} = {default}\n")
+        assert getattr(cfg.dataset, key) == default
+
     def test_nodes_axis_rejected(self):
         with pytest.raises(ConfigError):
             SweepSpec(axis="nodes")
@@ -553,6 +565,20 @@ def test_grid_point_restores_blas_threads(monkeypatch, cores):
     assert seen == [1] and blas.set_to == [1, 2, 1, 2]
 
 
+def test_grid_point_scores_inside_its_own_pin(monkeypatch):
+    # the scoring and baseline calls' pins nest in the grid point's and set
+    # nothing, even with more blocks than one
+    blas = FakeBlas(2)
+    for module in (sweep_module, metrics):
+        monkeypatch.setattr(module, "_blas_thread_functions",
+                            lambda: (blas.get, blas.set))
+    monkeypatch.setattr(metrics, "_core_count", lambda: 2)
+    cfg = tiny_config(algorithms=("dae", "svd"), split=0.1)
+    cfg = replace(cfg, dataset=replace(cfg.dataset, noise_draws=20))
+    assert len(evaluate_grid_point(cfg, 0.0, 0)) == 2   # 288 test columns
+    assert blas.set_to == [1, 2]
+
+
 def _record_threads(monkeypatch):
     """The thread of each trainer call and of each ssim_stack call."""
     threads = {"ssim_stack": []}
@@ -745,6 +771,16 @@ class TestCli:
                        f"[output]\ndirectory = {tmp_path / 'out'}\n")
         assert main(["generate", "--config", str(ini)]) == 2
         assert capsys.readouterr().err.startswith("error: spectrogram")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_frontal_wall_exit_code(self, tmp_path, capsys, command):
+        ini = tmp_path / "wall.ini"
+        ini.write_text("[dataset]\nkind = frontal\nwall_class = high\n"
+                       f"[output]\ndirectory = {tmp_path / 'out'}\n")
+        assert main([command, "--config", str(ini)]) == 2
+        assert capsys.readouterr().err.startswith("error: frontal images "
+                                                  "take no wall_class")
         assert not (tmp_path / "out").exists()
 
     def test_generate_writes_dataset(self, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from radden import metrics
+from radden import baselines, metrics
 from radden.errors import ConfigError, DomainError
 from radden.metrics import (BLOCK_IMAGES, columns_to_images,
                             images_to_columns, nmse, ssim, ssim_stack)
@@ -203,3 +203,123 @@ class TestMapBlocks:
 
         with pytest.raises(DomainError):
             metrics._map_blocks(fail_last, 2 * BLOCK_IMAGES + 5)
+
+
+class FakeBlas:
+    """A BLAS thread get/set pair that records each count set."""
+    def __init__(self, threads):
+        self.threads, self.set_to = threads, []
+
+    def get(self):
+        return self.threads
+
+    def set(self, threads):
+        self.threads = threads
+        self.set_to.append(threads)
+
+
+class TestBlasPin:
+    """_map_blocks runs its blocks at one BLAS thread and restores the count;
+    pins that nest or overlap set it once and restore it once."""
+
+    @pytest.fixture
+    def blas(self, monkeypatch):
+        blas = FakeBlas(2)
+        monkeypatch.setattr(metrics, "_blas_thread_functions",
+                            lambda: (blas.get, blas.set))
+        return blas
+
+    def recording(self, monkeypatch, module, name, blas):
+        """Record the BLAS thread count at each call of module.name."""
+        seen, fn = [], getattr(module, name)
+
+        def call(*args, **kwargs):
+            seen.append(blas.threads)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+        return seen
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_multi_block_calls_run_at_one_thread(self, monkeypatch, blas,
+                                                 cores):
+        monkeypatch.setattr(metrics, "_core_count", lambda: cores)
+        scored = self.recording(monkeypatch, metrics, "_ssim_images", blas)
+        filtered = self.recording(monkeypatch, baselines, "_svd_filter", blas)
+        count = 2 * BLOCK_IMAGES + 5
+        a = np.random.default_rng(3).random((31 * 31, count))
+        ssim_stack(a, a, (31, 31))
+        assert blas.set_to == [1, 2]
+        baselines.svd_denoise(columns_to_images(a, (31, 31)))
+        assert blas.set_to == [1, 2, 1, 2]
+        assert len(filtered) == 3 and len(scored) >= 3
+        assert set(scored) == set(filtered) == {1}
+
+    def test_restores_when_a_pool_block_raises(self, monkeypatch, blas):
+        monkeypatch.setattr(metrics, "_core_count", lambda: 2)
+        caller = threading.get_ident()
+        # each thread takes one block before either goes on, so the pool
+        # thread surely runs one
+        both = threading.Barrier(2)
+        seen = []
+
+        def fail_on_pool_thread(block):
+            if block.start < 2 * BLOCK_IMAGES:
+                both.wait(timeout=30)
+            seen.append(blas.threads)
+            if threading.get_ident() != caller:
+                raise DomainError("pool block")
+
+        with pytest.raises(DomainError, match="pool block"):
+            metrics._map_blocks(fail_on_pool_thread, 2 * BLOCK_IMAGES + 5)
+        assert set(seen) == {1}
+        assert blas.set_to == [1, 2] and blas.threads == 2
+
+    def test_overlapping_callers_set_and_restore_once(self, monkeypatch,
+                                                      blas):
+        # two threads score at once: each kernel call waits until the other
+        # thread's runs too, so both pins are open together
+        both = threading.Barrier(2)
+        kernel, seen = metrics._ssim_images, []
+
+        def meeting(a, b):
+            both.wait(timeout=30)
+            seen.append(blas.threads)
+            return kernel(a, b)
+        monkeypatch.setattr(metrics, "_ssim_images", meeting)
+        a = np.random.default_rng(4).random((31 * 31, 8))
+        scores = []
+        other = threading.Thread(
+            target=lambda: scores.append(ssim_stack(a, a, (31, 31))))
+        other.start()
+        scores.append(ssim_stack(a, a, (31, 31)))
+        other.join(timeout=60)
+        assert not other.is_alive()
+        assert len(scores) == 2 and seen == [1, 1]
+        assert blas.set_to == [1, 2] and blas.threads == 2
+
+    def test_pins_from_many_threads(self, blas):
+        # more threads than cores and a short switch interval: a lost update
+        # of the reference count would leave the count at 1, restore it
+        # while a pin is open, or set it twice
+        seen = []
+
+        def pin_often():
+            for _ in range(200):
+                with metrics._one_blas_thread(metrics._blas_thread_functions()) \
+                        as threads:
+                    seen.append((threads, blas.threads))
+
+        workers = [threading.Thread(target=pin_often) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(seen) == 8 * 200 and set(seen) == {(2, 1)}
+        assert blas.threads == 2 and len(blas.set_to) % 2 == 0
+        assert set(blas.set_to[0::2]) == {1} and set(blas.set_to[1::2]) == {2}
