@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .metrics import _map_blocks
+from ._parallel import _map_blocks
 
 __all__ = [
     "SvdFilterConfig",
@@ -73,7 +73,7 @@ def svd_denoise(X, cfg: SvdFilterConfig | None = None, out=None):
     """Best low-rank approximation of X, or of each image of an (N, rows,
     cols) stack; the retained rank is either fixed or the smallest one
     holding the configured fraction of squared singular values.  A stack
-    is filtered on every core; `out`, if given, receives the result."""
+    is filtered in blocks (_map_blocks); `out`, if given, receives it."""
     cfg = cfg or SvdFilterConfig()
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
@@ -189,7 +189,7 @@ def wavelet_denoise(img, cfg: WaveletFilterConfig | None = None, out=None):
     """Keep the top keep_fraction of Haar coefficients by magnitude, zero the
     rest, and synthesize; each image of an (N, rows, cols) stack has its own
     cut-off.  Non-divisible sizes are padded reflectively.  A stack is
-    filtered on every core; `out`, if given, receives the result."""
+    filtered in blocks (_map_blocks); `out`, if given, receives the result."""
     cfg = cfg or WaveletFilterConfig()
     img = np.asarray(img, dtype=float)
     rows, cols = img.shape[-2:]

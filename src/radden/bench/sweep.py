@@ -6,19 +6,20 @@ order.  Timing columns are excluded from the reproducibility hash.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
+import functools
 import hashlib
 import multiprocessing
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
+from .._parallel import (_blas_threads_for_children, _map_blocks,
+                         _one_blas_thread, _pooled)
 from ..autoencoders import (TrainOptions, infer, prepare_pair, train_dae,
                             train_sparse_dae, train_stacked_sdae)
 from ..baselines import (SvdFilterConfig, WaveletFilterConfig, svd_denoise,
@@ -26,8 +27,7 @@ from ..baselines import (SvdFilterConfig, WaveletFilterConfig, svd_denoise,
 from ..dataset import WallClass, shuffle_labels
 from ..dataset.corrupt import CLUTTER_PFA
 from ..errors import ConfigError, DomainError
-from ..metrics import (_blas_thread_functions, _core_count, _map_blocks,
-                       _one_blas_thread, columns_to_images, ssim_stack)
+from ..metrics import columns_to_images, ssim_stack
 from ..sparse_solvers import IstaOptions
 from .config import AUTOENCODERS, DatasetSpec, ExperimentConfig
 from .datasets import generate_pair
@@ -79,7 +79,7 @@ def _split_columns(Q, split, seed):
 
 def _mean_nmse(approx, reference):
     """Mean over columns of ||approx_q - reference_q||^2 / ||reference_q||^2,
-    summed one BLOCK_IMAGES block of columns at a time on every core."""
+    summed one BLOCK_IMAGES block of columns at a time (_map_blocks)."""
     count = reference.shape[1]
     energy, error = np.empty(count), np.empty(count)
 
@@ -213,27 +213,19 @@ _POOLED_TRAINERS = ("stacked_sdae", "sparse_dae")
 def evaluate_grid_point(cfg: ExperimentConfig, value, seed):
     """Train/evaluate every configured algorithm at one grid point.
 
-    The call's thread budget is the BLAS thread count the process has,
-    capped by its cores (1 when no BLAS thread setter is found).  BLAS runs
-    on one thread for the whole call, so the rows do not depend on that
-    count, and the budget goes to trainers instead: before the algorithm
-    loop, one pool thread per unit of budget beyond the first starts one of
-    _POOLED_TRAINERS, in that order.  The calling thread runs every other
-    step in algorithm order, waiting for a pooled trainer when it reaches
-    it, so inference and scoring stay on the calling thread and in order.
-    The BLAS thread count is process-wide, so grid points must not run
-    concurrently on threads of one process.
-
-    The autoencoders share one TrainingPair of the training columns, built
-    before the loop (the first autoencoder's train_seconds include the
-    build) and dropped once the last has finished, so the pair's Q x P
-    matrices are not alive while the remaining baselines and scores run."""
-    with _one_blas_thread(_blas_thread_functions()) as blas_threads:
-        return _evaluate(cfg, value, seed, min(blas_threads, _core_count()))
+    The call runs with BLAS on one thread (radden._parallel), and grid
+    points must not run concurrently on threads of one process.  The pool
+    threads train _POOLED_TRAINERS; the calling thread runs every other step
+    in algorithm order, waiting for a pooled trainer when it reaches it.
+    The autoencoders share one TrainingPair, built before the loop (the
+    first autoencoder's train_seconds include it) and dropped once the last
+    is fitted, before the remaining baselines and scores."""
+    with _one_blas_thread():
+        return _evaluate(cfg, value, seed)
 
 
-def _evaluate(cfg: ExperimentConfig, value, seed, budget):
-    """evaluate_grid_point's rows with `budget` threads, BLAS on one."""
+def _evaluate(cfg: ExperimentConfig, value, seed):
+    """evaluate_grid_point's rows, under its BLAS pin."""
     data = _grid_data(cfg, value, seed)
     spec = data.spec
     ssim_bd, nmse_bd = _score(data.corrupt_te, data)
@@ -245,13 +237,11 @@ def _evaluate(cfg: ExperimentConfig, value, seed, budget):
         t0 = time.perf_counter()
         pair = prepare_pair(data.clean_tr, data.corrupt_tr)
         pair_seconds = time.perf_counter() - t0
-    trainers = [a for a in _POOLED_TRAINERS if a in algorithms][:budget - 1]
-    pooled, rows = {}, []
-    with contextlib.ExitStack() as stack:
-        if trainers:
-            pool = stack.enter_context(ThreadPoolExecutor(len(trainers)))
-            pooled = {a: pool.submit(_train_timed, a, data, cfg, seed, pair)
-                      for a in trainers}
+    trainers = [a for a in _POOLED_TRAINERS if a in algorithms]
+    rows = []
+    with _pooled([functools.partial(_train_timed, a, data, cfg, seed, pair)
+                  for a in trainers]) as started:
+        pooled = dict(zip(trainers, started))
         for i, algorithm in enumerate(algorithms):
             trained = None
             if algorithm in pooled:
@@ -281,43 +271,21 @@ def _job(args):
     return evaluate_grid_point(cfg, value, seed)
 
 
-# the variables that set a BLAS library's thread count when it loads
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                          "MKL_NUM_THREADS")
-
-
-@contextlib.contextmanager
-def _blas_threads_for_children(threads):
-    """os.environ with every _BLAS_THREAD_VARIABLES entry set to `threads`,
-    restored on exit.  A process started inside inherits it; this process's
-    BLAS, already loaded, keeps its own thread count."""
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, str(threads)))
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
 def run_sweep(cfg: ExperimentConfig, jobs=1):
     """All grid points x seeds, sorted by (kind, algorithm, grid position).
 
     With jobs > 1 the grid points run on that many spawned worker processes,
-    each starting with its share of the cores, max(1, cores // jobs), as its
-    BLAS thread count, so that the workers' BLAS threads do not outnumber
-    the cores.  (A forked worker would keep the thread count of the BLAS
-    this process has loaded.)"""
+    each starting with its share of the cores as its BLAS thread count, so
+    that the workers' BLAS threads do not outnumber the cores.  (A forked
+    worker would keep the thread count of the BLAS this process has
+    loaded.)"""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     tasks = [(cfg, value, seed) for value in cfg.sweep.values
              for seed in sorted(cfg.sweep.seeds)]
     if jobs > 1:
         spawn = multiprocessing.get_context("spawn")
-        with _blas_threads_for_children(max(1, _core_count() // jobs)):
+        with _blas_threads_for_children(jobs):
             with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
                 chunks = list(pool.map(_job, tasks))
     else:

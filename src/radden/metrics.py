@@ -1,140 +1,18 @@
 """SSIM and NMSE, used for every before/after-denoising comparison."""
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
+from ._parallel import BLOCK_IMAGES, _map_blocks
 from .errors import ConfigError, DomainError
 
 __all__ = ["BLOCK_IMAGES", "columns_to_images",
            "images_to_columns", "nmse", "ssim", "ssim_stack"]
 
-# Images per stack call in scoring and the baselines, and the unit of work
-# that _map_blocks hands to a thread.  It bounds the temporary stacks of each
-# call: the SVD and wavelet working copies, and SSIM's contiguous inputs,
-# window products and filtered maps.
-BLOCK_IMAGES = 128
 # SSIM's scratch grows with the pixels it scores at once, so a block is
 # scored in chunks of at most the pixels of one block of 31 x 31 (frontal)
 # images
 _SSIM_CHUNK_PIXELS = BLOCK_IMAGES * 31 * 31
-
-
-def _core_count():
-    """Cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@functools.cache
-def _blas_thread_functions():
-    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
-
-    numpy's wheels link OpenBLAS into `_multiarray_umath`, and its handle
-    finds the library's symbols: `scipy_openblas_*_num_threads64_` in numpy 2
-    wheels, the plain `openblas_*_num_threads` in older ones."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:   # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
-    try:
-        lib = ctypes.CDLL(umath.__file__)
-    except OSError:
-        return None
-    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
-        get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-        set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = (), ctypes.c_int
-            set_.argtypes, set_.restype = (ctypes.c_int,), None
-            return get, set_
-    return None
-
-
-# the open _one_blas_thread blocks of all threads, and the thread count and
-# setter that the last of them to close restores
-_pin_lock = threading.Lock()
-_pin_depth = 0
-_pin_threads, _pin_set = 1, None
-
-
-@contextlib.contextmanager
-def _one_blas_thread(functions):
-    """This process's BLAS on one thread for the block, through `functions`,
-    a (get, set) pair from _blas_thread_functions.  Yields the thread count
-    the process had before; yields 1 and changes nothing when `functions`
-    is None.
-
-    The count is process-wide, so the blocks of all threads share one pin:
-    the first to open sets 1 and the last to close restores the count, and
-    blocks opened in between, nested or on other threads, set nothing and
-    yield the count the first one found."""
-    global _pin_depth, _pin_threads, _pin_set
-    with _pin_lock:
-        if _pin_depth == 0:
-            _pin_threads, _pin_set = 1, None
-            if functions is not None:
-                get, _pin_set = functions
-                _pin_threads = get()
-                _pin_set(1)
-        _pin_depth += 1
-        threads = _pin_threads
-    try:
-        yield threads
-    finally:
-        with _pin_lock:
-            _pin_depth -= 1
-            if _pin_depth == 0 and _pin_set is not None:
-                _pin_set(_pin_threads)
-
-
-def _map_blocks(fn, count):
-    """Call fn(block) for every BLOCK_IMAGES slice of range(count).
-
-    The calling thread and one pool thread per further core take blocks in
-    turn until none is left; fn must write only its own block's outputs.  The
-    pool is created and shut down inside the call, so no thread outlives it
-    (a forked process-pool child inherits none).  fn runs on pool threads, so
-    it must call only private kernels: the benchmark's tracer keeps one span
-    stack and wraps the public entry points.
-
-    Every block runs with BLAS on one thread (_one_blas_thread), pooled or
-    not, and the call restores the thread count on exit, also when a block
-    raises.  These kernels' small GEMMs and factorizations gain nothing from
-    BLAS threads, and threads of both kinds would oversubscribe the cores.
-    They round alike at one BLAS thread and at more, so a stack's outputs
-    stay bitwise equal to one call per image at the process's count (the
-    tests check both where this pin changes the count and where it is 1).
-    """
-    blocks = iter([slice(start, start + BLOCK_IMAGES)
-                   for start in range(0, count, BLOCK_IMAGES)])
-    workers = min(_core_count(), -(-count // BLOCK_IMAGES)) - 1
-    lock = threading.Lock()
-
-    def drain():
-        while True:
-            with lock:
-                block = next(blocks, None)
-            if block is None:
-                return
-            fn(block)
-
-    with _one_blas_thread(_blas_thread_functions()):
-        if workers < 1:
-            drain()
-            return
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            shares = [pool.submit(drain) for _ in range(workers)]
-            drain()
-            for share in shares:
-                share.result()
 
 
 # SSIM's Gaussian window (size and sigma in pixels), its stabilizers k1 and
@@ -250,9 +128,9 @@ def ssim(a, b):
 
 def ssim_stack(stack, ref_stack, image_shape):
     """Column-wise SSIM of two vectorized image stacks; returns the per-column
-    array.  Scores BLOCK_IMAGES columns per block on every core (_map_blocks),
-    and at most _SSIM_CHUNK_PIXELS pixels per kernel call, which bounds the
-    temporary memory of the window products and filtered maps."""
+    array.  Scores BLOCK_IMAGES columns per block (_map_blocks), and at most
+    _SSIM_CHUNK_PIXELS pixels per kernel call, which bounds the temporary
+    memory of the window products and filtered maps."""
     stack = np.asarray(stack, dtype=float)
     ref_stack = np.asarray(ref_stack, dtype=float)
     if stack.shape != ref_stack.shape:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radden import baselines, metrics
+from radden import _parallel, baselines, metrics
 from radden import cli as cli_module
 from radden.autoencoders import load_weights
 from radden.baselines import (SvdFilterConfig, WaveletFilterConfig,
@@ -447,12 +447,12 @@ BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 @pytest.mark.parametrize("cores, jobs, threads", [(4, 2, "2"), (2, 3, "1")])
 def test_sweep_workers_start_with_their_share_of_blas_threads(
-        monkeypatch, cores, jobs, threads):
+        monkeypatch, fake_threads, cores, jobs, threads):
     # the parent's own settings, which a worker must not inherit
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("MKL_NUM_THREADS", "5")
-    monkeypatch.setattr(sweep_module, "_core_count", lambda: cores)
+    fake_threads(cores, cores)
     started = []
 
     class Probing(futures.ProcessPoolExecutor):
@@ -472,11 +472,12 @@ def test_sweep_workers_start_with_their_share_of_blas_threads(
     assert [os.environ.get(name) for name in BLAS_VARIABLES] == ["7", None, "5"]
 
 
-def test_sweep_restores_blas_variables_when_the_pool_fails(monkeypatch):
+def test_sweep_restores_blas_variables_when_the_pool_fails(monkeypatch,
+                                                           fake_threads):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("MKL_NUM_THREADS", "5")
-    monkeypatch.setattr(sweep_module, "_core_count", lambda: 4)
+    fake_threads(4, 4)
     seen = []
 
     class Failing:
@@ -510,7 +511,7 @@ def _untimed(rows):
 def process_blas():
     """Set this process's BLAS thread count through the grid point's own
     setter; the count it had is restored after the test."""
-    functions = sweep_module._blas_thread_functions()
+    functions = _parallel._blas_thread_functions()
     if functions is None:
         pytest.skip("no BLAS thread setter found")
     get, set_ = functions
@@ -532,25 +533,9 @@ def test_grid_point_rows_do_not_depend_on_blas_threads(process_blas):
     assert rows[2] == rows[1]
 
 
-class FakeBlas:
-    """A BLAS thread get/set pair that records each count set."""
-    def __init__(self, threads):
-        self.threads, self.set_to = threads, []
-
-    def get(self):
-        return self.threads
-
-    def set(self, threads):
-        self.threads = threads
-        self.set_to.append(threads)
-
-
 @pytest.mark.parametrize("cores", [1, 2])
-def test_grid_point_restores_blas_threads(monkeypatch, cores):
-    blas = FakeBlas(2)
-    monkeypatch.setattr(sweep_module, "_blas_thread_functions",
-                        lambda: (blas.get, blas.set))
-    monkeypatch.setattr(sweep_module, "_core_count", lambda: cores)
+def test_grid_point_restores_blas_threads(monkeypatch, fake_threads, cores):
+    blas = fake_threads(cores, 2)
     cfg = tiny_config(algorithms=("dae", "stacked_sdae"))
     assert len(evaluate_grid_point(cfg, 0.0, 0)) == 2
     assert blas.set_to == [1, 2]
@@ -565,14 +550,10 @@ def test_grid_point_restores_blas_threads(monkeypatch, cores):
     assert seen == [1] and blas.set_to == [1, 2, 1, 2]
 
 
-def test_grid_point_scores_inside_its_own_pin(monkeypatch):
+def test_grid_point_scores_inside_its_own_pin(fake_threads):
     # the scoring and baseline calls' pins nest in the grid point's and set
     # nothing, even with more blocks than one
-    blas = FakeBlas(2)
-    for module in (sweep_module, metrics):
-        monkeypatch.setattr(module, "_blas_thread_functions",
-                            lambda: (blas.get, blas.set))
-    monkeypatch.setattr(metrics, "_core_count", lambda: 2)
+    blas = fake_threads(2, 2)
     cfg = tiny_config(algorithms=("dae", "svd"), split=0.1)
     cfg = replace(cfg, dataset=replace(cfg.dataset, noise_draws=20))
     assert len(evaluate_grid_point(cfg, 0.0, 0)) == 2   # 288 test columns
@@ -600,7 +581,7 @@ def test_grid_point_trains_on_pool_threads_alike(monkeypatch, process_blas):
                                   "svd", "wavelet"))
     rows, threads = {}, {}
     for cores in (1, 2):
-        monkeypatch.setattr(sweep_module, "_core_count", lambda: cores)
+        monkeypatch.setattr(_parallel, "_core_count", lambda: cores)
         threads[cores] = _record_threads(monkeypatch)
         rows[cores] = _untimed(evaluate_grid_point(cfg, 0.0, 0))
         monkeypatch.undo()
@@ -612,10 +593,10 @@ def test_grid_point_trains_on_pool_threads_alike(monkeypatch, process_blas):
     assert len(threads[2]["ssim_stack"]) == 1 + len(rows[2])
 
 
-def test_grid_point_pools_nothing_without_a_blas_setter(monkeypatch):
-    monkeypatch.setattr(sweep_module, "_blas_thread_functions", lambda: None)
-    monkeypatch.setattr(sweep_module, "_core_count", lambda: 2)
-    monkeypatch.setattr(sweep_module, "ThreadPoolExecutor", _no_pool)
+def test_grid_point_pools_nothing_without_a_blas_setter(monkeypatch,
+                                                        fake_threads):
+    fake_threads(2, None)
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", _no_pool)
     threads = _record_threads(monkeypatch)
     cfg = tiny_config(algorithms=("dae", "sparse_dae", "stacked_sdae"))
     assert len(evaluate_grid_point(cfg, 0.0, 0)) == 3
@@ -927,15 +908,16 @@ def _score_in_child():
 
 class TestBlocksOnEveryCore:
     """The evaluation layer's blocks run on the calling thread and a pool
-    thread per further core; every output equals the serial block loop."""
+    thread per further unit of the thread budget, min(BLAS threads, cores);
+    every output equals the serial block loop."""
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("extra", [1, 5])
     @pytest.mark.parametrize("algorithm", ["svd", "wavelet"])
-    def test_baselines_equal_serial_blocks(self, monkeypatch, algorithm, extra,
-                                           order, cores):
-        monkeypatch.setattr(metrics, "_core_count", lambda: cores)
+    def test_baselines_equal_serial_blocks(self, fake_threads, algorithm,
+                                           extra, order, cores):
+        fake_threads(cores, cores)
         corrupt, _ = multi_block_pair(extra, order)
         cfg = ExperimentConfig()
         expected = serial_baseline(algorithm, corrupt, (31, 31), cfg)
@@ -947,8 +929,9 @@ class TestBlocksOnEveryCore:
     @pytest.mark.parametrize("cores", [1, 2, 3])
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("extra", [1, 5])
-    def test_mean_nmse_equals_full_width(self, monkeypatch, extra, order, cores):
-        monkeypatch.setattr(metrics, "_core_count", lambda: cores)
+    def test_mean_nmse_equals_full_width(self, fake_threads, extra, order,
+                                         cores):
+        fake_threads(cores, cores)
         corrupt, clean = multi_block_pair(extra, order)
         assert _mean_nmse(corrupt, clean) == serial_mean_nmse(corrupt, clean)
 
@@ -963,8 +946,8 @@ class TestBlocksOnEveryCore:
             assert _mean_nmse(approx, clean) == serial_mean_nmse(approx, clean)
 
     @pytest.mark.parametrize("cores", [1, 2])
-    def test_zero_energy_column_in_last_block(self, monkeypatch, cores):
-        monkeypatch.setattr(metrics, "_core_count", lambda: cores)
+    def test_zero_energy_column_in_last_block(self, fake_threads, cores):
+        fake_threads(cores, cores)
         corrupt, clean = multi_block_pair(5)
         clean[:, -1] = 0.0
         with pytest.raises(DomainError):
@@ -972,10 +955,10 @@ class TestBlocksOnEveryCore:
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="needs the fork start method")
-    def test_forked_child_scores_after_parent(self, monkeypatch):
+    def test_forked_child_scores_after_parent(self, fake_threads):
         # the parent runs a pool first, as a sweep job's parent process may;
         # a pool thread that outlived its call would hang the forked child
-        monkeypatch.setattr(metrics, "_core_count", lambda: 2)
+        fake_threads(2, 2)
         expected = _score_in_child()
         pool = futures.ProcessPoolExecutor(
             max_workers=1, mp_context=multiprocessing.get_context("fork"))
@@ -990,8 +973,9 @@ class TestBlocksOnEveryCore:
         np.testing.assert_array_equal(values, expected[0])
         assert nmse == expected[1]
 
-    def test_traced_entry_points_run_on_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(metrics, "_core_count", lambda: 3)
+    def test_traced_entry_points_run_on_calling_thread(self, monkeypatch,
+                                                       fake_threads):
+        fake_threads(3, 3)
         entered = []
 
         def recording(name, fn):
@@ -1013,3 +997,29 @@ class TestBlocksOnEveryCore:
         assert {name for name, _ in entered} == {
             "svd_denoise", "wavelet_denoise", "ssim_stack"}
         assert {ident for _, ident in entered} == {threading.get_ident()}
+
+    @staticmethod
+    def score_and_filter_blocks():
+        corrupt, clean = multi_block_pair(5)
+        ssim_stack(corrupt, clean, (31, 31))
+        for algorithm in ("svd", "wavelet"):
+            sweep_module._baseline_denoise(algorithm, corrupt, (31, 31),
+                                           ExperimentConfig())
+
+    def test_one_blas_thread_pools_nothing(self, monkeypatch, fake_threads):
+        # a sweep worker's share at --jobs 2 on 2 cores
+        fake_threads(2, 1)
+        monkeypatch.setattr(_parallel, "ThreadPoolExecutor", _no_pool)
+        self.score_and_filter_blocks()
+
+    def test_two_blas_threads_pool_one(self, monkeypatch, fake_threads):
+        fake_threads(2, 2)
+        pools = []
+
+        class Recording(futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+        monkeypatch.setattr(_parallel, "ThreadPoolExecutor", Recording)
+        self.score_and_filter_blocks()
+        assert pools == [1, 1, 1]

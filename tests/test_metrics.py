@@ -1,5 +1,7 @@
+import ctypes
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from radden import baselines, metrics
+from radden import _parallel, baselines, metrics
 from radden.errors import ConfigError, DomainError
 from radden.metrics import (BLOCK_IMAGES, columns_to_images,
                             images_to_columns, nmse, ssim, ssim_stack)
@@ -164,9 +166,9 @@ class TestNmse:
 class TestMapBlocks:
     @pytest.mark.parametrize("cores", [1, 2, 3])
     @pytest.mark.parametrize("shape", [(31, 31), (7, 10)])
-    def test_multi_block_stack_matches_per_column(self, monkeypatch, shape,
+    def test_multi_block_stack_matches_per_column(self, fake_threads, shape,
                                                   cores):
-        monkeypatch.setattr(metrics, "_core_count", lambda: cores)
+        fake_threads(cores, cores)
         rng = np.random.default_rng(13)
         count = 2 * BLOCK_IMAGES + 5
         a = rng.random((shape[0] * shape[1], count))
@@ -177,45 +179,32 @@ class TestMapBlocks:
                                   b[:, q].reshape(shape, order="F"))
 
     @pytest.mark.parametrize("cores", [1, 2, 8])
-    def test_every_block_once_and_no_thread_left(self, monkeypatch, cores):
+    def test_every_block_once_and_no_thread_left(self, fake_threads, cores):
         # more threads than cores and a short switch interval: a block handed
         # out twice or skipped would show in the list of blocks run
-        monkeypatch.setattr(metrics, "_core_count", lambda: cores)
+        fake_threads(cores, cores)
         before = threading.active_count()
         count = 40 * BLOCK_IMAGES + 1
         seen = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            metrics._map_blocks(seen.append, count)
+            _parallel._map_blocks(seen.append, count)
         finally:
             sys.setswitchinterval(interval)
         assert sorted((b.start, b.stop) for b in seen) == [
             (s, s + BLOCK_IMAGES) for s in range(0, count, BLOCK_IMAGES)]
         assert threading.active_count() == before
 
-    def test_block_error_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(metrics, "_core_count", lambda: 2)
+    def test_block_error_reaches_the_caller(self, fake_threads):
+        fake_threads(2, 2)
 
         def fail_last(block):
             if block.start == 2 * BLOCK_IMAGES:
                 raise DomainError("last block")
 
         with pytest.raises(DomainError):
-            metrics._map_blocks(fail_last, 2 * BLOCK_IMAGES + 5)
-
-
-class FakeBlas:
-    """A BLAS thread get/set pair that records each count set."""
-    def __init__(self, threads):
-        self.threads, self.set_to = threads, []
-
-    def get(self):
-        return self.threads
-
-    def set(self, threads):
-        self.threads = threads
-        self.set_to.append(threads)
+            _parallel._map_blocks(fail_last, 2 * BLOCK_IMAGES + 5)
 
 
 class TestBlasPin:
@@ -223,11 +212,8 @@ class TestBlasPin:
     pins that nest or overlap set it once and restore it once."""
 
     @pytest.fixture
-    def blas(self, monkeypatch):
-        blas = FakeBlas(2)
-        monkeypatch.setattr(metrics, "_blas_thread_functions",
-                            lambda: (blas.get, blas.set))
-        return blas
+    def blas(self, fake_threads):
+        return fake_threads(2, 2)
 
     def recording(self, monkeypatch, module, name, blas):
         """Record the BLAS thread count at each call of module.name."""
@@ -240,9 +226,9 @@ class TestBlasPin:
         return seen
 
     @pytest.mark.parametrize("cores", [1, 2])
-    def test_multi_block_calls_run_at_one_thread(self, monkeypatch, blas,
-                                                 cores):
-        monkeypatch.setattr(metrics, "_core_count", lambda: cores)
+    def test_multi_block_calls_run_at_one_thread(self, monkeypatch,
+                                                 fake_threads, cores):
+        blas = fake_threads(cores, 2)
         scored = self.recording(monkeypatch, metrics, "_ssim_images", blas)
         filtered = self.recording(monkeypatch, baselines, "_svd_filter", blas)
         count = 2 * BLOCK_IMAGES + 5
@@ -254,8 +240,7 @@ class TestBlasPin:
         assert len(filtered) == 3 and len(scored) >= 3
         assert set(scored) == set(filtered) == {1}
 
-    def test_restores_when_a_pool_block_raises(self, monkeypatch, blas):
-        monkeypatch.setattr(metrics, "_core_count", lambda: 2)
+    def test_restores_when_a_pool_block_raises(self, blas):
         caller = threading.get_ident()
         # each thread takes one block before either goes on, so the pool
         # thread surely runs one
@@ -270,7 +255,7 @@ class TestBlasPin:
                 raise DomainError("pool block")
 
         with pytest.raises(DomainError, match="pool block"):
-            metrics._map_blocks(fail_on_pool_thread, 2 * BLOCK_IMAGES + 5)
+            _parallel._map_blocks(fail_on_pool_thread, 2 * BLOCK_IMAGES + 5)
         assert set(seen) == {1}
         assert blas.set_to == [1, 2] and blas.threads == 2
 
@@ -305,8 +290,7 @@ class TestBlasPin:
 
         def pin_often():
             for _ in range(200):
-                with metrics._one_blas_thread(metrics._blas_thread_functions()) \
-                        as threads:
+                with _parallel._one_blas_thread() as threads:
                     seen.append((threads, blas.threads))
 
         workers = [threading.Thread(target=pin_often) for _ in range(8)]
@@ -323,3 +307,46 @@ class TestBlasPin:
         assert len(seen) == 8 * 200 and set(seen) == {(2, 1)}
         assert blas.threads == 2 and len(blas.set_to) % 2 == 0
         assert set(blas.set_to[0::2]) == {1} and set(blas.set_to[1::2]) == {2}
+
+
+class TestBlasSetterLookup:
+    """_blas_thread_functions finds the setter in the library that numpy's
+    `_multiarray_umath` loads, here a fake one."""
+
+    @pytest.fixture(autouse=True)
+    def uncached(self):
+        _parallel._blas_thread_functions.cache_clear()
+        yield
+        _parallel._blas_thread_functions.cache_clear()
+
+    def load(self, monkeypatch, **symbols):
+        monkeypatch.setattr(ctypes, "CDLL",
+                            lambda path: types.SimpleNamespace(**symbols))
+        monkeypatch.setattr(_parallel, "_core_count", lambda: 2)
+
+    def test_plain_openblas_names_are_found(self, monkeypatch):
+        threads, set_to = [3], []
+
+        def get():
+            return threads[0]
+
+        def set_(count):
+            threads[0] = count
+            set_to.append(count)
+        self.load(monkeypatch, openblas_get_num_threads=get,
+                  openblas_set_num_threads=set_)
+        assert _parallel._blas_thread_functions() == (get, set_)
+        assert get.restype is ctypes.c_int
+        assert set_.argtypes == (ctypes.c_int,)
+        with _parallel._one_blas_thread() as budget:
+            assert budget == 2 and threads == [1]
+        assert set_to == [1, 3]
+
+    # a library with only one of the two functions has no setter either
+    @pytest.mark.parametrize("symbols", [
+        {}, {"openblas_get_num_threads": lambda: 2}])
+    def test_no_setter_gives_a_budget_of_one(self, monkeypatch, symbols):
+        self.load(monkeypatch, **symbols)
+        assert _parallel._blas_thread_functions() is None
+        with _parallel._one_blas_thread() as budget:
+            assert budget == 1
