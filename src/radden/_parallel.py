@@ -1,7 +1,7 @@
-"""Threads: one budget, the process-wide BLAS pin, one pool helper, and the
-BLAS thread count of a sweep's workers.  The budget is min(the BLAS thread
-count that the outermost pin found, the cores in the CPU affinity); it is
-1, and nothing pools, at one BLAS thread or where no setter is found.
+"""Threads: the process-wide BLAS pin, one pool helper, and the BLAS thread
+count of a sweep's workers.  A grid point's trainers pool up to the pin's
+budget, min(the BLAS threads the outermost pin found, the cores): 1 at one
+BLAS thread or with no setter.  The block map pools up to the cores alone.
 Pooled outputs are bitwise equal to serial ones (evidence: CHANGES.md)."""
 from __future__ import annotations
 
@@ -85,14 +85,15 @@ def _one_blas_thread():
 
 
 @contextlib.contextmanager
-def _pooled(calls):
-    """Under one BLAS pin, start the first budget - 1 of the list `calls`
-    (callables of no argument) on pool threads; yields their futures.  The
-    block runs the rest on the calling thread.  On exit every started call
-    has returned, no pool thread is left, and the first error of a started
-    call is raised on the calling thread."""
+def _pooled(calls, threads=None):
+    """Under one BLAS pin, start the first threads - 1 of the list `calls`
+    (callables of no argument) on pool threads, `threads` being the pin's
+    budget unless given; yields their futures.  The block runs the rest on
+    the calling thread.  On exit every started call has returned, no pool
+    thread is left, and the first error of a started call is raised on the
+    calling thread."""
     with _one_blas_thread() as budget:
-        calls = calls[:budget - 1]
+        calls = calls[:(threads or budget) - 1]
         if not calls:
             yield []
             return
@@ -108,9 +109,10 @@ def _pooled(calls):
 
 def _map_blocks(fn, count):
     """Call fn(block) for every BLOCK_IMAGES slice of range(count), on the
-    calling thread and _pooled's threads in turn.  fn must write only its
-    own block's outputs, and call only private kernels: the benchmark's
-    tracer keeps one span stack and wraps the public entry points."""
+    calling thread and one _pooled thread per further core in turn, at any
+    BLAS thread count (timings: CHANGES.md).  fn must write only its own
+    block's outputs, and call only private kernels: the benchmark's tracer
+    keeps one span stack and wraps the public entry points."""
     blocks = iter([slice(start, start + BLOCK_IMAGES)
                    for start in range(0, count, BLOCK_IMAGES)])
     lock = threading.Lock()
@@ -123,7 +125,7 @@ def _map_blocks(fn, count):
                 return
             fn(block)
 
-    with _pooled([drain] * (-(-count // BLOCK_IMAGES) - 1)):
+    with _pooled([drain] * (-(-count // BLOCK_IMAGES) - 1), _core_count()):
         drain()
 
 

@@ -908,8 +908,7 @@ def _score_in_child():
 
 class TestBlocksOnEveryCore:
     """The evaluation layer's blocks run on the calling thread and a pool
-    thread per further unit of the thread budget, min(BLAS threads, cores);
-    every output equals the serial block loop."""
+    thread per further core; every output equals the serial block loop."""
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -1006,14 +1005,12 @@ class TestBlocksOnEveryCore:
             sweep_module._baseline_denoise(algorithm, corrupt, (31, 31),
                                            ExperimentConfig())
 
-    def test_one_blas_thread_pools_nothing(self, monkeypatch, fake_threads):
-        # a sweep worker's share at --jobs 2 on 2 cores
-        fake_threads(2, 1)
-        monkeypatch.setattr(_parallel, "ThreadPoolExecutor", _no_pool)
-        self.score_and_filter_blocks()
-
-    def test_two_blas_threads_pool_one(self, monkeypatch, fake_threads):
-        fake_threads(2, 2)
+    @pytest.mark.parametrize("blas", [None, 1, 2])
+    def test_blocks_pool_on_every_core_at_any_blas_count(
+            self, monkeypatch, fake_threads, blas):
+        # None and 1 give the pin a budget of 1, as in a sweep worker at
+        # --jobs 2 on 2 cores; the block map still pools on the second core
+        fake_threads(2, blas)
         pools = []
 
         class Recording(futures.ThreadPoolExecutor):

@@ -259,6 +259,17 @@ class TestBlasPin:
         assert set(seen) == {1}
         assert blas.set_to == [1, 2] and blas.threads == 2
 
+    def test_pooled_blocks_run_at_one_real_blas_thread(self, blas):
+        # the fake passes the pin on to this process's own setter, so the
+        # tests' pooled blocks run under the real pin
+        if blas.real is None:
+            pytest.skip("no BLAS thread setter found")
+        get = blas.real[0]
+        before, seen = get(), []
+        _parallel._map_blocks(lambda block: seen.append(get()),
+                              2 * BLOCK_IMAGES + 5)
+        assert seen == [1, 1, 1] and get() == before
+
     def test_overlapping_callers_set_and_restore_once(self, monkeypatch,
                                                       blas):
         # two threads score at once: each kernel call waits until the other
