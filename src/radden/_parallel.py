@@ -1,16 +1,17 @@
-"""Threads: the process-wide BLAS pin, one pool helper, and the BLAS thread
-count of a sweep's workers.  A grid point's trainers pool up to the pin's
-budget, min(the BLAS threads the outermost pin found, the cores): 1 at one
-BLAS thread or with no setter.  The block map pools up to the cores alone.
-Pooled outputs are bitwise equal to serial ones (evidence: CHANGES.md)."""
+"""The package's threads, worker processes and locks.  The BLAS pin runs
+numpy's OpenBLAS on one thread and yields its budget, min(the BLAS threads
+the outermost pin found, the cores), or 1 with no setter: a grid point's
+trainers pool up to it, the block map up to the cores.  Pooled outputs are
+bitwise equal to serial ones (evidence: CHANGES.md)."""
 from __future__ import annotations
 
 import contextlib
 import ctypes
 import functools
+import multiprocessing
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 # Images per block of _map_blocks, the unit of work it hands to a thread.  It
 # bounds the temporary stacks of each call: the SVD and wavelet working
@@ -31,7 +32,9 @@ def _blas_thread_functions():
 
     numpy's wheels link OpenBLAS into `_multiarray_umath`, and its handle
     finds the library's symbols: `scipy_openblas_*_num_threads64_` in numpy 2
-    wheels, the plain `openblas_*_num_threads` in older ones."""
+    wheels, `openblas_*_num_threads64_` in the ILP64 OpenBLAS of numpy 1.22
+    to 1.26 wheels, and the plain `openblas_*_num_threads` of an OpenBLAS
+    built without a suffix, such as a system library."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:   # numpy 1.x
@@ -40,7 +43,8 @@ def _blas_thread_functions():
         lib = ctypes.CDLL(umath.__file__)
     except OSError:
         return None
-    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"),
+                           ("openblas_", "")):
         get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
         set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
         if get is not None and set_ is not None:
@@ -60,9 +64,8 @@ _pin_threads, _pin_set, _pin_budget = 1, None, 1
 @contextlib.contextmanager
 def _one_blas_thread():
     """This process's BLAS on one thread for the block; yields the budget.
-    The count is process-wide: the first open pin of any thread sets 1 and
-    finds the budget, the last to close restores the count, also when the
-    block raises, and the pins in between set nothing."""
+    Pins nest across threads: the first to open sets 1 and finds the budget,
+    the last to close restores the count, also when the block raises."""
     global _pin_depth, _pin_threads, _pin_set, _pin_budget
     with _pin_lock:
         if _pin_depth == 0:
@@ -108,11 +111,11 @@ def _pooled(calls, threads=None):
 
 
 def _map_blocks(fn, count):
-    """Call fn(block) for every BLOCK_IMAGES slice of range(count), on the
-    calling thread and one _pooled thread per further core in turn, at any
-    BLAS thread count (timings: CHANGES.md).  fn must write only its own
-    block's outputs, and call only private kernels: the benchmark's tracer
-    keeps one span stack and wraps the public entry points."""
+    """Call fn(block) for every BLOCK_IMAGES slice of range(count) on the
+    calling thread and one _pooled thread per further core, each taking the
+    next block when it is free.  fn must write only its own block's outputs
+    and call only private kernels: the benchmark's tracer keeps one span
+    stack and wraps the public entry points."""
     blocks = iter([slice(start, start + BLOCK_IMAGES)
                    for start in range(0, count, BLOCK_IMAGES)])
     lock = threading.Lock()
@@ -134,17 +137,22 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                           "MKL_NUM_THREADS")
 
 
-@contextlib.contextmanager
-def _blas_threads_for_children(jobs):
-    """os.environ with every _BLAS_THREAD_VARIABLES entry set to the share of
-    the cores of one of `jobs` worker processes, max(1, cores // jobs),
-    restored on exit.  A process started inside inherits it; this process's
-    BLAS, already loaded, keeps its own thread count."""
+def _map_workers(fn, tasks, jobs):
+    """[fn(task) for task in tasks]: in order on the calling thread at one
+    job, else on `jobs` spawned worker processes, each starting with every
+    _BLAS_THREAD_VARIABLES entry set to its share of the cores,
+    max(1, cores // jobs), so that the workers' BLAS threads do not outnumber
+    the cores.  (A forked worker would keep the thread count of the BLAS this
+    process has loaded.)  os.environ is restored on return."""
+    if jobs == 1:
+        return [fn(task) for task in tasks]
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}
-    threads = max(1, _core_count() // jobs)
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, str(threads)))
+    threads = str(max(1, _core_count() // jobs))
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, threads))
     try:
-        yield
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+            return list(pool.map(fn, tasks))
     finally:
         for name, value in saved.items():
             if value is None:

@@ -153,24 +153,25 @@ def _check_pair(X, Xhat):
 
 @dataclass(frozen=True)
 class TrainingPair:
-    """A clean stack X and its corrupt input Xhat, checked and factored once.
-
-    The trainers read X through R, the R factor of its Householder QR, and
-    Xhat through `design`, RidgeDesign(Xhat) at the default ridge, whose hat
-    matrix is formed on first use.  `prepare_pair` builds one, and any number
-    of trainer calls on the same two arrays share it through their `pair`
-    keyword; a trainer handed a pair of other arrays raises ConfigError.
+    """A clean stack X and its corrupt input Xhat, checked and factored once
+    by `prepare_pair`.  The trainers read X through R, the R factor of its
+    Householder QR, and Xhat through `design`, RidgeDesign(Xhat) at the
+    default ridge, and its hat matrix `hat`.  Trainer calls on the same two
+    arrays share one pair through their `pair` keyword and only read it; a
+    trainer handed a pair of other arrays raises ConfigError.
     """
     X: np.ndarray
     Xhat: np.ndarray
     R: np.ndarray
     design: RidgeDesign
+    hat: np.ndarray
 
 
 def prepare_pair(X, Xhat):
     """The TrainingPair of X and Xhat."""
     X, Xhat = _check_pair(X, Xhat)
-    return TrainingPair(X, Xhat, np.linalg.qr(X, mode="r"), RidgeDesign(Xhat))
+    design = RidgeDesign(Xhat)
+    return TrainingPair(X, Xhat, np.linalg.qr(X, mode="r"), design, design.hat())
 
 
 def objective_value(weights, codes, X, Xhat, lam=1.0, mu=0.0,
@@ -261,18 +262,17 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts, pair=None):
     only when a code update reads it before the decoder's own refit (the
     shallow order); the stacked order refits the decoder first.
 
-    X and Xhat are read through `pair`, a TrainingPair prepared from these
-    very arrays, or built here when none is given: its RidgeDesign(Xhat)
-    serves the encoder and its R factor of X the decoder side, so trainers
-    that share one pair factor each stack once.
+    X and Xhat are read through `pair`, a TrainingPair of these very arrays
+    (prepared here when none is given): its design and hat matrix serve the
+    encoder, its R the decoder side.
 
     Each outer iteration forms every chain product once.  E[i] = W_i Z_{i-1}
     is kept until W_i or Z_{i-1} changes, and serves both the code update of
     Z_i and the objective, which `_chain_sum` takes from E and the one
     decoder product.  The encoder W_0 is not formed inside the loop: its
-    update keeps its target Z_0, and E[0] = W_0 Xhat comes from the input
-    design's hat matrix.  The random W_0 is dropped once Z_0 is formed, and
-    W_0 is solved once, after the loop, from the last target.
+    update keeps its target Z_0, and E[0] = W_0 Xhat comes from the pair's hat
+    matrix.  The random W_0 is dropped once Z_0 is formed, and W_0 is solved
+    once, after the loop, from the last target.
 
     The decoder is W_L = X K, where K depends on the last code alone, so
     the P x Q clean stack X enters the objective only through norms ||X A||.
@@ -320,7 +320,7 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts, pair=None):
                     E[i + 1] = None
             elif i == 0:
                 encoder_target = H[1]
-                E[0] = pair.design.fitted(encoder_target)
+                E[0] = encoder_target @ pair.hat
             else:
                 if i == L:   # fit R K in place of the decoder X K
                     decoder_code, H[-1] = H[i], pair.R

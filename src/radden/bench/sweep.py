@@ -9,17 +9,14 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 
-from .._parallel import (_blas_threads_for_children, _map_blocks,
-                         _one_blas_thread, _pooled)
+from .._parallel import _map_blocks, _map_workers, _one_blas_thread, _pooled
 from ..autoencoders import (TrainOptions, infer, prepare_pair, train_dae,
                             train_sparse_dae, train_stacked_sdae)
 from ..baselines import (SvdFilterConfig, WaveletFilterConfig, svd_denoise,
@@ -273,25 +270,14 @@ def _job(args):
 
 def run_sweep(cfg: ExperimentConfig, jobs=1):
     """All grid points x seeds, sorted by (kind, algorithm, grid position).
-
-    With jobs > 1 the grid points run on that many spawned worker processes,
-    each starting with its share of the cores as its BLAS thread count, so
-    that the workers' BLAS threads do not outnumber the cores.  (A forked
-    worker would keep the thread count of the BLAS this process has
-    loaded.)"""
+    With jobs > 1 the grid points run on that many worker processes
+    (radden._parallel._map_workers)."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     tasks = [(cfg, value, seed) for value in cfg.sweep.values
              for seed in sorted(cfg.sweep.seeds)]
-    if jobs > 1:
-        spawn = multiprocessing.get_context("spawn")
-        with _blas_threads_for_children(jobs):
-            with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
-                chunks = list(pool.map(_job, tasks))
-    else:
-        chunks = [_job(t) for t in tasks]
     # tasks are already in (grid position, seed) order; the sort is stable
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for chunk in _map_workers(_job, tasks, jobs) for row in chunk]
     rows.sort(key=lambda r: (r.kind, r.algorithm))
     return rows
 

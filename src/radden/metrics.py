@@ -62,8 +62,8 @@ def _ssim_images(a, b):
         cov = ((a - mu_a[:, None]) * (b - mu_b[:, None])).mean(axis=-1)
         num, den = np.empty((2, n))
     else:
-        # separable window: each local mean is R @ x @ C.T, two GEMMs per
-        # image; one GEMM per image keeps a stack equal to per-image calls
+        # separable window: each local mean is R @ x @ C.T, one GEMM per
+        # image and side, so that a stack equals per-image calls
         R = _window_matrix(a.shape[-2])
         Ct = _window_matrix(a.shape[-1]).T.copy()
         buf = np.empty((n, a.shape[-2], Ct.shape[1]))
@@ -74,9 +74,8 @@ def _ssim_images(a, b):
             np.matmul(stack, Ct, out=buf)
             np.matmul(R, buf, out=out)
 
-        # a strided stack view would take numpy's non-BLAS matmul loop,
-        # which rounds differently from the per-image call: x and y are
-        # contiguous copies of a and b, then hold the products in turn
+        # contiguous copies, as a strided view would take numpy's non-BLAS
+        # matmul and round otherwise; they then hold the products in turn
         x, y = np.empty((2,) + a.shape)
         np.copyto(x, a)
         np.copyto(y, b)
@@ -91,8 +90,7 @@ def _ssim_images(a, b):
         var_a -= np.multiply(mu_a, mu_a, out=den)
         var_b -= np.multiply(mu_b, mu_b, out=den)
         cov -= np.multiply(mu_a, mu_b, out=den)
-    # (2 mu_a mu_b + c1)(2 cov + c2) / ((mu_a^2 + mu_b^2 + c1)(var_a + var_b
-    # + c2)) in place, each operation in the order of that formula
+    # SSIM's formula in place, each operation in the formula's order
     np.multiply(mu_a, mu_a, out=den)
     den += np.multiply(mu_b, mu_b, out=num)
     den += c1

@@ -1,7 +1,6 @@
 """Dense ridge least squares and ISTA, the two kernels behind every autoencoder variant."""
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,15 +70,11 @@ def default_ridge(A):
 
 
 class RidgeDesign:
-    """Ridge least squares against a fixed n x q design A.
-
-    solve(B) returns W minimizing ||B - W A||_F^2 + ridge ||W||_F^2, with the
-    rows of B as right-hand sides.  At ridge > 0 only the ridged Gram matrix
-    on the smaller side of A is kept: W = solve(A A.T + rI, A B.T).T for a
-    wide design (n <= q), W = solve(A.T A + rI, B.T).T A.T for a tall one, so
-    no q x n operator is ever formed.  At ridge 0 the pseudo-inverse _K
-    (q x n) is kept and W = B _K, the minimum-norm least-squares solution.
-    fitted(B) is W A, through the q x q hat matrix formed on first use.
+    """Ridge least squares against a fixed n x q design A: solve(B) is the W
+    minimizing ||B - W A||_F^2 + ridge ||W||_F^2, one row per row of B.  At
+    ridge > 0 only the ridged Gram matrix of A's smaller side is kept, so no
+    q x n operator is formed; at ridge 0 the pseudo-inverse _K (q x n) is
+    kept, and W = B _K is the minimum-norm least-squares solution.
     """
 
     def __init__(self, A, ridge=None):
@@ -92,8 +87,6 @@ class RidgeDesign:
             self._gram = A.T @ A + ridge * np.eye(q)
         else:
             self._gram = A @ A.T + ridge * np.eye(n)
-        self._hat = None
-        self._hat_lock = threading.Lock()   # trainers on threads share one
 
     def solve(self, B):
         B = _checked_target(B, self.A)
@@ -103,23 +96,15 @@ class RidgeDesign:
             return np.linalg.solve(self._gram, B.T).T @ self.A.T
         return np.linalg.solve(self._gram, self.A @ B.T).T
 
-    def fitted(self, B):
-        """solve(B) @ A, the fit on the design's own columns, as B @ H.
-
-        The q x q hat matrix H is formed on first use, so each call costs
-        q^2 per target row instead of the 2 n q of forming W and then W A;
-        that is cheaper while q < 2n.
-        """
-        with self._hat_lock:
-            if self._hat is None:
-                A = self.A
-                if self.ridge == 0:
-                    self._hat = self._K @ A
-                elif self._tall:   # (A.T A + rI)^-1 A.T A
-                    self._hat = np.linalg.solve(self._gram, A.T @ A)
-                else:              # A.T (A A.T + rI)^-1 A
-                    self._hat = A.T @ np.linalg.solve(self._gram, A)
-        return _checked_target(B, self.A) @ self._hat
+    def hat(self):
+        """The q x q hat matrix H, with solve(B) @ A = B @ H: a fit through
+        it costs q^2 per row of B, against 2 n q through W and then W A."""
+        A = self.A
+        if self.ridge == 0:
+            return self._K @ A
+        if self._tall:   # (A.T A + rI)^-1 A.T A
+            return np.linalg.solve(self._gram, A.T @ A)
+        return A.T @ np.linalg.solve(self._gram, A)   # A.T (A A.T + rI)^-1 A
 
 
 def _checked_design(A, ridge):
@@ -219,25 +204,18 @@ def ista_gram(DtD, DtY, yty, mu, Z0, opts: IstaOptions | None = None):
     """ISTA on the normal-equation form of ||Y - D Z||_F^2 + mu |Z|_1.
 
     Takes DtD = D.T D (k x k), DtY = D.T Y (k x q) and yty, each column's
-    ||y||^2 (q), in place of D and Y; the design's row count never enters.
-    Iterates Z <- soft_threshold(Z + (1/L) (DtY - DtD Z), mu / (2 L)) from
-    the given warm start, with L = 1.01 * the largest eigenvalue of DtD; the
-    objective is non-increasing across iterations.  Columns are solved
-    independently, each with its own stopping rule.  The codes, D.T Y and
-    the gradient are (k, n) matrices, zero-padded to n columns, a multiple of
-    BLOCK_COLUMNS.  Every sweep takes one path: one GEMM DtD @ Z for the
-    whole gradient plus a fixed set of in-place elementwise passes with the
-    scalar step 1/L and threshold mu / (2 L), then one indexed copy that
-    restores the stopped columns, so their gradient and objective stay as
-    they are (a padded column is zero and stays zero without it).  Each
-    column's objective yty - 2 z.dty + z.(DtD z) + mu |z|_1 is two dot
-    products and one |z| sum down its column.  `iterations` is the longest
-    column's count, `converged` the number of columns whose stopping rule
-    fired before `max_iterations` cut them off, and `objectives` holds
-    per-sweep totals, summed over blocks of BLOCK_COLUMNS columns in order,
-    in which a stopped column contributes its final value.  A design with no
-    columns (k = 0) has z of shape (0, q) and objective ||y||^2; it stops
-    after one sweep.
+    ||y||^2 (q), in place of D and Y.  Iterates Z <- soft_threshold(Z + (1/L)
+    (DtY - DtD Z), mu / (2 L)) from the warm start Z0, with L = 1.01 * the
+    largest eigenvalue of DtD; the objective is non-increasing.  Each column
+    stops by its own rule and then keeps its codes.  The matrices are
+    zero-padded to a multiple of BLOCK_COLUMNS columns, and every sweep takes
+    one GEMM for the whole gradient, so that a column's codes do not depend
+    on which columns share the call (README).  `iterations` is the longest
+    column's count, `converged` the number of columns whose rule fired before
+    `max_iterations`, and `objectives` holds per-sweep totals, summed over
+    blocks of BLOCK_COLUMNS columns in order, a stopped column adding its
+    final value.  A design with no columns (k = 0) gives z of shape (0, q)
+    and objective ||y||^2 after one sweep.
     """
     if opts is None:
         opts = IstaOptions()

@@ -423,6 +423,30 @@ class TestTrainingPair:
             assert (shared_trace.objectives, shared_trace.ista) == \
                 (own_trace.objectives, own_trace.ista)
 
+    def test_trainers_only_read_a_shared_pair(self, monkeypatch):
+        # pooled trainers share one pair, so none may set anything on it
+        X, Xhat = synthetic_pair(P=30, Q=20, seed=10)
+        hat_calls = []
+        hat = RidgeDesign.hat
+        monkeypatch.setattr(RidgeDesign, "hat",
+                            lambda design: hat_calls.append(design) or hat(design))
+        pair = prepare_pair(X, Xhat)
+        assert hat_calls == [pair.design]
+        before = [dict(vars(pair)), dict(vars(pair.design))]
+        contents = [value.tobytes() for value in vars(pair).values()
+                    if isinstance(value, np.ndarray)]
+        opts = TrainOptions(outer_iterations=3,
+                            ista=IstaOptions(max_iterations=20))
+        for variant in ("dae", "sparse_dae", "stacked_sdae"):
+            _train_variant(variant, X, Xhat, opts, pair=pair)
+        after = [dict(vars(pair)), dict(vars(pair.design))]
+        assert [list(d) for d in after] == [list(d) for d in before]
+        assert all(d[name] is value for b, d in zip(before, after)
+                   for name, value in b.items())
+        assert contents == [value.tobytes() for value in vars(pair).values()
+                            if isinstance(value, np.ndarray)]
+        assert hat_calls == [pair.design]
+
     @pytest.mark.parametrize("variant", ["dae", "sparse_dae", "stacked_sdae"])
     def test_pair_of_other_arrays_refused(self, variant):
         X, Xhat = synthetic_pair(seed=9)

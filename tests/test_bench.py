@@ -465,7 +465,7 @@ def test_sweep_workers_start_with_their_share_of_blas_threads(
                             for name in BLAS_VARIABLES])
             return super().map(fn, *iterables, **kwargs)
 
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", Probing)
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", Probing)
     rows = run_sweep(tiny_config(algorithms=("wavelet",)), jobs=jobs)
     assert len(rows) == 1
     assert started == ["spawn", [threads] * 3]
@@ -493,7 +493,7 @@ def test_sweep_restores_blas_variables_when_the_pool_fails(monkeypatch,
         def map(self, fn, *iterables, **kwargs):
             raise RuntimeError("a worker died")
 
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", Failing)
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", Failing)
     with pytest.raises(RuntimeError, match="a worker died"):
         run_sweep(tiny_config(algorithms=("wavelet",)), jobs=2)
     assert seen == [["2"] * 3]
@@ -605,7 +605,7 @@ def test_grid_point_pools_nothing_without_a_blas_setter(monkeypatch,
 
 
 def test_run_sweep_rejects_jobs_below_one(monkeypatch):
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", _no_pool)
     with pytest.raises(ConfigError):
         run_sweep(tiny_config(), jobs=0)
 
@@ -722,7 +722,7 @@ class TestCli:
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_sweep_rejects_jobs_below_one(self, tmp_path, monkeypatch, jobs):
-        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(_parallel, "ProcessPoolExecutor", _no_pool)
         ini = tmp_path / "exp.ini"
         ini.write_text("[sweep]\nalgorithms = wavelet\n"
                        f"[output]\ndirectory = {tmp_path / 'out'}\n")

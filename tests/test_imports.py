@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -16,3 +17,32 @@ def test_package_imports_load_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+CONCURRENCY_MODULES = {"threading", "multiprocessing", "concurrent.futures",
+                       "ctypes"}
+
+
+def _imported(node):
+    """The modules and module.names an import statement names."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return [node.module] + [f"{node.module}.{alias.name}"
+                                for alias in node.names]
+    return []
+
+
+def test_only_the_parallel_module_imports_concurrency():
+    """Threads, worker processes, locks and the ctypes BLAS lookup live in
+    radden._parallel alone."""
+    root = Path(radden.__file__).parent
+    found = {}
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {name for node in ast.walk(tree) for name in _imported(node)
+                 if name in CONCURRENCY_MODULES
+                 or name.split(".")[0] in CONCURRENCY_MODULES}
+        if names:
+            found[path.relative_to(root).as_posix()] = names
+    assert set(found) == {"_parallel.py"}, found

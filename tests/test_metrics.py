@@ -2,6 +2,7 @@ import ctypes
 import sys
 import threading
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,7 +336,10 @@ class TestBlasSetterLookup:
                             lambda path: types.SimpleNamespace(**symbols))
         monkeypatch.setattr(_parallel, "_core_count", lambda: 2)
 
-    def test_plain_openblas_names_are_found(self, monkeypatch):
+    # numpy 1.22-1.26 wheels bundle an ILP64 OpenBLAS with the suffix 64_;
+    # an OpenBLAS built without a suffix exports the plain names
+    @pytest.mark.parametrize("suffix", ["", "64_"], ids=["plain", "ilp64"])
+    def test_openblas_names_are_found(self, monkeypatch, suffix):
         threads, set_to = [3], []
 
         def get():
@@ -344,8 +348,8 @@ class TestBlasSetterLookup:
         def set_(count):
             threads[0] = count
             set_to.append(count)
-        self.load(monkeypatch, openblas_get_num_threads=get,
-                  openblas_set_num_threads=set_)
+        self.load(monkeypatch, **{f"openblas_get_num_threads{suffix}": get,
+                                  f"openblas_set_num_threads{suffix}": set_})
         assert _parallel._blas_thread_functions() == (get, set_)
         assert get.restype is ctypes.c_int
         assert set_.argtypes == (ctypes.c_int,)
@@ -361,3 +365,21 @@ class TestBlasSetterLookup:
         assert _parallel._blas_thread_functions() is None
         with _parallel._one_blas_thread() as budget:
             assert budget == 1
+
+    def test_finds_numpys_bundled_openblas(self):
+        # the OpenBLAS that the installed numpy wheel bundles, if any,
+        # through the real lookup
+        libs = Path(np.__file__).parents[1] / "numpy.libs"
+        if not (any(libs.glob("libopenblas*"))
+                or any(libs.glob("libscipy_openblas*"))):
+            pytest.skip("numpy bundles no OpenBLAS here")
+        functions = _parallel._blas_thread_functions()
+        assert functions is not None
+        get, set_ = functions
+        saved = get()
+        try:
+            set_(1)
+            assert get() == 1
+        finally:
+            set_(saved)
+        assert get() == saved

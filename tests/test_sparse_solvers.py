@@ -207,7 +207,7 @@ class TestLeastSquares:
         P, q = 300, 24
         design = RidgeDesign(rng.standard_normal((P, q)), ridge=ridge)
         design.solve(rng.standard_normal((40, q)))
-        design.fitted(rng.standard_normal((5, q)))
+        design.hat()
         held = [value for value in vars(design).values()
                 if isinstance(value, np.ndarray) and value is not design.A]
         assert held
@@ -230,29 +230,17 @@ class TestLeastSquares:
     @pytest.mark.parametrize("shape, ridge", [((40, 12), None), ((12, 40), None),
                                               ((40, 12), 0.0), ((12, 40), 0.0)],
                              ids=["tall", "wide", "tall_ridge0", "wide_ridge0"])
-    def test_fitted_is_solve_times_design(self, shape, ridge):
+    def test_hat_is_solve_times_design(self, shape, ridge):
         rng = np.random.default_rng(17)
         A = rng.standard_normal(shape)
         design = RidgeDesign(A, ridge=ridge)
-        for rows in (7, 30):   # the second call reuses the hat matrix
+        hat = design.hat()
+        assert hat.shape == (shape[1], shape[1])
+        for rows in (7, 30):
             B = rng.standard_normal((rows, shape[1]))
             expected = design.solve(B) @ A
-            got = design.fitted(B)
+            got = B @ hat
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
-
-    @pytest.mark.parametrize("shape, ridge", [((40, 12), None), ((12, 40), None),
-                                              ((40, 12), 0.0)],
-                             ids=["tall", "wide", "ridge0"])
-    def test_hat_matrix_formed_on_first_fit_only(self, shape, ridge):
-        rng = np.random.default_rng(19)
-        design = RidgeDesign(rng.standard_normal(shape), ridge=ridge)
-        design.solve(rng.standard_normal((5, shape[1])))
-        assert design._hat is None   # solves alone never form it
-        design.fitted(rng.standard_normal((5, shape[1])))
-        hat = design._hat
-        assert hat.shape == (shape[1], shape[1])
-        design.fitted(rng.standard_normal((3, shape[1])))
-        assert design._hat is hat
 
     @pytest.mark.parametrize("shape", [(40, 12), (12, 40)], ids=["tall", "wide"])
     @pytest.mark.parametrize("ridge", [None, 0.0])
@@ -261,7 +249,7 @@ class TestLeastSquares:
         design = RidgeDesign(np.random.default_rng(20).standard_normal(shape),
                              ridge=ridge)
         assert design.solve(np.zeros((0, q))).shape == (0, n)
-        assert design.fitted(np.zeros((0, q))).shape == (0, q)
+        assert (np.zeros((0, q)) @ design.hat()).shape == (0, q)
 
 
 class TestLipschitzBound:
