@@ -1,8 +1,9 @@
 """The package's threads, worker processes and locks.  The BLAS pin runs
 numpy's OpenBLAS on one thread and yields its budget, min(the BLAS threads
 the outermost pin found, the cores), or 1 with no setter: a grid point's
-trainers pool up to it, the block map up to the cores.  Pooled outputs are
-bitwise equal to serial ones (evidence: CHANGES.md)."""
+trainers pool up to it and the block map up to the cores, less the pool
+threads running a call.  Pooled outputs are bitwise equal to serial ones
+(evidence: CHANGES.md)."""
 from __future__ import annotations
 
 import contextlib
@@ -59,6 +60,7 @@ def _blas_thread_functions():
 _pin_lock = threading.Lock()
 _pin_depth = 0
 _pin_threads, _pin_set, _pin_budget = 1, None, 1
+_pool_running = 0  # pool threads of all _pooled blocks running a call
 
 
 @contextlib.contextmanager
@@ -89,19 +91,24 @@ def _one_blas_thread():
 
 @contextlib.contextmanager
 def _pooled(calls, threads=None):
-    """Under one BLAS pin, start the first threads - 1 of the list `calls`
-    (callables of no argument) on pool threads, `threads` being the pin's
-    budget unless given; yields their futures.  The block runs the rest on
-    the calling thread.  On exit every started call has returned, no pool
-    thread is left, and the first error of a started call is raised on the
-    calling thread."""
+    """Under one BLAS pin, start the first threads - 1 - _pool_running of the
+    list `calls` (callables of no argument) on pool threads, `threads` being
+    the pin's budget unless given; yields their futures.  The block runs the
+    rest on the calling thread.  On exit every started call has returned, no
+    pool thread is left, and the first error of a started call is raised on
+    the calling thread."""
+    global _pool_running
     with _one_blas_thread() as budget:
-        calls = calls[:(threads or budget) - 1]
+        with _pin_lock:
+            calls = calls[:max(0, (threads or budget) - 1 - _pool_running)]
+            if calls:   # a pool starts no thread before its first submit
+                pool = ThreadPoolExecutor(len(calls))
+                _pool_running += len(calls)
         if not calls:
             yield []
             return
-        with ThreadPoolExecutor(len(calls)) as pool:
-            started = [pool.submit(call) for call in calls]
+        with pool:
+            started = [pool.submit(_counted, call) for call in calls]
             # a pool thread drops its call once it has returned, and with it
             # the call's arguments; holding the calls here would keep them
             del calls
@@ -110,9 +117,19 @@ def _pooled(calls, threads=None):
                 future.result()
 
 
+def _counted(call):
+    """call() on a pool thread, counted as running until it returns."""
+    global _pool_running
+    try:
+        return call()
+    finally:
+        with _pin_lock:
+            _pool_running -= 1
+
+
 def _map_blocks(fn, count):
     """Call fn(block) for every BLOCK_IMAGES slice of range(count) on the
-    calling thread and one _pooled thread per further core, each taking the
+    calling thread and on _pooled threads up to the cores, each taking the
     next block when it is free.  fn must write only its own block's outputs
     and call only private kernels: the benchmark's tracer keeps one span
     stack and wraps the public entry points."""

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from ..dataset import WallClass
 from ..dataset.frontal import FRONTAL_SHAPE
+from ..dataset.signatures import RADAR_SHAPE
 from ..errors import ConfigError
 
 __all__ = [
@@ -27,8 +28,6 @@ __all__ = [
 
 ALGORITHMS = ("dae", "sparse_dae", "stacked_sdae", "svd", "wavelet")
 AUTOENCODERS = ALGORITHMS[:3]  # the trained algorithms
-
-SIGNATURE_KINDS = ("spectrogram", "hrrp", "frontal")
 
 # sweep axis -> the ResultRow field that records its grid value
 SWEEP_AXES = {"snr": "snr_db", "mismatch": "mismatch_pct", "scr": "scr_db"}
@@ -50,7 +49,7 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in SIGNATURE_KINDS:
+        if self.kind not in _KIND_READS:
             raise ConfigError(f"unknown signature kind {self.kind!r}")
         WallClass(self.wall_class)  # ConfigError on an unknown name
         for name in ("realizations", "intervals", "noise_draws"):
@@ -58,18 +57,16 @@ class DatasetSpec:
                 raise ConfigError(f"{name} must be >= 1")
         if not (0.0 <= self.pfa <= 1.0):
             raise ConfigError("pfa must lie in [0, 1]")
+        reads = _KIND_READS[self.kind]
+        for f in fields(self):
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{self.kind} images take no {f.name}; "
+                                  f"leave it at {f.default!r}")
         if self.kind == "hrrp" and self.bandwidth_hz <= 0:
             raise ConfigError("hrrp generation needs bandwidth_hz > 0")
-        if self.kind == "spectrogram" and self.bandwidth_hz > 0:
-            # the STFT reads one frequency, f0 = carrier - bandwidth / 2
-            raise ConfigError("spectrogram generation needs bandwidth_hz = 0")
-        if self.kind == "frontal":
-            # phantoms have no wall and no radar: rows would record settings
-            # that the images never saw
-            for name, default in _RADAR_DEFAULTS.items():
-                if getattr(self, name) != default:
-                    raise ConfigError(f"frontal images take no {name}; "
-                                      f"leave it at {default!r}")
+        if self.kind != "frontal" and self.pfa == 0.0 and self.scr_db != 0.0:
+            raise ConfigError(f"{self.kind} images take no scr_db at pfa = 0, "
+                              f"which draws no clutter; leave it at 0.0")
 
     @property
     def count(self):
@@ -78,14 +75,20 @@ class DatasetSpec:
 
     @property
     def image_shape(self):
-        """64 x 64 radar images; frontal phantoms have their own size."""
-        return FRONTAL_SHAPE if self.kind == "frontal" else (64, 64)
+        """Radar images are RADAR_SHAPE; frontal phantoms have their own size."""
+        return FRONTAL_SHAPE if self.kind == "frontal" else RADAR_SHAPE
 
 
-# the radar settings that a frontal DatasetSpec must leave at these defaults
-_RADAR_DEFAULTS = {f.name: f.default for f in fields(DatasetSpec)
-                   if f.name in ("wall_class", "carrier_hz", "bandwidth_hz",
-                                 "freq_count")}
+# The DatasetSpec fields each signature kind reads; any other must keep its
+# default, or the rows would record a setting that the images never saw.
+# Phantoms have no wall and no radar, and the STFT reads one frequency.
+_COMMON_READS = ("kind", "realizations", "intervals", "noise_draws", "snr_db",
+                 "scr_db", "pfa", "seed")
+_KIND_READS = {
+    "spectrogram": _COMMON_READS + ("wall_class", "carrier_hz"),
+    "hrrp": _COMMON_READS + ("wall_class", "carrier_hz", "bandwidth_hz", "freq_count"),
+    "frontal": _COMMON_READS,
+}
 
 
 @dataclass

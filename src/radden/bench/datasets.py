@@ -15,6 +15,7 @@ from ..dataset import (ChannelModel, GaitParams, ImageStack, RadarConfig,
                        frontal_phantoms, gait_trajectory, hrrp, radar_returns,
                        signal_reference, spectrogram, to_db_normalize)
 from ..dataset.corrupt import CLUTTER_PFA
+from ..dataset.gait import TIME_GRID
 from ..dataset.signatures import DB_WINDOW
 from ..errors import ConfigError
 from .config import DatasetSpec
@@ -28,17 +29,7 @@ _WALL_TAGS = {
     WallClass.HIGH_CONDUCTIVITY: 3,
 }
 
-_SAMPLE_RATE = 500.0
-_DURATION = 6.0
-_STFT_WINDOW = 50   # samples (0.1 s)
-_STFT_HOP = 5
 HEADROOM_DB = 20.0  # dB between each radar image's peak and the window's ceil
-
-
-def _radar_config(spec: DatasetSpec):
-    return RadarConfig(carrier_hz=spec.carrier_hz, bandwidth_hz=spec.bandwidth_hz,
-                       freq_count=spec.freq_count, sample_rate_hz=_SAMPLE_RATE,
-                       duration_s=_DURATION)
 
 
 def _gait(spec: DatasetSpec, eta):
@@ -57,18 +48,16 @@ def _gait(spec: DatasetSpec, eta):
 
 
 def _interval_bounds(spec: DatasetSpec):
-    per = int(round(_DURATION * _SAMPLE_RATE)) // spec.intervals
+    per = TIME_GRID.size // spec.intervals
     return [(i * per, (i + 1) * per) for i in range(spec.intervals)]
 
 
 def _spectrogram_images(signal, spec: DatasetSpec):
     """One power image per time interval from a narrowband return column."""
-    rows, cols = spec.image_shape
+    cols = spec.image_shape[1]
     images = []
     for lo, hi in _interval_bounds(spec):
-        power, _, _ = spectrogram(signal[lo:hi], _SAMPLE_RATE,
-                                  _STFT_WINDOW / _SAMPLE_RATE,
-                                  hop=_STFT_HOP, doppler_bins=rows)
+        power, _, _ = spectrogram(signal[lo:hi])
         if power.shape[1] < cols:
             raise ConfigError(f"intervals = {spec.intervals} leaves {power.shape[1]} STFT "
                               f"frames per interval; a spectrogram image needs {cols}")
@@ -104,7 +93,8 @@ def _base_power_images(spec: DatasetSpec):
                               f"samples per interval; an HRRP image needs {cols}")
         samples = np.concatenate([np.linspace(lo, hi - 1, cols).astype(int)
                                   for lo, hi in bounds])
-    radar = _radar_config(spec)
+    radar = RadarConfig(carrier_hz=spec.carrier_hz, bandwidth_hz=spec.bandwidth_hz,
+                        freq_count=spec.freq_count)
     free = ChannelModel(WallClass.FREE_SPACE)
     wall = ChannelModel(spec.wall_class, realizations=spec.realizations,
                         seed=spec.seed)
@@ -117,8 +107,7 @@ def _base_power_images(spec: DatasetSpec):
 
     clean, corrupt = [], []
     for eta in range(1, spec.realizations + 1):
-        track = gait_trajectory(_gait(spec, eta), (0.5, 0.0),
-                                _DURATION, _SAMPLE_RATE)
+        track = gait_trajectory(_gait(spec, eta))
         clean += images_for(track, free, 1)
         corrupt += images_for(track, wall, eta)
     return tuple(np.column_stack([img.ravel(order="F") for img in images])

@@ -8,11 +8,15 @@ import numpy as np
 from ..errors import ConfigError
 from .channel import (SPEED_OF_LIGHT, ChannelModel, _frequency_grid, _phasor,
                       channel_response)
-from .gait import ScattererTrack
+from .gait import SAMPLE_RATE_HZ, TIME_GRID, ScattererTrack
 
 __all__ = ["RadarConfig", "hrrp", "radar_returns", "spectrogram", "to_db_normalize"]
 
 DB_WINDOW = (-70.0, -20.0)  # (floor, ceil) in dB of every radar image
+RADAR_SHAPE = (64, 64)      # (Doppler or range bins, time columns) of a radar image
+STFT_WINDOW = 50            # samples (0.1 s) of the periodic Hann window
+STFT_HOP = 5
+STFT_BINS = RADAR_SHAPE[0]  # zero-padded FFT length: one bin per image row
 
 
 @dataclass
@@ -20,27 +24,18 @@ class RadarConfig:
     carrier_hz: float = 2.4e9
     bandwidth_hz: float = 0.0
     freq_count: int = 1
-    sample_rate_hz: float = 500.0
-    duration_s: float = 6.0
 
     def __post_init__(self):
         if self.bandwidth_hz < 0:
             raise ConfigError("bandwidth must be >= 0")
-        if self.sample_rate_hz <= 0 or self.duration_s <= 0:
-            raise ConfigError("sample rate and duration must be > 0")
-        if self.bandwidth_hz == 0:
-            self.freq_count = 1
-        elif self.freq_count < 2:
+        if self.bandwidth_hz == 0 and self.freq_count != 1:
+            raise ConfigError("narrowband operation needs freq_count = 1")
+        if self.bandwidth_hz > 0 and self.freq_count < 2:
             raise ConfigError("wideband operation needs freq_count >= 2")
 
     @property
     def narrowband(self):
         return self.bandwidth_hz == 0.0
-
-    @property
-    def time_grid(self):
-        n = int(round(self.duration_s * self.sample_rate_hz))
-        return np.arange(n) / self.sample_rate_hz
 
     @property
     def frequencies(self):
@@ -74,16 +69,13 @@ def radar_returns(track: ScattererTrack, channel: ChannelModel,
 
     Coherent sum over scatterers of the two-way channel response squared and
     the 3-D/2-D phase correction term; shape (time samples, frequency
-    samples), a single column for narrowband operation.  Integer time-grid
+    samples), a single column for narrowband operation.  Integer TIME_GRID
     indices `samples` keep only those rows, bitwise as in the full grid.
     """
-    grid = radar.time_grid
-    if track.times.shape != grid.shape or not np.allclose(track.times, grid,
-                                                          rtol=1e-9, atol=1e-9):
-        raise ConfigError("track and radar do not share the same time grid")
-    rows = np.arange(grid.size) if samples is None else np.asarray(samples)
-    if rows.ndim != 1 or rows.dtype.kind not in "iu" or np.any((rows < 0) | (rows >= grid.size)):
-        raise ConfigError(f"time samples must be integers in [0, {grid.size})")
+    n = TIME_GRID.size
+    rows = np.arange(n) if samples is None else np.asarray(samples)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu" or np.any((rows < 0) | (rows >= n)):
+        raise ConfigError(f"time samples must be integers in [0, {n})")
     f = radar.frequencies[None, :]
     grid = _frequency_grid(f)
     out = np.zeros((rows.size, f.size), dtype=complex)
@@ -96,28 +88,24 @@ def radar_returns(track: ScattererTrack, channel: ChannelModel,
     return out
 
 
-def spectrogram(signal, sample_rate, window_s, hop=None, doppler_bins=None):
-    """Squared-magnitude STFT of a narrowband complex signal.
+def spectrogram(signal):
+    """Squared-magnitude STFT of a narrowband complex signal sampled at
+    SAMPLE_RATE_HZ, with the STFT_* settings.
 
-    Returns (power, doppler_axis, frame_times); rows cover -fs/2..+fs/2 after
-    FFT shift.  A periodic Hann window is used; `hop` defaults to a quarter
-    window, `doppler_bins` to the window length.
+    Returns (power, doppler_axis, frame_times); the STFT_BINS rows cover
+    -fs/2..+fs/2 after FFT shift.
     """
     signal = np.asarray(signal).ravel()
-    win_len = int(round(window_s * sample_rate))
-    if win_len < 2 or win_len > signal.size:
-        raise ConfigError(f"window of {win_len} samples invalid for signal of "
-                          f"{signal.size}")
-    hop = hop or max(1, win_len // 4)
-    nfft = doppler_bins or win_len
-    if nfft < win_len:
-        raise ConfigError("doppler_bins must be >= window length")
-    window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(win_len) / win_len)
-    frames = np.lib.stride_tricks.sliding_window_view(signal, win_len)[::hop] * window
-    spec = np.fft.fftshift(np.fft.fft(frames, n=nfft, axis=1), axes=1)
+    if signal.size < STFT_WINDOW:
+        raise ConfigError(f"a signal of {signal.size} samples is shorter than "
+                          f"the {STFT_WINDOW}-sample STFT window")
+    window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(STFT_WINDOW) / STFT_WINDOW)
+    frames = np.lib.stride_tricks.sliding_window_view(signal, STFT_WINDOW)
+    frames = frames[::STFT_HOP] * window
+    spec = np.fft.fftshift(np.fft.fft(frames, n=STFT_BINS, axis=1), axes=1)
     power = (np.abs(spec) ** 2).T
-    doppler = np.fft.fftshift(np.fft.fftfreq(nfft, d=1.0 / sample_rate))
-    frame_times = (np.arange(len(frames)) * hop + win_len / 2.0) / sample_rate
+    doppler = np.fft.fftshift(np.fft.fftfreq(STFT_BINS, d=1.0 / SAMPLE_RATE_HZ))
+    frame_times = (np.arange(len(frames)) * STFT_HOP + STFT_WINDOW / 2.0) / SAMPLE_RATE_HZ
     return power, doppler, frame_times
 
 

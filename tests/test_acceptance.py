@@ -19,6 +19,7 @@ from radden.bench import (DatasetSpec, ExperimentConfig, SweepSpec, TrainSpec,
                           evaluate_grid_point)
 from radden.dataset import (ChannelModel, RadarConfig, ScattererTrack,
                             WallClass, hrrp, radar_returns, spectrogram)
+from radden.dataset.gait import TIME_GRID
 from radden.metrics import nmse, ssim
 from radden.sparse_solvers import IstaOptions, ista_solve, solve_least_squares
 
@@ -297,29 +298,27 @@ def test_metric_identities():
 
 def test_signature_synthesis_physics():
     # constant-radial-velocity scatterer: Doppler line at 2 v f / c
-    radar = RadarConfig(carrier_hz=2.4e9, sample_rate_hz=500.0, duration_s=6.0)
-    v = 1.25  # puts the Doppler line exactly on a 10 Hz STFT bin
-    t = radar.time_grid
-    rho = 50.0 - v * t
-    track = ScattererTrack(t, rho, rho, [1.0])
+    radar = RadarConfig(carrier_hz=2.4e9)
+    v = 0.9765625  # puts the Doppler line exactly on a 500/64 Hz STFT bin
+    rho = 50.0 - v * TIME_GRID
+    track = ScattererTrack(rho, rho, [1.0])
     s_rx = radar_returns(track, ChannelModel(WallClass.FREE_SPACE), radar)
-    power, doppler, _ = spectrogram(s_rx[:, 0], 500.0, 0.1)
+    power, doppler, _ = spectrogram(s_rx[:, 0])
     f_doppler = 2.0 * v * radar.carrier_hz / 3e8
     idx = int(np.argmin(np.abs(doppler - f_doppler)))
     in_band = float(power[idx - 1: idx + 2].sum() / power.sum())
     assert in_band > 0.9, f"only {in_band:.3f} of energy within +-1 bin"
 
     # wideband profile: point target in the right bin, stated resolution
-    wide = RadarConfig(carrier_hz=2.4e9, bandwidth_hz=2e9, freq_count=133,
-                       duration_s=0.02)
+    wide = RadarConfig(carrier_hz=2.4e9, bandwidth_hz=2e9, freq_count=133)
     assert wide.range_resolution == pytest.approx(0.075, rel=1e-12)
     assert wide.unambiguous_range == pytest.approx(10.0, rel=5e-3)
-    tw = wide.time_grid
     r0 = 3.3
-    static = ScattererTrack(tw, np.full((1, tw.size), r0),
-                            np.full((1, tw.size), r0), [1.0])
+    static = ScattererTrack(np.full((1, TIME_GRID.size), r0),
+                            np.full((1, TIME_GRID.size), r0), [1.0])
     profile, ranges = hrrp(
-        radar_returns(static, ChannelModel(WallClass.FREE_SPACE), wide), wide)
+        radar_returns(static, ChannelModel(WallClass.FREE_SPACE), wide,
+                      samples=np.arange(10)), wide)
     peak_bin = int(np.argmax(profile.mean(axis=1)))
     assert peak_bin == int(np.argmin(np.abs(ranges - r0)))
     _report("synthesis physics",

@@ -1,8 +1,9 @@
+import functools
 import multiprocessing
 import os
 import threading
 from concurrent import futures
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,25 @@ class TestConfigParsing:
         cfg = parse_config(f"[dataset]\nkind = frontal\n{key} = {default}\n")
         assert getattr(cfg.dataset, key) == default
 
+    def test_narrowband_spectrogram_takes_one_frequency(self):
+        # the images at freq_count = 133 were bitwise those at 1
+        with pytest.raises(ConfigError,
+                           match="spectrogram images take no freq_count"):
+            parse_config("[dataset]\nkind = spectrogram\nfreq_count = 133\n")
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("spectrogram", ""), ("hrrp", "bandwidth_hz = 2e9\nfreq_count = 133\n")],
+        ids=["spectrogram", "hrrp"])
+    def test_scr_without_clutter_rejected(self, kind, extra):
+        # radar images draw no clutter at pfa = 0, so scr_db is never read
+        head = f"[dataset]\nkind = {kind}\n{extra}"
+        with pytest.raises(ConfigError, match="scr_db at pfa = 0"):
+            parse_config(head + "scr_db = 5\n")
+        assert parse_config(head + "scr_db = 5\npfa = 0.05\n").dataset.scr_db == 5
+        # frontal corruption draws clutter at CLUTTER_PFA when pfa = 0
+        cfg = parse_config("[dataset]\nkind = frontal\nscr_db = 5\n")
+        assert cfg.dataset.scr_db == 5
+
     def test_nodes_axis_rejected(self):
         with pytest.raises(ConfigError):
             SweepSpec(axis="nodes")
@@ -182,6 +202,34 @@ def _clutter_then_noise(stack, clean, spec, pfa):
         out[:, cols] = add_noise(cluttered.select(cols), spec.snr_db,
                                  seed=[spec.seed, 4, draw], signal_ref=ref).data
     return out
+
+
+# one small spec per kind, and for each DatasetSpec field the values to try
+# in its place, in order, the first that differs from the spec's
+_SMALL_SPECS = {
+    "spectrogram": DatasetSpec(kind="spectrogram", realizations=1,
+                               intervals=2, noise_draws=2),
+    "hrrp": DatasetSpec(kind="hrrp", bandwidth_hz=2e9, freq_count=64,
+                        realizations=1, intervals=2, noise_draws=2),
+    "frontal": DatasetSpec(kind="frontal", realizations=1, intervals=2,
+                           noise_draws=2),
+}
+_OTHER_VALUES = {
+    "kind": ("spectrogram", "frontal"), "wall_class": ("high",),
+    "carrier_hz": (1.4e9,), "bandwidth_hz": (1e9,), "freq_count": (128,),
+    "realizations": (2,), "intervals": (3,), "noise_draws": (3,),
+    "snr_db": (0.0,), "scr_db": (5.0,), "pfa": (0.05,), "seed": (1,),
+}
+
+
+def _pair_data(spec):
+    return tuple((stack.image_shape, stack.data.tobytes())
+                 for stack in generate_pair(spec))
+
+
+@functools.cache
+def _small_pair_data(kind):
+    return _pair_data(_SMALL_SPECS[kind])
 
 
 class TestGeneration:
@@ -245,7 +293,7 @@ class TestGeneration:
                            seed=2)
         clean, corrupt = generate_pair(spec)
         _, wall_only = generate_pair(replace(spec, snr_db=float("inf"),
-                                             pfa=0.0))
+                                             pfa=0.0, scr_db=0.0))
         np.testing.assert_array_equal(
             corrupt.data, _clutter_then_noise(wall_only, clean, spec, 0.1))
         c = np.repeat(np.arange(4), 3)
@@ -290,6 +338,19 @@ class TestGeneration:
         for samples in seen:
             per_interval = samples.reshape(46, 64)
             assert all(len(set(row)) == 64 for row in per_interval)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(DatasetSpec)])
+    @pytest.mark.parametrize("kind", ["spectrogram", "hrrp", "frontal"])
+    def test_every_accepted_setting_is_read(self, kind, name):
+        # a setting that a kind's config accepts must change its pair
+        base = _SMALL_SPECS[kind]
+        value = next(v for v in _OTHER_VALUES[name] if v != getattr(base, name))
+        try:
+            spec = replace(base, **{name: value})
+        except ConfigError:
+            return
+        assert _pair_data(spec) != _small_pair_data(kind), (
+            f"{kind} accepts {name} = {value!r} and ignores it")
 
     def test_noise_draws_differ(self):
         spec = DatasetSpec(kind="spectrogram", realizations=1, intervals=2,
@@ -602,6 +663,42 @@ def test_grid_point_pools_nothing_without_a_blas_setter(monkeypatch,
     assert len(evaluate_grid_point(cfg, 0.0, 0)) == 3
     caller = threading.get_ident()
     assert all(set(calls) == {caller} for calls in threads.values())
+
+
+def test_block_map_leaves_the_running_trainers_core(monkeypatch, fake_threads):
+    # at 2 cores and a budget of 2, StackedSDAE trains on the one pool
+    # thread, held there until DAE is scored; DAE's multi-block scoring
+    # meanwhile starts no second pool thread
+    fake_threads(2, 2)
+    pools, scorings = [], []
+
+    class Recording(futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+    monkeypatch.setattr(_parallel, "ThreadPoolExecutor", Recording)
+    dae_scored = threading.Event()
+    train, score = sweep_module.train_stacked_sdae, sweep_module._score
+
+    def waiting(*args, **kwargs):
+        assert dae_scored.wait(timeout=60), "DAE was never scored"
+        return train(*args, **kwargs)
+
+    def recording(denoised, data):
+        before = len(pools)
+        result = score(denoised, data)
+        scorings.append(pools[before:])
+        if len(scorings) == 2:   # the corrupt input, then DAE
+            dae_scored.set()
+        return result
+    monkeypatch.setattr(sweep_module, "train_stacked_sdae", waiting)
+    monkeypatch.setattr(sweep_module, "_score", recording)
+    cfg = tiny_config(algorithms=("dae", "stacked_sdae"), split=0.1)
+    cfg = replace(cfg, dataset=replace(cfg.dataset, noise_draws=20))
+    assert len(evaluate_grid_point(cfg, 0.0, 0)) == 2   # 288 test columns
+    # SSIM and the mean NMSE pool one thread each, when no trainer runs
+    assert scorings == [[1, 1], [], [1, 1]]
+    assert pools == [1, 1, 1, 1, 1]   # the trainers' pool is the third
 
 
 def test_run_sweep_rejects_jobs_below_one(monkeypatch):

@@ -6,32 +6,42 @@ from radden.dataset import (SPEED_OF_LIGHT, ChannelModel, GaitParams,
                             RadarConfig, ScattererTrack, WallClass,
                             channel_response, gait_trajectory, hrrp,
                             radar_returns, spectrogram, to_db_normalize)
-from radden.dataset.gait import BODY_HEIGHTS
+from radden.dataset.gait import (BODY_HEIGHTS, RADAR_XZ, SAMPLE_RATE_HZ,
+                                 TIME_GRID)
+from radden.dataset.signatures import STFT_BINS, STFT_HOP, STFT_WINDOW
 from radden.errors import ConfigError, DomainError
 
 C = SPEED_OF_LIGHT
+T = TIME_GRID.size
 
 
-def radial_track(r0, v, duration, rate, reflectivity=1.0):
+def radial_track(r0, v, reflectivity=1.0):
     """Single scatterer at ground height moving radially at speed v (m/s)."""
-    t = np.arange(int(round(duration * rate))) / rate
-    rho = r0 - v * t
-    return ScattererTrack(t, rho, rho, [reflectivity])
+    rho = r0 - v * TIME_GRID
+    return ScattererTrack(rho, rho, [reflectivity])
 
 
-def _direct_returns(track, ch, radar, eta):
-    """radar_returns evaluated one frequency at a time with `np.exp`.
+def static_track(r, count=1):
+    """`count` unit scatterers at ground height, each at range r."""
+    ranges = np.full((count, T), float(r))
+    return ScattererTrack(ranges, ranges, np.ones(count))
+
+
+def _direct_returns(track, ch, radar, eta, samples):
+    """radar_returns at the time samples `samples`, evaluated one frequency
+    at a time with `np.exp`.
 
     Also returns the scale of each sample: the same sum with every term
     replaced by its magnitude, which no cancellation between terms shrinks.
     """
     gains, delays = ch._jitter(eta)
-    out = np.zeros((track.times.size, radar.freq_count), dtype=complex)
+    out = np.zeros((len(samples), radar.freq_count), dtype=complex)
     scale = np.zeros(out.shape)
     for j, f in enumerate(radar.frequencies):
         path = lambda d: np.exp(-2j * np.pi * f * d)  # noqa: E731
         for b in range(track.count):
-            rho, r = track.ranges_ground[b], track.ranges_3d[b]
+            rho = track.ranges_ground[b][samples]
+            r = track.ranges_3d[b][samples]
             terms = [path(rho / C) / np.sqrt(rho)]
             if ch.wall_class is not WallClass.FREE_SPACE:
                 taps = ch.direct_gain * gains[0]
@@ -51,18 +61,28 @@ def _direct_returns(track, ch, radar, eta):
 
 
 class TestGait:
+    def test_time_grid_is_fixed(self):
+        # 6 s at 500 Hz, and no caller can move it
+        assert T == 3000
+        np.testing.assert_array_equal(TIME_GRID, np.arange(3000) / 500.0)
+        assert SAMPLE_RATE_HZ == 500.0
+        with pytest.raises(ValueError):
+            TIME_GRID[0] = 1.0
+
     def test_static_geometry(self):
         gait = GaitParams(speed=0.0, arm_swing=0.0, leg_swing=0.0,
                           start_xz=(0.5, 3.0))
-        track = gait_trajectory(gait, (0.5, 0.0), duration=1.0, sample_rate=100.0)
+        assert RADAR_XZ == (0.5, 0.0)
+        track = gait_trajectory(gait)
         np.testing.assert_allclose(track.ranges_ground[0], 3.0, atol=1e-12)
         np.testing.assert_allclose(track.ranges_3d[0],
                                    np.sqrt(9.0 + BODY_HEIGHTS[0] ** 2), atol=1e-12)
 
     def test_tangential_pass_symmetry(self):
+        # closest to the radar at x = 0.5 m, 3.5 s in
         gait = GaitParams(speed=1.0, arm_swing=0.0, leg_swing=0.0,
                           start_xz=(-3.0, 3.0), direction=(1.0, 0.0))
-        track = gait_trajectory(gait, (0.0, 0.0), duration=6.0, sample_rate=100.0)
+        track = gait_trajectory(gait)
         rho = track.ranges_ground[0]
         i_min = np.argmin(rho)
         assert rho[i_min] == pytest.approx(3.0, abs=1e-4)
@@ -71,10 +91,13 @@ class TestGait:
                                    rho[i_min + half:i_min:-1], atol=1e-9)
 
     def test_limb_doppler_against_finite_difference(self):
-        gait = GaitParams(speed=1.0, stride_hz=2.0, arm_swing=0.3)
-        rate = 500.0
-        # far-field radar along the walk direction: radial = along-track motion
-        track = gait_trajectory(gait, (100.0, 0.0), duration=6.0, sample_rate=rate)
+        # walking straight away from the radar, 20 m out and more: the
+        # radial motion is the along-track motion, up to the body heights
+        gait = GaitParams(speed=1.0, stride_hz=2.0, arm_swing=0.3,
+                          start_xz=(RADAR_XZ[0] + 20.0, RADAR_XZ[1]),
+                          direction=(1.0, 0.0))
+        rate = SAMPLE_RATE_HZ
+        track = gait_trajectory(gait)
         arm_r = track.ranges_3d[1]
         torso_r = track.ranges_3d[0]
         # arm oscillates at the stride frequency about the torso range
@@ -87,15 +110,10 @@ class TestGait:
         expected = gait.speed + gait.arm_swing * 2 * np.pi * gait.stride_hz
         assert v_max == pytest.approx(expected, rel=1e-2)
 
-    def test_invalid_config(self):
-        with pytest.raises(ConfigError):
-            gait_trajectory(GaitParams(), (0, 0), duration=0.0, sample_rate=100.0)
-        with pytest.raises(ConfigError):
-            gait_trajectory(GaitParams(), (0, 0), duration=1.0, sample_rate=-5.0)
-
     def test_track_invariants(self):
-        track = gait_trajectory(GaitParams(), (0.5, 0.0), 2.0, 200.0)
+        track = gait_trajectory(GaitParams())
         assert track.count == 5
+        assert track.ranges_3d.shape == track.ranges_ground.shape == (5, T)
         assert np.all(track.ranges_3d >= track.ranges_ground - 1e-12)
         assert np.all(track.reflectivity > 0)
 
@@ -182,32 +200,25 @@ class TestChannel:
 
 class TestRadarReturns:
     def test_single_static_scatterer(self):
-        radar = RadarConfig(carrier_hz=2.4e9, duration_s=1.0, sample_rate_hz=100.0)
-        t = radar.time_grid
-        track = ScattererTrack(t, np.ones_like(t), np.ones_like(t), [1.0])
-        s = radar_returns(track, ChannelModel(), radar)
+        radar = RadarConfig(carrier_hz=2.4e9)
+        s = radar_returns(static_track(1.0), ChannelModel(), radar)
         expected = np.exp(-4j * np.pi * 2.4e9 / C)
         np.testing.assert_allclose(s[:, 0], expected, atol=1e-12)
         np.testing.assert_allclose(np.abs(s), 1.0, atol=1e-12)
 
     def test_coherent_sum_of_equal_scatterers(self):
-        radar = RadarConfig(duration_s=0.5, sample_rate_hz=100.0)
-        t = radar.time_grid
-        one = ScattererTrack(t, 2 * np.ones_like(t), 2 * np.ones_like(t), [1.0])
-        two = ScattererTrack(t, 2 * np.ones((2, t.size)), 2 * np.ones((2, t.size)),
-                             [1.0, 1.0])
-        s1 = radar_returns(one, ChannelModel(), radar)
-        s2 = radar_returns(two, ChannelModel(), radar)
+        radar = RadarConfig()
+        s1 = radar_returns(static_track(2.0), ChannelModel(), radar)
+        s2 = radar_returns(static_track(2.0, count=2), ChannelModel(), radar)
         np.testing.assert_allclose(np.abs(s2), 2 * np.abs(s1), atol=1e-12)
 
     def test_linearity_over_scatterer_union(self):
-        radar = RadarConfig(duration_s=0.5, sample_rate_hz=100.0)
-        t = radar.time_grid
+        radar = RadarConfig()
         rng = np.random.default_rng(0)
-        r = 3.0 + rng.random((2, t.size))
-        a = ScattererTrack(t, r[0], r[0] * 0.9, [0.7])
-        b = ScattererTrack(t, r[1], r[1] * 0.8, [1.3])
-        both = ScattererTrack(t, r, r * [[0.9], [0.8]], [0.7, 1.3])
+        r = 3.0 + rng.random((2, T))
+        a = ScattererTrack(r[0], r[0] * 0.9, [0.7])
+        b = ScattererTrack(r[1], r[1] * 0.8, [1.3])
+        both = ScattererTrack(r, r * [[0.9], [0.8]], [0.7, 1.3])
         ch = ChannelModel(WallClass.LOW_CONDUCTIVITY, seed=1)
         s = radar_returns(both, ch, radar)
         s_sum = radar_returns(a, ch, radar) + radar_returns(b, ch, radar)
@@ -215,10 +226,10 @@ class TestRadarReturns:
 
     def test_doppler_peak_matches_analytic(self):
         fc = 2.4e9
-        rate = 500.0
+        rate = SAMPLE_RATE_HZ
         v = 5.0  # -> f_D = 2 v fc / c = 80 Hz
-        radar = RadarConfig(carrier_hz=fc, duration_s=2.0, sample_rate_hz=rate)
-        track = radial_track(100.0, v, 2.0, rate)
+        radar = RadarConfig(carrier_hz=fc)
+        track = radial_track(100.0, v)
         s = radar_returns(track, ChannelModel(), radar)[:, 0]
         spec = np.abs(np.fft.fftshift(np.fft.fft(s)))
         freqs = np.fft.fftshift(np.fft.fftfreq(s.size, d=1 / rate))
@@ -230,11 +241,11 @@ class TestRadarReturns:
     @pytest.mark.parametrize("wall", [WallClass.FREE_SPACE,
                                       WallClass.LOW_CONDUCTIVITY])
     def test_samples_are_rows_of_the_full_grid(self, wall, wideband):
-        radar = RadarConfig(bandwidth_hz=2e9 if wideband else 0.0,
-                            freq_count=16, duration_s=0.5, sample_rate_hz=100.0)
-        track = gait_trajectory(GaitParams(), (0.5, 0.0), 0.5, 100.0)
+        radar = (RadarConfig(bandwidth_hz=2e9, freq_count=16) if wideband
+                 else RadarConfig())
+        track = gait_trajectory(GaitParams())
         ch = ChannelModel(wall, realizations=2, seed=5)
-        idx = np.array([0, 7, 7, 3, 49, 20, 0])
+        idx = np.array([0, 7, 7, 3, 49, 20, 0, T - 1])
         full = radar_returns(track, ch, radar, eta=2)
         np.testing.assert_array_equal(
             radar_returns(track, ch, radar, eta=2, samples=idx), full[idx])
@@ -243,33 +254,31 @@ class TestRadarReturns:
     @pytest.mark.parametrize("wall", [WallClass.FREE_SPACE,
                                       WallClass.LOW_CONDUCTIVITY])
     def test_wideband_matches_per_frequency_exp(self, wall, freq_count):
-        radar = RadarConfig(bandwidth_hz=2e9, freq_count=freq_count,
-                            duration_s=0.2, sample_rate_hz=100.0)
-        track = gait_trajectory(GaitParams(), (0.5, 0.0), 0.2, 100.0)
+        radar = RadarConfig(bandwidth_hz=2e9, freq_count=freq_count)
+        track = gait_trajectory(GaitParams())
         ch = ChannelModel(wall, realizations=2, seed=5)
+        samples = np.arange(0, T, 150)  # 20 samples across the walk
         # relative to each sample's scale: where the scatterers' returns
         # cancel, no evaluation order keeps a 1e-12 elementwise rtol
-        ref, scale = _direct_returns(track, ch, radar, 2)
-        err = np.abs(radar_returns(track, ch, radar, eta=2) - ref) / scale
+        ref, scale = _direct_returns(track, ch, radar, 2, samples)
+        got = radar_returns(track, ch, radar, eta=2, samples=samples)
+        err = np.abs(got - ref) / scale
         assert err.max() <= 1e-12
 
-    @pytest.mark.parametrize("samples", [[0, 50], [-1, 2], [0.0, 1.0],
+    @pytest.mark.parametrize("samples", [[0, T], [-1, 2], [0.0, 1.0],
                                          np.array([[1, 2]]), [True, False]],
                              ids=["past_end", "negative", "float",
                                   "two_dimensional", "boolean"])
     def test_bad_samples(self, samples):
-        radar = RadarConfig(duration_s=0.5, sample_rate_hz=100.0)
-        t = radar.time_grid
-        track = ScattererTrack(t, np.ones_like(t), np.ones_like(t), [1.0])
         with pytest.raises(ConfigError):
-            radar_returns(track, ChannelModel(), radar, samples=samples)
+            radar_returns(static_track(1.0), ChannelModel(), RadarConfig(),
+                          samples=samples)
 
     def test_grid_mismatch(self):
-        radar = RadarConfig(duration_s=1.0, sample_rate_hz=100.0)
-        t = np.arange(50) / 100.0
-        track = ScattererTrack(t, np.ones_like(t), np.ones_like(t), [1.0])
-        with pytest.raises(ConfigError):
-            radar_returns(track, ChannelModel(), radar)
+        # a track needs one range per time-grid sample, no more, no fewer
+        for n in (50, T - 1, T + 1):
+            with pytest.raises(ConfigError, match="one range per time-grid"):
+                ScattererTrack(np.ones(n), np.ones(n), [1.0])
 
 
 class TestSpectrogram:
@@ -277,13 +286,13 @@ class TestSpectrogram:
         rate, f_d = 500.0, 50.0
         t = np.arange(1000) / rate
         sig = np.exp(2j * np.pi * f_d * t)
-        power, doppler, _ = spectrogram(sig, rate, window_s=0.1)
+        power, doppler, _ = spectrogram(sig)
         ridge_rows = np.argmax(power, axis=0)
         assert np.all(ridge_rows == ridge_rows[0])
         assert doppler[ridge_rows[0]] == pytest.approx(f_d, abs=doppler[1] - doppler[0])
 
     def test_silence_hits_db_floor(self):
-        power, _, _ = spectrogram(np.zeros(500, dtype=complex), 500.0, 0.1)
+        power, _, _ = spectrogram(np.zeros(500, dtype=complex))
         img = to_db_normalize(power)
         np.testing.assert_array_equal(img, np.zeros_like(img))
 
@@ -291,19 +300,19 @@ class TestSpectrogram:
         rate = 500.0
         t = np.arange(2000) / rate
         sig = np.exp(2j * np.pi * 100 * t) + 0.5 * np.exp(-2j * np.pi * 100 * t)
-        power, doppler, _ = spectrogram(sig, rate, window_s=0.1)
+        power, doppler, _ = spectrogram(sig)
         i_pos = np.argmin(np.abs(doppler - 100.0))
         i_neg = np.argmin(np.abs(doppler + 100.0))
         ratio_db = 10 * np.log10(power[i_pos].mean() / power[i_neg].mean())
         assert ratio_db == pytest.approx(20 * np.log10(2.0), abs=0.05)
 
-    @pytest.mark.parametrize("size, hop, bins", [(300, 5, None), (301, 7, 64),
-                                                 (250, 50, 80), (50, 3, 50)])
-    def test_matches_per_frame_loop(self, size, hop, bins):
+    @pytest.mark.parametrize("size", [300, 301, 250, 50])
+    def test_matches_per_frame_loop(self, size):
         rng = np.random.default_rng(size)
         sig = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        power, _, times = spectrogram(sig, 500.0, 0.1, hop=hop, doppler_bins=bins)
-        win_len, nfft = 50, bins or 50
+        power, _, times = spectrogram(sig)
+        win_len, hop, nfft = 50, 5, 64
+        assert (STFT_WINDOW, STFT_HOP, STFT_BINS) == (win_len, hop, nfft)
         window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(win_len) / win_len)
         n_frames = 1 + (size - win_len) // hop
         ref = np.empty((nfft, n_frames))
@@ -315,13 +324,16 @@ class TestSpectrogram:
 
     def test_window_longer_than_signal(self):
         with pytest.raises(ConfigError):
-            spectrogram(np.zeros(10, dtype=complex), 500.0, window_s=1.0)
+            spectrogram(np.zeros(10, dtype=complex))
+        with pytest.raises(ConfigError):
+            spectrogram(np.zeros(STFT_WINDOW - 1, dtype=complex))
+        assert spectrogram(np.zeros(STFT_WINDOW, dtype=complex))[0].shape == (
+            STFT_BINS, 1)
 
 
 class TestHrrp:
     def wideband(self):
-        return RadarConfig(carrier_hz=2.4e9, bandwidth_hz=2.0e9, freq_count=133,
-                           duration_s=0.1, sample_rate_hz=100.0)
+        return RadarConfig(carrier_hz=2.4e9, bandwidth_hz=2.0e9, freq_count=133)
 
     def test_resolution_and_unambiguous_range(self):
         radar = self.wideband()
@@ -330,10 +342,8 @@ class TestHrrp:
 
     def test_point_target_in_correct_bin(self):
         radar = self.wideband()
-        t = radar.time_grid
         r = 3.0
-        track = ScattererTrack(t, np.full_like(t, r), np.full_like(t, r), [1.0])
-        s = radar_returns(track, ChannelModel(), radar)
+        s = radar_returns(static_track(r), ChannelModel(), radar)
         power, ranges = hrrp(s, radar)
         peaks = np.argmax(power, axis=0)
         assert np.all(peaks == peaks[0])
@@ -341,10 +351,8 @@ class TestHrrp:
 
     def test_aliasing_beyond_unambiguous_range(self):
         radar = self.wideband()
-        t = radar.time_grid
         r = 12.0
-        track = ScattererTrack(t, np.full_like(t, r), np.full_like(t, r), [1.0])
-        s = radar_returns(track, ChannelModel(), radar)
+        s = radar_returns(static_track(r), ChannelModel(), radar)
         power, ranges = hrrp(s, radar)
         r_alias = r % radar.unambiguous_range
         peak = np.argmax(power[:, 0])
@@ -353,6 +361,13 @@ class TestHrrp:
     def test_narrowband_rejected(self):
         with pytest.raises(ConfigError):
             hrrp(np.zeros((10, 1), dtype=complex), RadarConfig(bandwidth_hz=0.0))
+
+    def test_narrowband_takes_one_frequency(self):
+        # before, a narrowband config reset any freq_count to 1 unsaid
+        with pytest.raises(ConfigError, match="freq_count = 1"):
+            RadarConfig(bandwidth_hz=0.0, freq_count=16)
+        with pytest.raises(ConfigError, match="freq_count >= 2"):
+            RadarConfig(bandwidth_hz=2e9, freq_count=1)
 
 
 class TestToDbNormalize:

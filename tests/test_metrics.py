@@ -207,6 +207,33 @@ class TestMapBlocks:
         with pytest.raises(DomainError):
             _parallel._map_blocks(fail_last, 2 * BLOCK_IMAGES + 5)
 
+    def test_concurrent_maps_share_the_cores(self, fake_threads):
+        # eight threads map at once on 4 cores, at a short switch interval:
+        # the pool threads running a call never outnumber the other cores,
+        # and a lost update of their count would show at the end
+        fake_threads(4, 4)
+        seen = []
+
+        def maps():
+            for _ in range(20):
+                _parallel._map_blocks(
+                    lambda block: seen.append(_parallel._pool_running),
+                    4 * BLOCK_IMAGES)
+        threads = [threading.Thread(target=maps) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8 * 20 * 4
+        assert 0 <= min(seen) and max(seen) <= 3
+        assert _parallel._pool_running == 0
+
 
 class TestBlasPin:
     """_map_blocks runs its blocks at one BLAS thread and restores the count;
