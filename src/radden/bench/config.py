@@ -8,6 +8,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import ClassVar
 
 from ..dataset import WallClass
 from ..dataset.frontal import FRONTAL_SHAPE
@@ -127,26 +128,26 @@ class SweepSpec:
 
 @dataclass
 class TrainSpec:
+    """Sizes and caps are settable; weights and tolerances are ClassVars."""
     dae_nodes: int = 500
-    dae_lambda: float = 1.0
+    dae_lambda: ClassVar[float] = 1.0
     sparse_nodes: int = 128
-    sparse_lambda: float = 1.0
-    sparse_mu: float = 1.0
+    sparse_lambda: ClassVar[float] = 1.0
+    sparse_mu: ClassVar[float] = 1.0
     stacked_sizes: tuple[int, int, int] = (256, 128, 64)
-    stacked_mu: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    stacked_lambda: tuple[float, float, float] = (1.0, 1.0, 3.5)
+    stacked_mu: ClassVar[tuple[float, float, float]] = (1.0, 1.0, 1.0)
+    stacked_lambda: ClassVar[tuple[float, float, float]] = (1.0, 1.0, 3.5)
     outer_iterations: int = 20
-    outer_tolerance: float = 1e-6
+    outer_tolerance: ClassVar[float] = 1e-6
     ista_iterations: int = 40
-    ista_tolerance: float = 1e-6
+    ista_tolerance: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if self.dae_nodes < 1 or self.sparse_nodes < 1:
             raise ConfigError("hidden sizes must be >= 1")
-        for name in ("stacked_sizes", "stacked_mu", "stacked_lambda"):
-            if len(getattr(self, name)) != 3:
-                raise ConfigError(f"{name} needs 3 entries, got "
-                                  f"{getattr(self, name)}")
+        if len(self.stacked_sizes) != 3:
+            raise ConfigError("stacked_sizes needs 3 entries, got "
+                              f"{self.stacked_sizes}")
         l0, l1, l2 = self.stacked_sizes
         if not (l0 > l1 > l2 >= 1):
             raise ConfigError("stacked sizes must strictly decrease")
@@ -156,17 +157,14 @@ class TrainSpec:
 
 @dataclass
 class BaselineSpec:
-    svd_energy: float = 0.95
-    wavelet_levels: int = 2
+    """Only wavelet_keep is settable; SVD energy and Haar depth are fixed."""
+    svd_energy: ClassVar[float] = 0.95
+    wavelet_levels: ClassVar[int] = 2
     wavelet_keep: float = 0.1
 
     def __post_init__(self):
-        if not (0.0 < self.svd_energy <= 1.0):
-            raise ConfigError("svd_energy must lie in (0, 1]")
         if not (0.0 < self.wavelet_keep <= 1.0):
             raise ConfigError("wavelet_keep must lie in (0, 1]")
-        if self.wavelet_levels < 1:
-            raise ConfigError("wavelet_levels must be >= 1")
 
 
 @dataclass

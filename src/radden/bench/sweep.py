@@ -210,9 +210,10 @@ _POOLED_TRAINERS = ("stacked_sdae", "sparse_dae")
 def evaluate_grid_point(cfg: ExperimentConfig, value, seed):
     """Train/evaluate every configured algorithm at one grid point.
 
-    The call runs with BLAS on one thread (radden._parallel), and grid
-    points must not run concurrently on threads of one process.  The pool
-    threads train _POOLED_TRAINERS; the calling thread runs every other step
+    The call runs with BLAS on one thread (radden._parallel); concurrent
+    calls on threads of one process share the pin and the running-thread
+    cap, and return the rows of serial calls.  The pool threads train
+    _POOLED_TRAINERS; the calling thread runs every other step
     in algorithm order, waiting for a pooled trainer when it reaches it.
     The autoencoders share one TrainingPair, built before the loop (the
     first autoencoder's train_seconds include it) and dropped once the last

@@ -14,10 +14,11 @@ from radden import cli as cli_module
 from radden.autoencoders import load_weights
 from radden.baselines import (SvdFilterConfig, WaveletFilterConfig,
                               svd_denoise, wavelet_denoise)
-from radden.bench import (DatasetSpec, ExperimentConfig, SweepSpec, TrainSpec,
-                          csv_content_hash, evaluate_grid_point, generate_pair,
-                          load_config, load_rows, parse_config, run_sweep,
-                          summarize, train_model, write_plot_data, write_rows)
+from radden.bench import (BaselineSpec, DatasetSpec, ExperimentConfig,
+                          SweepSpec, TrainSpec, csv_content_hash,
+                          evaluate_grid_point, generate_pair, load_config,
+                          load_rows, parse_config, run_sweep, summarize,
+                          train_model, write_plot_data, write_rows)
 from radden.bench import datasets as datasets_module
 from radden.bench import sweep as sweep_module
 from radden.bench.sweep import ResultRow, _mean_nmse
@@ -364,8 +365,6 @@ class TestGeneration:
 @pytest.mark.parametrize("text", [
     "[train]\nstacked_sizes = 64 32\n",
     "[train]\nstacked_sizes = 64 32 16 8\n",
-    "[train]\nstacked_mu = 1 1 1 5\n",
-    "[train]\nstacked_lambda = 1\n",
 ])
 def test_stacked_tuples_need_three_entries(tmp_path, text):
     with pytest.raises(ConfigError):
@@ -373,6 +372,35 @@ def test_stacked_tuples_need_three_entries(tmp_path, text):
     ini = tmp_path / "exp.ini"
     ini.write_text(text)
     assert main(["train", "--config", str(ini)]) == 2
+
+
+@pytest.mark.parametrize("section, key, raw, value", [
+    ("train", "dae_lambda", "1", 1.0),
+    ("train", "sparse_lambda", "1", 1.0),
+    ("train", "sparse_mu", "1", 1.0),
+    ("train", "stacked_mu", "1 1 1", (1.0, 1.0, 1.0)),
+    ("train", "stacked_mu", "1 1 1 5", (1.0, 1.0, 1.0)),
+    ("train", "stacked_lambda", "1 1 3.5", (1.0, 1.0, 3.5)),
+    ("train", "stacked_lambda", "1", (1.0, 1.0, 3.5)),
+    ("train", "outer_tolerance", "1e-6", 1e-6),
+    ("train", "ista_tolerance", "1e-6", 1e-6),
+    ("baselines", "svd_energy", "0.95", 0.95),
+    ("baselines", "wavelet_levels", "2", 2),
+])
+def test_fixed_settings_are_not_keys(tmp_path, capsys, section, key, raw,
+                                     value):
+    # the trainers and baselines read these constants as attributes, but a
+    # config may not set them, not even to the value they hold
+    spec = {"train": TrainSpec, "baselines": BaselineSpec}[section]
+    assert getattr(spec(), key) == value
+    assert key not in {f.name for f in fields(spec)}
+    text = f"[{section}]\n{key} = {raw}\n"
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(text)
+    ini = tmp_path / "exp.ini"
+    ini.write_text(text)
+    assert main(["train", "--config", str(ini)]) == 2
+    assert key in capsys.readouterr().err
 
 
 class TestSweep:
@@ -484,6 +512,21 @@ class TestSweep:
         serial = write_rows(run_sweep(cfg), tmp_path / "serial.csv")
         parallel = write_rows(run_sweep(cfg, jobs=2), tmp_path / "parallel.csv")
         assert csv_content_hash(parallel) == csv_content_hash(serial)
+
+    def test_grid_points_on_two_threads_match_serial(self):
+        # the BLAS pin and the running-thread cap are shared across threads
+        cfg = tiny_config(values=(0.0, 5.0),
+                          algorithms=("dae", "sparse_dae", "stacked_sdae",
+                                      "svd", "wavelet"))
+
+        def content(value):
+            return [replace(r, train_seconds=0.0, test_ms=0.0)
+                    for r in evaluate_grid_point(cfg, value, 0)]
+        serial = [content(v) for v in cfg.sweep.values]
+        with futures.ThreadPoolExecutor(2) as pool:
+            concurrent = list(pool.map(content, cfg.sweep.values,
+                                       timeout=120))
+        assert concurrent == serial
 
     def test_scr_axis(self):
         cfg = tiny_config(axis="scr", values=(0.0, 10.0), algorithms=("wavelet",))
