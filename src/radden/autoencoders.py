@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError
-from .sparse_solvers import IstaOptions, RidgeDesign, ista_gram, solve_least_squares
+from .sparse_solvers import (IstaOptions, RidgeDesign, _gram_bound, _ista_gram,
+                             solve_least_squares)
 
 __all__ = [
     "Activation",
@@ -154,11 +155,15 @@ def _check_pair(X, Xhat):
 @dataclass(frozen=True)
 class TrainingPair:
     """A clean stack X and its corrupt input Xhat, checked and factored once
-    by `prepare_pair`.  The trainers read X through R, the R factor of its
-    Householder QR, and Xhat through `design`, RidgeDesign(Xhat) at the
-    default ridge, and its hat matrix `hat`.  Trainer calls on the same two
-    arrays share one pair through their `pair` keyword and only read it; a
-    trainer handed a pair of other arrays raises ConfigError.
+    by `prepare_pair`.  The trainers read X through R, with X = Q R for a Q
+    of orthonormal columns, and Xhat through `design`, RidgeDesign(Xhat) at
+    the default ridge, and its hat matrix `hat`.  R has min(P, d) rows, for
+    the d distinct columns of the P-row X: R = R_d[:, index], with R_d the
+    R factor of the Householder QR of X's distinct columns in order of first
+    occurrence and index[j] the one that column j repeats.  Without repeated
+    columns R is the R factor of X.  Trainer calls on the same two arrays
+    share one pair through their `pair` keyword and only read it; a trainer
+    handed a pair of other arrays raises ConfigError.
     """
     X: np.ndarray
     Xhat: np.ndarray
@@ -167,11 +172,38 @@ class TrainingPair:
     hat: np.ndarray
 
 
+def _distinct_columns(X):
+    """(first, index): the first occurrence of each distinct column of X, in
+    order, and for each column j its copy's position in `first`.  Columns
+    count as repeats only when bitwise equal.  Each column's key is the
+    wrapping integer sum of its bit patterns, which equal columns share
+    whatever the summation order; columns of one key are then compared bit
+    for bit, one pair of columns at a time, so X is never copied."""
+    bits = X.view(np.uint64)
+    first, index, seen = [], np.empty(X.shape[1], dtype=np.intp), {}
+    for j, key in enumerate(bits.sum(axis=0).tolist()):
+        candidates = seen.setdefault(key, [])
+        for f in candidates:
+            if np.array_equal(bits[:, first[f]], bits[:, j]):
+                index[j] = f
+                break
+        else:
+            index[j] = len(first)
+            candidates.append(len(first))
+            first.append(j)
+    return first, index
+
+
 def prepare_pair(X, Xhat):
     """The TrainingPair of X and Xhat."""
     X, Xhat = _check_pair(X, Xhat)
+    first, index = _distinct_columns(X)
+    if len(first) == X.shape[1]:
+        R = np.linalg.qr(X, mode="r")
+    else:
+        R = np.linalg.qr(X[:, first], mode="r")[:, index]
     design = RidgeDesign(Xhat)
-    return TrainingPair(X, Xhat, np.linalg.qr(X, mode="r"), design, design.hat())
+    return TrainingPair(X, Xhat, R, design, design.hat())
 
 
 def objective_value(weights, codes, X, Xhat, lam=1.0, mu=0.0,
@@ -223,6 +255,10 @@ def _update_code(W, H, c, i, mu, ista, E=None, stats=None):
     warm-started from the current code.  D and Y are never formed: ISTA
     takes D.T D = c[i+1] W[i+1].T W[i+1] + c[i] I, D.T Y = c[i+1] W[i+1].T
     H[i+2] + c[i] E and the column norms of Y, all from code-sized products.
+    Its step is `ista_gram`'s, 1 / (1.01 * the largest eigenvalue of D.T D).
+    For a wide W[i+1] (fewer rows than the code, as a decoder R K of a
+    clean stack with few distinct images) that eigenvalue is taken as c[i+1]
+    times the largest of the smaller Gram matrix W[i+1] W[i+1].T, plus c[i].
     If `stats` is a list, (iterations, converged) of the solve is appended.
     With `mu` None (the DAE) the same pair is solved exactly, as a ridge
     problem in the offset Z_i - E: design W[i+1], target H[i+2] - W[i+1] E,
@@ -239,10 +275,13 @@ def _update_code(W, H, c, i, mu, ista, E=None, stats=None):
         np.subtract(T, V, out=V)   # T - Wn E in one buffer
         return E + solve_least_squares(Wn.T, V.T, ridge=c[i] / c[i + 1]).T
     DtD = c[i + 1] * (Wn.T @ Wn)
+    # a wide Wn: the largest eigenvalue from the smaller Gram, Wn Wn.T
+    bound = (_gram_bound(Wn @ Wn.T, c[i + 1], c[i]) if len(Wn) < len(DtD)
+             else None)
     DtD[np.diag_indices_from(DtD)] += c[i]
     DtY = c[i + 1] * (Wn.T @ T) + c[i] * E
     yty = c[i + 1] * np.einsum("pq,pq->q", T, T) + c[i] * np.einsum("kq,kq->q", E, E)
-    result = ista_gram(DtD, DtY, yty, mu, H[i + 1], ista)
+    result = _ista_gram(DtD, DtY, yty, mu, H[i + 1], ista, bound)
     if stats is not None:
         stats.append((result.iterations, result.converged))
     return result.z
@@ -276,10 +315,11 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts, pair=None):
 
     The decoder is W_L = X K, where K depends on the last code alone, so
     the P x Q clean stack X enters the objective only through norms ||X A||.
-    With X = Q R (the pair's Householder QR; R has min(P, Q) rows and
-    keeps X's rank), ||X A|| = ||R A|| for every A.  From the first decoder
-    update on, the chain therefore ends in R instead of X and the loop holds
-    R K instead of W_L, so no product inside it has P rows.  The P x k decoder
+    With X = Q R (the pair's factor; R has min(P, d) rows for X's d distinct
+    columns and keeps X's rank), ||X A|| = ||R A|| for every A.  From the
+    first decoder update on, the chain therefore ends in R instead of X and
+    the loop holds R K instead of W_L, so no product inside it has P rows
+    and the decoder-side ones have at most d.  The P x k decoder
     X K is formed once, after the loop, from the code it was last fit to.
     """
     opts = opts or TrainOptions()

@@ -6,6 +6,7 @@ keys are hard errors so a typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import ClassVar
@@ -50,6 +51,13 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and math.isnan(value):
+                raise ConfigError(f"{f.name} must be a number, not nan")
+        if self.snr_db == -math.inf:
+            raise ConfigError("snr_db = -inf leaves no signal; inf is the "
+                              "no-noise setting")
         if self.kind not in _KIND_READS:
             raise ConfigError(f"unknown signature kind {self.kind!r}")
         WallClass(self.wall_class)  # ConfigError on an unknown name
@@ -106,6 +114,11 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep axis {self.axis!r}")
         if not self.values:
             raise ConfigError("sweep grid must be non-empty")
+        if any(math.isnan(v) for v in self.values):
+            raise ConfigError(f"sweep values {self.values} hold a nan")
+        if self.axis == "snr" and -math.inf in self.values:
+            raise ConfigError(f"sweep values {self.values} hold snr_db = -inf, "
+                              "which leaves no signal")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         for a in self.algorithms:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, DomainError
 from .stack_io import ImageStack
 
 __all__ = [
@@ -26,10 +26,13 @@ def signal_reference(stack):
 
 def add_noise(stack: ImageStack, snr_db, seed, signal_ref=None):
     """Per-pixel additive Gaussian noise of variance N_p, with
-    10 log10(signal_ref / N_p) = snr_db, re-clamped to [0, 1].  An infinite
-    snr_db is the no-noise sentinel; deterministic under the seed."""
-    if snr_db is None or np.isinf(snr_db):
+    10 log10(signal_ref / N_p) = snr_db, re-clamped to [0, 1].  snr_db =
+    +inf is the no-noise sentinel, and -inf or nan raise DomainError;
+    deterministic under the seed."""
+    if snr_db is None or snr_db == np.inf:
         return stack.copy()
+    if not np.isfinite(snr_db):
+        raise DomainError(f"snr_db must be finite or inf, got {snr_db}")
     if signal_ref is None:
         signal_ref = signal_reference(stack)
     n_p = signal_ref * 10.0 ** (-snr_db / 10.0)

@@ -134,9 +134,10 @@ def solve_least_squares(A, B, ridge=None):
     return RidgeDesign(A, ridge).solve(B)
 
 
-def _gram_bound(G):
-    """1.01 * the largest eigenvalue of the Gram matrix G; 1e-12 if G is zero."""
-    lam = float(np.linalg.eigvalsh(G)[-1]) if G.size else 0.0
+def _gram_bound(G, scale=1.0, shift=0.0):
+    """1.01 * the largest eigenvalue of scale * G + shift * I, for a Gram
+    matrix G and scale, shift >= 0; 1e-12 if that eigenvalue is not > 0."""
+    lam = scale * (float(np.linalg.eigvalsh(G)[-1]) if G.size else 0.0) + shift
     return 1.01 * lam if lam > 0.0 else 1e-12
 
 
@@ -217,6 +218,12 @@ def ista_gram(DtD, DtY, yty, mu, Z0, opts: IstaOptions | None = None):
     final value.  A design with no columns (k = 0) gives z of shape (0, q)
     and objective ||y||^2 after one sweep.
     """
+    return _ista_gram(DtD, DtY, yty, mu, Z0, opts)
+
+
+def _ista_gram(DtD, DtY, yty, mu, Z0, opts=None, bound=None):
+    """`ista_gram` with the step 1 / `bound`, for a caller that holds an
+    upper bound on DtD's largest eigenvalue; _gram_bound(DtD) when None."""
     if opts is None:
         opts = IstaOptions()
     DtD = np.asarray(DtD, dtype=float)
@@ -234,7 +241,7 @@ def ista_gram(DtD, DtY, yty, mu, Z0, opts: IstaOptions | None = None):
         raise ConfigError(f"Gram {DtD.shape}, D.T Y {DtY.shape}, ||y||^2 "
                           f"{yty.shape} and init {Z0.shape} do not agree")
     q = Z0.shape[1]
-    step = 1.0 / _gram_bound(DtD)
+    step = 1.0 / (_gram_bound(DtD) if bound is None else bound)
     theta = 0.5 * mu * step
     if q == 0:
         return IstaResult(z=Z0.copy(), step=step)

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from radden import autoencoders
 from radden.autoencoders import (Activation, AutoencoderWeights, TrainOptions,
                                  _train, _update_code, inference_flops, infer,
                                  load_weights, objective_value, prepare_pair,
                                  save_weights, train_dae, train_sparse_dae,
                                  train_stacked_sdae)
 from radden.errors import ConfigError, DomainError, FormatError
-from radden.sparse_solvers import (IstaOptions, RidgeDesign, ista_solve,
-                                   solve_least_squares)
+from radden.sparse_solvers import (IstaOptions, RidgeDesign, _gram_bound,
+                                   ista_solve, solve_least_squares)
 
 
 def tight_opts(seed=0, outer=30):
@@ -237,6 +238,29 @@ class TestCodeUpdate:
         assert stats == [(expected.iterations, expected.converged)]
         assert expected.converged > 0   # the stopping rule, which reads ||y||^2, fired
 
+    @pytest.mark.parametrize("rows, coupling, scale", [
+        (3, 0.7, 1.0), (20, 0.7, 1.0), (3, 0.0, 0.0)],
+        ids=["wide", "tall", "floor"])
+    def test_step_is_the_gram_bound(self, monkeypatch, rows, coupling, scale):
+        # a wide W[1] gives the eigenvalue through W[1] W[1].T, a tall one
+        # through D.T D; either way the step is ista_gram's own rule on D.T D,
+        # and a zero D.T D takes the floor
+        rng = np.random.default_rng(31)
+        k, P, Q = 8, 10, 15
+        W = [rng.standard_normal((k, P)), scale * rng.standard_normal((rows, k))]
+        H = [rng.random((P, Q)), rng.standard_normal((k, Q)), rng.random((rows, Q))]
+        solve, calls = autoencoders._ista_gram, []
+
+        def recording(DtD, *args):
+            result = solve(DtD, *args)
+            calls.append((DtD, result.step))
+            return result
+        monkeypatch.setattr(autoencoders, "_ista_gram", recording)
+        _update_code(W, H, (coupling, 2.0), 0, 0.3, IstaOptions(max_iterations=3))
+        [(DtD, step)] = calls
+        np.testing.assert_allclose(step, 1.0 / _gram_bound(DtD), rtol=1e-12, atol=0)
+        assert (step == 1e12) == (scale == 0.0)
+
 
 _weights_0_to_4 = st.floats(0.0, 4.0, allow_subnormal=False)
 _weights_0_to_2 = st.floats(0.0, 2.0, allow_subnormal=False)
@@ -313,13 +337,32 @@ def reference_train(variant, X, Xhat, sizes, c, s, opts, order):
     return weights, objectives, ista
 
 
-@pytest.mark.parametrize("variant, order", [
-    ("dae", _SHALLOW), ("sparse_dae", _SHALLOW), ("stacked_sdae", _STACKED),
+def repeated_pair(P, Q, distinct, seed):
+    """A clean stack of `distinct` images, each repeated at shuffled places,
+    and a corrupt stack with its own noise in every column."""
+    rng = np.random.default_rng(seed)
+    images, _ = synthetic_pair(P=P, Q=distinct, seed=seed)
+    X = images[:, rng.permutation(np.arange(Q) % distinct)]
+    return X, np.clip(X + 0.05 * rng.standard_normal((P, Q)), 0, 1)
+
+
+@pytest.mark.parametrize("variant, order, distinct", [
+    ("dae", _SHALLOW, None), ("sparse_dae", _SHALLOW, None),
+    ("stacked_sdae", _STACKED, None),
     # codes first: each code update must see the code below it just changed
-    ("stacked_sdae", _STACKED[4:] + _STACKED[:4])],
-    ids=["dae", "sparse_dae", "stacked_sdae", "stacked_codes_first"])
-def test_trainer_matches_reference_formulation(variant, order):
-    X, Xhat = synthetic_pair(P=12, Q=40, seed=29)
+    ("stacked_sdae", _STACKED[4:] + _STACKED[:4], None),
+    # 8 distinct clean images: the trainer reads X through a factor of 8
+    # rows, the reference reads all 40 columns through objective_value
+    ("dae", _SHALLOW, 8), ("sparse_dae", _SHALLOW, 8),
+    ("stacked_sdae", _STACKED, 8)],
+    ids=["dae", "sparse_dae", "stacked_sdae", "stacked_codes_first",
+         "dae_repeated", "sparse_dae_repeated", "stacked_sdae_repeated"])
+def test_trainer_matches_reference_formulation(variant, order, distinct):
+    if distinct is None:
+        X, Xhat = synthetic_pair(P=12, Q=40, seed=29)
+    else:
+        X, Xhat = repeated_pair(P=12, Q=40, distinct=distinct, seed=29)
+        assert len(prepare_pair(X, Xhat).R) == distinct
     # every ISTA column runs to the cap, so rounding cannot move a stop
     opts = TrainOptions(outer_iterations=3, outer_tolerance=1e-300, seed=4,
                         ista=IstaOptions(max_iterations=30,
@@ -446,6 +489,32 @@ class TestTrainingPair:
         assert contents == [value.tobytes() for value in vars(pair).values()
                             if isinstance(value, np.ndarray)]
         assert hat_calls == [pair.design]
+
+    def test_factor_has_a_row_per_distinct_column(self):
+        # labels shuffled over 6 images; a copy with one bit changed and a
+        # copy with -0.0 for 0.0 are new columns, since only bitwise equal
+        # columns repeat, and so is a column reversed, whose bit patterns
+        # sum to its original's
+        X, Xhat = repeated_pair(P=30, Q=40, distinct=6, seed=11)
+        X[0] = 0.0
+        X[:, 7] = X[:, 3]
+        X[1, 7] = np.nextafter(X[1, 3], 2.0)
+        X[:, 9] = X[:, 1]
+        X[0, 9] = -0.0
+        X[:, 11] = X[::-1, 5]
+        assert len({c.tobytes() for c in X.T}) == 9
+        pair = prepare_pair(X, Xhat)
+        assert pair.R.shape == (9, 40)
+        A = np.random.default_rng(3).standard_normal((40, 5))
+        for a in (A, A[:, 0]):
+            np.testing.assert_allclose(np.linalg.norm(pair.R @ a),
+                                       np.linalg.norm(X @ a), rtol=1e-12, atol=0)
+
+    def test_factor_without_repeats_is_the_qr_factor(self):
+        for P, Q in ((30, 20), (12, 40)):
+            X, Xhat = synthetic_pair(P=P, Q=Q, seed=12)
+            R = prepare_pair(X, Xhat).R
+            assert R.tobytes() == np.linalg.qr(X, mode="r").tobytes()
 
     @pytest.mark.parametrize("variant", ["dae", "sparse_dae", "stacked_sdae"])
     def test_pair_of_other_arrays_refused(self, variant):
@@ -679,7 +748,7 @@ class TestWeightsIo:
 def test_trainer_matches_reference_with_more_pixels_than_columns(variant, order):
     # P > Q and a rank-deficient clean stack, as in the radar datasets: each
     # of 8 clean columns is paired with 3 noise draws, so X (60 x 24) has
-    # rank 8 and its QR factor R has fewer rows than X
+    # rank 8 and the pair's factor R has 8 rows
     rng = np.random.default_rng(31)
     X = np.repeat(rng.random((60, 8)), 3, axis=1)
     Xhat = np.clip(X + 0.05 * rng.standard_normal(X.shape), 0, 1)

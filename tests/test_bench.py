@@ -30,6 +30,23 @@ from radden.metrics import (BLOCK_IMAGES, columns_to_images,
                             images_to_columns, ssim_stack)
 
 
+# configs with a nan setting or -inf dB of SNR, and the key each must name
+NON_FINITE_SETTINGS = [
+    pytest.param("[dataset]\nsnr_db = nan\n", "snr_db", id="snr_nan"),
+    pytest.param("[dataset]\nsnr_db = -inf\n", "snr_db", id="snr_minus_inf"),
+    pytest.param("[dataset]\ncarrier_hz = nan\n", "carrier_hz", id="carrier_nan"),
+    pytest.param("[dataset]\nkind = hrrp\nbandwidth_hz = nan\n"
+                 "freq_count = 133\n", "bandwidth_hz", id="bandwidth_nan"),
+    pytest.param("[dataset]\nkind = frontal\nscr_db = nan\n", "scr_db",
+                 id="frontal_scr_nan"),
+    pytest.param("[dataset]\npfa = nan\n", "pfa", id="pfa_nan"),
+    pytest.param("[sweep]\naxis = scr\nvalues = 0 nan\n", "values",
+                 id="scr_grid_nan"),
+    pytest.param("[sweep]\naxis = snr\nvalues = -inf 0\n", "values",
+                 id="snr_grid_minus_inf"),
+]
+
+
 def tiny_config(**sweep_kw):
     sweep = dict(axis="snr", values=(0.0,), seeds=(0,),
                  algorithms=("dae", "wavelet"), split=0.7)
@@ -187,6 +204,17 @@ class TestConfigParsing:
             SweepSpec(axis="mismatch", values=(0.0, 0.5), mismatch=0.25)
         assert SweepSpec(axis="mismatch", values=(0.0, 0.5), mismatch=0.0)
         assert SweepSpec(axis="snr", mismatch=0.25).mismatch == 0.25
+
+    @pytest.mark.parametrize("text, key", NON_FINITE_SETTINGS)
+    def test_non_finite_setting_rejected(self, text, key):
+        # nan and -inf dB would fail only at generation, or pass as "no noise"
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text)
+
+    def test_infinite_snr_parses_as_no_noise(self):
+        assert parse_config("[dataset]\nsnr_db = inf\n").dataset.snr_db == np.inf
+        cfg = parse_config("[sweep]\naxis = snr\nvalues = 0 inf\n")
+        assert cfg.sweep.values == (0.0, np.inf)
 
 
 def _clutter_then_noise(stack, clean, spec, pfa):
@@ -867,6 +895,14 @@ class TestCli:
         ini.write_text("[sweep]\nalgorithms = wavelet\n"
                        f"[output]\ndirectory = {tmp_path / 'out'}\n")
         assert main(["sweep", "--config", str(ini), "--jobs", str(jobs)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, key", NON_FINITE_SETTINGS)
+    def test_non_finite_setting_exit_code(self, tmp_path, capsys, text, key):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(text + f"[output]\ndirectory = {tmp_path / 'out'}\n")
+        assert main(["sweep", "--config", str(ini)]) == 2
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_config_error_exit_code(self, tmp_path):

@@ -11,7 +11,7 @@ from radden.dataset import (ImageStack, add_noise, add_point_clutter,
                             save_dataset, save_stack, shuffle_labels,
                             signal_reference)
 from radden.dataset.corrupt import CLUTTER_CELLS
-from radden.errors import ConfigError, FormatError
+from radden.errors import ConfigError, DomainError, FormatError
 
 
 def make_stack(P=4096, Q=20, seed=0, shape=(64, 64), role="clean"):
@@ -54,6 +54,12 @@ class TestAddNoise:
         out = add_noise(stack, np.inf, seed=0)
         np.testing.assert_array_equal(out.data, stack.data)
         assert out.metadata_matches(stack)
+
+    @pytest.mark.parametrize("snr", [-np.inf, np.nan])
+    def test_only_plus_inf_is_the_sentinel(self, snr):
+        # -inf dB would otherwise pass as "no noise"
+        with pytest.raises(DomainError, match="snr_db"):
+            add_noise(make_stack(Q=3), snr, seed=0)
 
     def test_deterministic_in_seed(self):
         stack = make_stack(Q=3)
