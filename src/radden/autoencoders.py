@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError
-from .sparse_solvers import (IstaOptions, RidgeDesign, _gram_bound, _ista_gram,
+from .sparse_solvers import (IstaOptions, RidgeDesign, _gram_bound, ista_gram,
                              solve_least_squares)
 
 __all__ = [
@@ -198,10 +198,7 @@ def prepare_pair(X, Xhat):
     """The TrainingPair of X and Xhat."""
     X, Xhat = _check_pair(X, Xhat)
     first, index = _distinct_columns(X)
-    if len(first) == X.shape[1]:
-        R = np.linalg.qr(X, mode="r")
-    else:
-        R = np.linalg.qr(X[:, first], mode="r")[:, index]
+    R = np.linalg.qr(X[:, first], mode="r")[:, index]
     design = RidgeDesign(Xhat)
     return TrainingPair(X, Xhat, R, design, design.hat())
 
@@ -251,14 +248,15 @@ def _update_code(W, H, c, i, mu, ista, E=None, stats=None):
     factor R, c the coupling weights with the reconstruction's 1 appended,
     and E = W[i] H[i] (formed here if not given).  The block is the stacked
     least squares with design D = [sqrt(c[i+1]) W[i+1]; sqrt(c[i]) I] and target
-    Y = [sqrt(c[i+1]) H[i+2]; sqrt(c[i]) E], solved by `ista_gram`
+    Y = [sqrt(c[i+1]) H[i+2]; sqrt(c[i]) E], solved by one `ista_gram` call
     warm-started from the current code.  D and Y are never formed: ISTA
     takes D.T D = c[i+1] W[i+1].T W[i+1] + c[i] I, D.T Y = c[i+1] W[i+1].T
     H[i+2] + c[i] E and the column norms of Y, all from code-sized products.
-    Its step is `ista_gram`'s, 1 / (1.01 * the largest eigenvalue of D.T D).
-    For a wide W[i+1] (fewer rows than the code, as a decoder R K of a
-    clean stack with few distinct images) that eigenvalue is taken as c[i+1]
-    times the largest of the smaller Gram matrix W[i+1] W[i+1].T, plus c[i].
+    The step is 1 / (1.01 * the largest eigenvalue of D.T D): `ista_gram`'s
+    own for a tall W[i+1].  For a wide W[i+1] (fewer rows than the code, as
+    a decoder R K of a clean stack with few distinct images) the eigenvalue
+    is c[i+1] times the largest of the smaller Gram matrix W[i+1] W[i+1].T,
+    plus c[i], and goes to `ista_gram` as its `bound`.
     If `stats` is a list, (iterations, converged) of the solve is appended.
     With `mu` None (the DAE) the same pair is solved exactly, as a ridge
     problem in the offset Z_i - E: design W[i+1], target H[i+2] - W[i+1] E,
@@ -281,7 +279,7 @@ def _update_code(W, H, c, i, mu, ista, E=None, stats=None):
     DtD[np.diag_indices_from(DtD)] += c[i]
     DtY = c[i + 1] * (Wn.T @ T) + c[i] * E
     yty = c[i + 1] * np.einsum("pq,pq->q", T, T) + c[i] * np.einsum("kq,kq->q", E, E)
-    result = _ista_gram(DtD, DtY, yty, mu, H[i + 1], ista, bound)
+    result = ista_gram(DtD, DtY, yty, mu, H[i + 1], ista, bound)
     if stats is not None:
         stats.append((result.iterations, result.converged))
     return result.z

@@ -67,10 +67,6 @@ class ImageStack:
             setattr(self, name, v.astype(np.uint16 if name != "wall_class" else np.uint8))
 
     @property
-    def pixel_count(self):
-        return self.data.shape[0]
-
-    @property
     def count(self):
         return self.data.shape[1]
 

@@ -1,6 +1,8 @@
 """Dense ridge least squares and ISTA, the two kernels behind every autoencoder variant."""
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,29 +203,25 @@ def ista_solve(D, Y, mu, Z0, opts: IstaOptions | None = None):
     return ista_gram(D.T @ D, DtY, yty, mu, Z0, opts)
 
 
-def ista_gram(DtD, DtY, yty, mu, Z0, opts: IstaOptions | None = None):
+def ista_gram(DtD, DtY, yty, mu, Z0, opts: IstaOptions | None = None,
+              bound=None):
     """ISTA on the normal-equation form of ||Y - D Z||_F^2 + mu |Z|_1.
 
     Takes DtD = D.T D (k x k), DtY = D.T Y (k x q) and yty, each column's
     ||y||^2 (q), in place of D and Y.  Iterates Z <- soft_threshold(Z + (1/L)
-    (DtY - DtD Z), mu / (2 L)) from the warm start Z0, with L = 1.01 * the
-    largest eigenvalue of DtD; the objective is non-increasing.  Each column
-    stops by its own rule and then keeps its codes.  The matrices are
-    zero-padded to a multiple of BLOCK_COLUMNS columns, and every sweep takes
-    one GEMM for the whole gradient, so that a column's codes do not depend
-    on which columns share the call (README).  `iterations` is the longest
-    column's count, `converged` the number of columns whose rule fired before
-    `max_iterations`, and `objectives` holds per-sweep totals, summed over
-    blocks of BLOCK_COLUMNS columns in order, a stopped column adding its
-    final value.  A design with no columns (k = 0) gives z of shape (0, q)
-    and objective ||y||^2 after one sweep.
+    (DtY - DtD Z), mu / (2 L)) from the warm start Z0, with L = `bound`, an
+    upper bound on DtD's largest eigenvalue that the caller holds, or 1.01 *
+    that eigenvalue when `bound` is None; the objective is non-increasing.
+    Each column stops by its own rule and then keeps its codes.  The matrices
+    are zero-padded to a multiple of BLOCK_COLUMNS columns, and every sweep
+    takes one GEMM for the whole gradient, so that a column's codes do not
+    depend on which columns share the call (README).  `iterations` is the
+    longest column's count, `converged` the number of columns whose rule
+    fired before `max_iterations`, and `objectives` holds per-sweep totals,
+    summed over blocks of BLOCK_COLUMNS columns in order, a stopped column
+    adding its final value.  A design with no columns (k = 0) gives z of
+    shape (0, q) and objective ||y||^2 after one sweep.
     """
-    return _ista_gram(DtD, DtY, yty, mu, Z0, opts)
-
-
-def _ista_gram(DtD, DtY, yty, mu, Z0, opts=None, bound=None):
-    """`ista_gram` with the step 1 / `bound`, for a caller that holds an
-    upper bound on DtD's largest eigenvalue; _gram_bound(DtD) when None."""
     if opts is None:
         opts = IstaOptions()
     DtD = np.asarray(DtD, dtype=float)
@@ -240,6 +238,9 @@ def _ista_gram(DtD, DtY, yty, mu, Z0, opts=None, bound=None):
             or yty.shape != Z0.shape[1:]):
         raise ConfigError(f"Gram {DtD.shape}, D.T Y {DtY.shape}, ||y||^2 "
                           f"{yty.shape} and init {Z0.shape} do not agree")
+    if bound is not None and not (isinstance(bound, numbers.Real)
+                                  and math.isfinite(bound) and bound > 0):
+        raise DomainError(f"step bound must be a finite number > 0, got {bound!r}")
     q = Z0.shape[1]
     step = 1.0 / (_gram_bound(DtD) if bound is None else bound)
     theta = 0.5 * mu * step

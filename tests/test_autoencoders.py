@@ -249,13 +249,13 @@ class TestCodeUpdate:
         k, P, Q = 8, 10, 15
         W = [rng.standard_normal((k, P)), scale * rng.standard_normal((rows, k))]
         H = [rng.random((P, Q)), rng.standard_normal((k, Q)), rng.random((rows, Q))]
-        solve, calls = autoencoders._ista_gram, []
+        solve, calls = autoencoders.ista_gram, []
 
         def recording(DtD, *args):
             result = solve(DtD, *args)
             calls.append((DtD, result.step))
             return result
-        monkeypatch.setattr(autoencoders, "_ista_gram", recording)
+        monkeypatch.setattr(autoencoders, "ista_gram", recording)
         _update_code(W, H, (coupling, 2.0), 0, 0.3, IstaOptions(max_iterations=3))
         [(DtD, step)] = calls
         np.testing.assert_allclose(step, 1.0 / _gram_bound(DtD), rtol=1e-12, atol=0)

@@ -46,3 +46,15 @@ def test_only_the_parallel_module_imports_concurrency():
         if names:
             found[path.relative_to(root).as_posix()] = names
     assert set(found) == {"_parallel.py"}, found
+
+
+def test_autoencoders_import_no_private_solver_but_the_bound():
+    """The trainers reach ISTA through the public `ista_gram`; of the
+    solver module's private names they use only `_gram_bound`."""
+    path = Path(radden.__file__).parent / "autoencoders.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and node.module == "sparse_solvers" and node.level == 1
+               for alias in node.names if alias.name.startswith("_")}
+    assert private == {"_gram_bound"}, private

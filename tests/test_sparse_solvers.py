@@ -358,13 +358,18 @@ class TestIsta:
                 parts[:, cols] = ista_solve(D, Y[:, cols], 0.3, Z0[:, cols], opts).z
             np.testing.assert_array_equal(parts, full)
 
-    @pytest.mark.parametrize("k, sweeps", [(100, 12), (256, 25), (300, 25)])
-    def test_partition_invariance_at_trainer_size(self, k, sweeps):
+    @pytest.mark.parametrize(
+        "k, sweeps, held", [(100, 12, False), (256, 25, False), (300, 25, False),
+                            (256, 25, True)],
+        ids=["100-12", "256-25", "300-25", "256-25-held"])
+    def test_partition_invariance_at_trainer_size(self, k, sweeps, held):
         # q = 240 columns, the train_hrrp width; 256 is the trainers' widest
         # code.  At 100 and 300, not multiples of the BLAS kernel's tile, the
         # transposed product (codes as rows) @ DtD.T rounds a row differently
         # as the row count changes, so these widths check the layout.  The
-        # sweep caps leave some columns stopped and others running.
+        # sweep caps leave some columns stopped and others running.  "held"
+        # passes the bound a trainer holds for a wide W: 1.01 * the largest
+        # eigenvalue of the smaller Gram matrix W W.T, plus DtD's shift 1.
         rng = np.random.default_rng(41)
         q = 240
         W = rng.standard_normal((128, k)) / np.sqrt(128)
@@ -373,13 +378,16 @@ class TestIsta:
         yty = np.sum(DtY * DtY, axis=0) + 1.0
         Z0 = 0.1 * rng.standard_normal((k, q))
         opts = IstaOptions(max_iterations=sweeps, relative_tolerance=1e-4)
-        full = ista_gram(DtD, DtY, yty, 0.5, Z0, opts)
+        bound = 1.01 * (np.linalg.eigvalsh(W @ W.T)[-1] + 1.0) if held else None
+        full = ista_gram(DtD, DtY, yty, 0.5, Z0, opts, bound=bound)
         assert 0 < full.converged < q   # some columns stop, others run
+        if held:
+            assert full.step == 1 / bound
         order = np.random.default_rng(42).permutation(q)
         parts = np.empty_like(full.z)
         for cols in np.split(order, np.cumsum([1, 31, 32])):   # 1, 31, 32, 176
             parts[:, cols] = ista_gram(DtD, DtY[:, cols], yty[cols], 0.5,
-                                       Z0[:, cols], opts).z
+                                       Z0[:, cols], opts, bound=bound).z
         np.testing.assert_array_equal(parts, full.z)
 
     @pytest.mark.parametrize("tol", [1e-300, 1e-3])
@@ -468,6 +476,9 @@ class TestIsta:
             ista_gram(G, DtY, np.array([1.0, np.nan]), 0.1, Z0)
         with pytest.raises(DomainError):
             ista_gram(G, DtY, yty, -0.1, Z0)
+        for bound in (0.0, -1.0, np.nan, np.inf, "2"):
+            with pytest.raises(DomainError):
+                ista_gram(G, DtY, yty, 0.1, Z0, bound=bound)
 
     def test_empty_target(self):
         res = ista_solve(np.eye(3), np.zeros((3, 0)), 0.1, np.zeros((3, 0)))
