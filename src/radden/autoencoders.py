@@ -163,13 +163,16 @@ class TrainingPair:
     occurrence and index[j] the one that column j repeats.  Without repeated
     columns R is the R factor of X.  Trainer calls on the same two arrays
     share one pair through their `pair` keyword and only read it; a trainer
-    handed a pair of other arrays raises ConfigError.
+    handed a pair of other arrays raises ConfigError.  `sources` holds the
+    two arrays it was prepared from, whatever their dtype; X and Xhat are
+    their float64 versions.
     """
     X: np.ndarray
     Xhat: np.ndarray
     R: np.ndarray
     design: RidgeDesign
     hat: np.ndarray
+    sources: tuple = field(repr=False)
 
 
 def _distinct_columns(X):
@@ -196,11 +199,12 @@ def _distinct_columns(X):
 
 def prepare_pair(X, Xhat):
     """The TrainingPair of X and Xhat."""
+    sources = (X, Xhat)
     X, Xhat = _check_pair(X, Xhat)
     first, index = _distinct_columns(X)
     R = np.linalg.qr(X[:, first], mode="r")[:, index]
     design = RidgeDesign(Xhat)
-    return TrainingPair(X, Xhat, R, design, design.hat())
+    return TrainingPair(X, Xhat, R, design, design.hat(), sources)
 
 
 def objective_value(weights, codes, X, Xhat, lam=1.0, mu=0.0,
@@ -299,9 +303,9 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts, pair=None):
     only when a code update reads it before the decoder's own refit (the
     shallow order); the stacked order refits the decoder first.
 
-    X and Xhat are read through `pair`, a TrainingPair of these very arrays
-    (prepared here when none is given): its design and hat matrix serve the
-    encoder, its R the decoder side.
+    X and Xhat are the trainer's arguments, read through `pair`, a
+    TrainingPair prepared from these very arrays (here when none is given):
+    its design and hat matrix serve the encoder, its R the decoder side.
 
     Each outer iteration forms every chain product once.  E[i] = W_i Z_{i-1}
     is kept until W_i or Z_{i-1} changes, and serves both the code update of
@@ -323,7 +327,7 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts, pair=None):
     opts = opts or TrainOptions()
     if pair is None:
         pair = prepare_pair(X, Xhat)
-    elif pair.X is not X or pair.Xhat is not Xhat:
+    elif pair.sources[0] is not X or pair.sources[1] is not Xhat:
         raise ConfigError("training pair prepared from other arrays")
     X, Xhat = pair.X, pair.Xhat
     rng = np.random.default_rng(opts.seed)
@@ -402,17 +406,16 @@ def _check_weights(depth, **weights):
 
 
 def _check_shallow(X, Xhat, nodes, lam, mu):
-    X, Xhat = _check_pair(X, Xhat)
-    P = X.shape[0]
+    P = _check_pair(X, Xhat)[0].shape[0]
     if not (0 < nodes < P):
         raise ConfigError(f"hidden size {nodes} must satisfy 0 < l < P={P}")
-    return (X, Xhat, *_check_weights(1, lam=(lam,), mu=(mu,)))
+    return _check_weights(1, lam=(lam,), mu=(mu,))
 
 
 def train_dae(X, Xhat, nodes, lam=1.0, opts: TrainOptions | None = None, *,
               pair: TrainingPair | None = None):
     """Single-layer DAE; each code update is the exact least-squares minimizer."""
-    X, Xhat, c, s = _check_shallow(X, Xhat, nodes, lam, 0.0)
+    c, s = _check_shallow(X, Xhat, nodes, lam, 0.0)
     return _train("dae", X, Xhat, (nodes,), c, s, _SHALLOW_ORDER, opts, pair)
 
 
@@ -421,7 +424,7 @@ def train_sparse_dae(X, Xhat, nodes, lam=1.0, mu=0.1,
                      pair: TrainingPair | None = None):
     """SparseDAE: DAE plus an l1 penalty on the code, solved by ISTA on the
     Gram form of the vertically stacked system [W2; sqrt(lam) I]."""
-    X, Xhat, c, s = _check_shallow(X, Xhat, nodes, lam, mu)
+    c, s = _check_shallow(X, Xhat, nodes, lam, mu)
     return _train("sparse_dae", X, Xhat, (nodes,), c, s, _SHALLOW_ORDER, opts, pair)
 
 
@@ -435,7 +438,7 @@ def train_stacked_sdae(X, Xhat, sizes, mu_layers=(1.0, 1.0, 1.0),
     followed by the three ISTA code updates, warm-started from the previous
     codes so the composite objective never increases.
     """
-    X, Xhat = _check_pair(X, Xhat)
+    _check_pair(X, Xhat)
     sizes = tuple(sizes)
     if len(sizes) != 3 or not (sizes[0] > sizes[1] > sizes[2] >= 1):
         raise ConfigError(f"need three strictly decreasing layer sizes, "

@@ -17,17 +17,11 @@ from ..dataset import (ChannelModel, GaitParams, ImageStack, RadarConfig,
 from ..dataset.corrupt import CLUTTER_PFA
 from ..dataset.gait import TIME_GRID
 from ..dataset.signatures import DB_WINDOW
+from ..dataset.stack_io import images_to_columns
 from ..errors import ConfigError
 from .config import DatasetSpec
 
 __all__ = ["generate_pair"]
-
-_WALL_TAGS = {
-    WallClass.FREE_SPACE: 0,
-    WallClass.LOW_CONDUCTIVITY: 1,
-    WallClass.MEDIUM_CONDUCTIVITY: 2,
-    WallClass.HIGH_CONDUCTIVITY: 3,
-}
 
 HEADROOM_DB = 20.0  # dB between each radar image's peak and the window's ceil
 
@@ -110,8 +104,7 @@ def _base_power_images(spec: DatasetSpec):
         track = gait_trajectory(_gait(spec, eta))
         clean += images_for(track, free, 1)
         corrupt += images_for(track, wall, eta)
-    return tuple(np.column_stack([img.ravel(order="F") for img in images])
-                 for images in (clean, corrupt))
+    return images_to_columns(np.stack(clean)), images_to_columns(np.stack(corrupt))
 
 
 def _unit_db(power):
@@ -150,7 +143,8 @@ def generate_pair(spec: DatasetSpec):
     clean_base, corrupt_base = _base_columns(spec)
     d = spec.noise_draws
     c = np.repeat(np.arange(clean_base.shape[1]), d)
-    tag = _WALL_TAGS[WallClass(spec.wall_class)]
+    # the stack format's wall tag is the class's position in WallClass
+    tag = list(WallClass).index(WallClass(spec.wall_class))
 
     def stack(base, role):
         return ImageStack(data=base[:, c], image_shape=spec.image_shape,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError, DomainError
-from .stack_io import ImageStack
+from .stack_io import ImageStack, columns_to_images
 
 __all__ = [
     "add_noise",
@@ -27,11 +27,11 @@ def signal_reference(stack):
 def add_noise(stack: ImageStack, snr_db, seed, signal_ref=None):
     """Per-pixel additive Gaussian noise of variance N_p, with
     10 log10(signal_ref / N_p) = snr_db, re-clamped to [0, 1].  snr_db =
-    +inf is the no-noise sentinel, and -inf or nan raise DomainError;
+    +inf is the no-noise sentinel, and -inf, nan or None raise DomainError;
     deterministic under the seed."""
-    if snr_db is None or snr_db == np.inf:
+    if snr_db == np.inf:
         return stack.copy()
-    if not np.isfinite(snr_db):
+    if snr_db is None or not np.isfinite(snr_db):
         raise DomainError(f"snr_db must be finite or inf, got {snr_db}")
     if signal_ref is None:
         signal_ref = signal_reference(stack)
@@ -81,9 +81,8 @@ def add_point_clutter(stack: ImageStack, scr_db, pfa, seed, signal_ref=None):
     rows, cols = stack.image_shape
     r_edges, c_edges = _cell_grid(rows, cols)
     rng = np.random.default_rng(seed)
-    out = stack.data.copy()   # C-ordered, so each img below is a view into it
-    for q in range(stack.count):
-        img = out[:, q].reshape(rows, cols, order="F")
+    out = stack.data.copy()
+    for img in columns_to_images(out, stack.image_shape):   # views into out
         for i in range(len(r_edges) - 1):
             for j in range(len(c_edges) - 1):
                 if rng.random() >= pfa:

@@ -68,7 +68,6 @@ def gait_trajectory(gait: GaitParams):
     half-cycle offset between left and right.
     """
     t = TIME_GRID
-    n = t.size
     d = np.asarray(gait.direction, dtype=float)
     norm = np.linalg.norm(d)
     if norm == 0:
@@ -78,17 +77,15 @@ def gait_trajectory(gait: GaitParams):
     torso = start[:, None] + gait.speed * d[:, None] * t[None, :]  # (2, T)
 
     phase = 2 * np.pi * gait.stride_hz * t
-    offsets = [
-        np.zeros(n),                       # torso
-        gait.arm_swing * np.sin(phase),    # left arm
-        -gait.arm_swing * np.sin(phase),   # right arm
-        gait.leg_swing * np.sin(phase),    # left leg
-        gait.leg_swing * np.sin(phase + np.pi),  # right leg
-    ]
-    rho = np.empty((5, n))
-    r3 = np.empty((5, n))
-    for b, (off, h) in enumerate(zip(offsets, BODY_HEIGHTS)):
-        pos = torso + d[:, None] * off[None, :]
-        rho[b] = np.hypot(pos[0] - RADAR_XZ[0], pos[1] - RADAR_XZ[1])
-        r3[b] = np.sqrt(rho[b] ** 2 + h ** 2)
+    swing = np.sin(phase)
+    offsets = np.stack([                              # (5, T), in track order
+        np.zeros_like(swing),                         # torso
+        gait.arm_swing * swing,                       # left arm
+        -gait.arm_swing * swing,                      # right arm
+        gait.leg_swing * swing,                       # left leg
+        gait.leg_swing * np.sin(phase + np.pi),       # right leg
+    ])
+    pos = torso[:, None, :] + d[:, None, None] * offsets  # (2, 5, T)
+    rho = np.hypot(pos[0] - RADAR_XZ[0], pos[1] - RADAR_XZ[1])
+    r3 = np.sqrt(rho ** 2 + np.square(BODY_HEIGHTS)[:, None])
     return ScattererTrack(r3, rho, np.asarray(REFLECTIVITIES, dtype=float))

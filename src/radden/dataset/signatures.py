@@ -47,12 +47,6 @@ class RadarConfig:
         return self.carrier_hz - self.bandwidth_hz / 2 + step * np.arange(n)
 
     @property
-    def freq_step(self):
-        if self.narrowband:
-            raise ConfigError("frequency step undefined for narrowband")
-        return self.bandwidth_hz / self.freq_count
-
-    @property
     def range_resolution(self):
         if self.narrowband:
             raise ConfigError("range resolution undefined for narrowband")
@@ -60,7 +54,7 @@ class RadarConfig:
 
     @property
     def unambiguous_range(self):
-        return SPEED_OF_LIGHT / (2.0 * self.freq_step)
+        return self.range_resolution * self.freq_count
 
 
 def radar_returns(track: ScattererTrack, channel: ChannelModel,

@@ -19,7 +19,8 @@ import numpy as np
 
 from ..errors import ConfigError, FormatError
 
-__all__ = ["ImageStack", "load_dataset", "load_stack", "save_dataset", "save_stack"]
+__all__ = ["ImageStack", "columns_to_images", "images_to_columns",
+           "load_dataset", "load_stack", "save_dataset", "save_stack"]
 
 _MAGIC = b"RDAE2"
 _HEADER = "<IIIIBB"   # P, Q, rows, cols, value-kind, role
@@ -29,6 +30,19 @@ VALUE_KINDS = {"generic": 0, "spectrogram": 1, "hrrp": 2, "frontal": 3}
 
 # one packed 5-byte column record
 _RECORD = np.dtype([("interval", "<u2"), ("realization", "<u2"), ("wall", "u1")])
+
+
+def columns_to_images(columns, image_shape):
+    """View a P x Q stack of Fortran-order image columns as Q images; the
+    images of a C- or F-ordered stack are a writable view of it."""
+    rows, cols = image_shape
+    return columns.T.reshape(-1, cols, rows).swapaxes(-1, -2)
+
+
+def images_to_columns(images):
+    """Inverse of columns_to_images: N contiguous images as a C-ordered
+    P x N column stack."""
+    return images.reshape(images.shape[0], -1, order="F").T
 
 
 @dataclass

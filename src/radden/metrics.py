@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._parallel import BLOCK_IMAGES, _map_blocks
+from .dataset.stack_io import columns_to_images, images_to_columns
 from .errors import ConfigError, DomainError
 
 __all__ = ["BLOCK_IMAGES", "columns_to_images",
@@ -22,17 +23,6 @@ _WINDOW_SIGMA = 1.5
 _K1 = 0.01
 _K2 = 0.03
 _DATA_RANGE = 1.0
-
-
-def columns_to_images(columns, image_shape):
-    """View a P x Q stack of Fortran-order image columns as Q images."""
-    rows, cols = image_shape
-    return columns.T.reshape(-1, cols, rows).swapaxes(-1, -2)
-
-
-def images_to_columns(images):
-    """Inverse of columns_to_images: N images as a P x N column stack."""
-    return images.reshape(images.shape[0], -1, order="F").T
 
 
 def _window_matrix(n):

@@ -517,6 +517,22 @@ class TestTrainingPair:
             assert R.tobytes() == np.linalg.qr(X, mode="r").tobytes()
 
     @pytest.mark.parametrize("variant", ["dae", "sparse_dae", "stacked_sdae"])
+    def test_pair_of_float32_stacks_is_accepted(self, variant):
+        # the pair holds float64 copies; the trainer still knows it was
+        # prepared from the very float32 arrays that it is given
+        X, Xhat = (A.astype(np.float32) for A in synthetic_pair(P=30, Q=20, seed=8))
+        opts = TrainOptions(outer_iterations=3, ista=IstaOptions(max_iterations=20))
+        own, own_trace = _train_variant(variant, X, Xhat, opts)
+        shared, shared_trace = _train_variant(variant, X, Xhat, opts,
+                                              pair=prepare_pair(X, Xhat))
+        assert [M.tobytes() for M in shared.chain] == [M.tobytes() for M in own.chain]
+        assert (shared_trace.objectives, shared_trace.ista) == \
+            (own_trace.objectives, own_trace.ista)
+        for pair in (prepare_pair(X.copy(), Xhat), prepare_pair(X, Xhat.copy())):
+            with pytest.raises(ConfigError):
+                _train_variant(variant, X, Xhat, opts, pair=pair)
+
+    @pytest.mark.parametrize("variant", ["dae", "sparse_dae", "stacked_sdae"])
     def test_pair_of_other_arrays_refused(self, variant):
         X, Xhat = synthetic_pair(seed=9)
         opts = TrainOptions(outer_iterations=2)

@@ -293,6 +293,24 @@ class TestGeneration:
                         noise_draws=2, seed=6))
         assert not np.array_equal(a_corrupt.data, c_corrupt.data)
 
+    @pytest.mark.parametrize("spec", [
+        DatasetSpec(realizations=1, intervals=4, noise_draws=2),
+        DatasetSpec(realizations=1, intervals=4, noise_draws=2, pfa=0.1),
+        DatasetSpec(kind="hrrp", bandwidth_hz=2e9, freq_count=133,
+                    realizations=1, intervals=4, noise_draws=2),
+        DatasetSpec(kind="frontal", realizations=2, intervals=2,
+                    noise_draws=2)],
+        ids=["spectrogram", "spectrogram_clutter", "hrrp", "frontal"])
+    def test_memory_order(self, spec):
+        # the memory order sets how later reductions round, so it is pinned:
+        # replicating the base columns leaves a Fortran-ordered stack, and
+        # point clutter (always on for frontal images) writes a C-ordered copy
+        clean, corrupt = generate_pair(spec)
+        assert clean.data.flags.f_contiguous and not clean.data.flags.c_contiguous
+        cluttered = spec.kind == "frontal" or spec.pfa > 0.0
+        assert corrupt.data.flags.c_contiguous == cluttered
+        assert corrupt.data.flags.f_contiguous == (not cluttered)
+
     def test_frontal_pair(self):
         spec = DatasetSpec(kind="frontal", realizations=2, intervals=4,
                            noise_draws=2, snr_db=10.0)
@@ -637,6 +655,39 @@ SNR_SWEEP = Path(__file__).parents[1] / "configs" / "snr_sweep.ini"
 
 def _untimed(rows):
     return [replace(r, train_seconds=0.0, test_ms=0.0) for r in rows]
+
+
+def test_diverged_trainer_scores_nan(monkeypatch, tmp_path):
+    # a SparseDAE whose objective trace holds a NaN is not run on the test
+    # columns: its row scores NaN and counts as diverged, every other row is
+    # as in an unpatched run, and its plot cells read nan
+    cfg = tiny_config(values=(0.0, 10.0), algorithms=("dae", "sparse_dae", "wavelet"))
+    expected = [r for v in cfg.sweep.values for r in _untimed(evaluate_grid_point(cfg, v, 0))]
+    train = sweep_module.train_sparse_dae
+
+    def diverging(*args, **kwargs):
+        weights, trace = train(*args, **kwargs)
+        trace.objectives[-1] = float("nan")
+        return weights, trace
+    monkeypatch.setattr(sweep_module, "train_sparse_dae", diverging)
+    rows = [r for v in cfg.sweep.values for r in _untimed(evaluate_grid_point(cfg, v, 0))]
+    assert [r.algorithm for r in rows] == [r.algorithm for r in expected]
+    for row, unpatched in zip(rows, expected):
+        if row.algorithm == "sparse_dae":
+            assert np.isnan(row.ssim_ad) and np.isnan(row.nmse_ad) and row.diverged
+            assert replace(row, ssim_ad=0.0, nmse_ad=0.0) == \
+                replace(unpatched, ssim_ad=0.0, nmse_ad=0.0)
+        else:
+            assert row == unpatched and not row.diverged
+    (path,) = write_plot_data(rows, tmp_path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "# dropped_diverged=2"
+    assert lines[1] == ("# snr dae_mean dae_spread sparse_dae_mean "
+                        "sparse_dae_spread wavelet_mean wavelet_spread")
+    for line in lines[2:]:
+        cells = line.split()
+        assert cells[3:5] == ["nan", "nan"]
+        assert "nan" not in cells[:3] + cells[5:]
 
 
 @pytest.fixture

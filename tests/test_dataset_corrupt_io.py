@@ -55,9 +55,9 @@ class TestAddNoise:
         np.testing.assert_array_equal(out.data, stack.data)
         assert out.metadata_matches(stack)
 
-    @pytest.mark.parametrize("snr", [-np.inf, np.nan])
+    @pytest.mark.parametrize("snr", [-np.inf, np.nan, None])
     def test_only_plus_inf_is_the_sentinel(self, snr):
-        # -inf dB would otherwise pass as "no noise"
+        # -inf dB, or None, would otherwise pass as "no noise"
         with pytest.raises(DomainError, match="snr_db"):
             add_noise(make_stack(Q=3), snr, seed=0)
 
@@ -320,3 +320,33 @@ class TestFrontalPhantoms:
     def test_count_validation(self):
         with pytest.raises(ConfigError):
             frontal_phantoms(0)
+
+    @pytest.mark.parametrize("count, seed", [(1, 0), (5, 3), (64, 0)])
+    def test_matches_per_image_loop(self, count, seed):
+        # the reference draws each image's four normals in turn and builds
+        # the image blob by blob; the stack must equal it bit for bit, and
+        # keep its memory order
+        rows, cols = 31, 31
+        y, x = np.arange(rows)[:, None], np.arange(cols)[None, :]
+
+        def blob(cy, cx, sy, sx, amp):
+            return amp * np.exp(-0.5 * (((y - cy) / sy) ** 2 + ((x - cx) / sx) ** 2))
+        rng = np.random.default_rng(seed)
+        expected = np.empty((rows * cols, count))
+        for q in range(count):
+            cy = rows * (0.50 + 0.06 * rng.standard_normal())
+            cx = cols * (0.50 + 0.06 * rng.standard_normal())
+            scale = 1.0 + 0.15 * rng.standard_normal()
+            spread = cols * (0.22 + 0.03 * rng.standard_normal())
+            img = blob(cy, cx, rows * 0.18 * scale, cols * 0.10 * scale, 1.0)
+            img += blob(cy - rows * 0.28, cx, rows * 0.07, cols * 0.07, 0.8)
+            for side in (-1.0, 1.0):
+                img += blob(cy - rows * 0.05, cx + side * spread,
+                            rows * 0.10, cols * 0.05, 0.5)
+                img += blob(cy + rows * 0.30, cx + side * cols * 0.10,
+                            rows * 0.12, cols * 0.05, 0.6)
+            img /= img.max()
+            expected[:, q] = img.ravel(order="F")
+        data = frontal_phantoms(count, seed=seed).data
+        assert data.tobytes() == expected.tobytes()
+        assert data.flags.c_contiguous

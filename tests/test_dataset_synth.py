@@ -110,6 +110,31 @@ class TestGait:
         expected = gait.speed + gait.arm_swing * 2 * np.pi * gait.stride_hz
         assert v_max == pytest.approx(expected, rel=1e-2)
 
+    @pytest.mark.parametrize("gait", [
+        GaitParams(),
+        GaitParams(speed=1.3, stride_hz=1.7, arm_swing=0.2, leg_swing=0.5,
+                   start_xz=(-2.5, 3.5), direction=(0.3, 0.8)),
+        GaitParams(speed=0.0, direction=(-1.0, -0.2))])
+    def test_matches_per_part_loop(self, gait):
+        # the reference places one body part at a time; the five parts
+        # computed as one array must equal it bit for bit
+        d = np.asarray(gait.direction, dtype=float)
+        d = d / np.linalg.norm(d)
+        torso = (np.asarray(gait.start_xz, dtype=float)[:, None]
+                 + gait.speed * d[:, None] * TIME_GRID[None, :])
+        phase = 2 * np.pi * gait.stride_hz * TIME_GRID
+        offsets = [np.zeros(T), gait.arm_swing * np.sin(phase),
+                   -gait.arm_swing * np.sin(phase), gait.leg_swing * np.sin(phase),
+                   gait.leg_swing * np.sin(phase + np.pi)]
+        rho, r3 = np.empty((5, T)), np.empty((5, T))
+        for b, (off, h) in enumerate(zip(offsets, BODY_HEIGHTS)):
+            pos = torso + d[:, None] * off[None, :]
+            rho[b] = np.hypot(pos[0] - RADAR_XZ[0], pos[1] - RADAR_XZ[1])
+            r3[b] = np.sqrt(rho[b] ** 2 + h ** 2)
+        track = gait_trajectory(gait)
+        assert track.ranges_ground.tobytes() == rho.tobytes()
+        assert track.ranges_3d.tobytes() == r3.tobytes()
+
     def test_track_invariants(self):
         track = gait_trajectory(GaitParams())
         assert track.count == 5
