@@ -12,8 +12,6 @@ from ._parallel import _map_blocks
 __all__ = [
     "SvdFilterConfig",
     "WaveletFilterConfig",
-    "haar_analysis",
-    "haar_synthesis",
     "svd_denoise",
     "wavelet_denoise",
 ]
@@ -139,12 +137,6 @@ def _haar_inv_1d(x, axis, out):
     _butterfly(*_halves(x, axis), *_pairs(out, axis))
 
 
-def _check_divisible(x, levels):
-    n = 2 ** levels
-    if x.shape[-2] % n or x.shape[-1] % n:
-        raise ConfigError(f"dimensions {x.shape[-2:]} not divisible by 2^{levels}")
-
-
 def _analyze(coef, levels, work):
     """Haar analysis of coef in place; work is working space of its shape."""
     r, c = coef.shape[-2:]
@@ -162,27 +154,6 @@ def _synthesize(coef, levels, work):
         r, c = rows >> level, cols >> level
         _haar_inv_1d(coef[..., :r, :c], -1, work[..., :r, :c])
         _haar_inv_1d(work[..., :r, :c], -2, coef[..., :r, :c])
-
-
-def haar_analysis(img, levels):
-    """Orthonormal 2-D Haar transform over the last two axes, coefficients in
-    quadrant (Mallat) layout.
-
-    Both image dimensions must be divisible by 2**levels.
-    """
-    img = np.asarray(img, dtype=float)
-    _check_divisible(img, levels)
-    coef = img.copy()
-    _analyze(coef, levels, np.empty_like(coef))
-    return coef
-
-
-def haar_synthesis(coef, levels):
-    coef = np.asarray(coef, dtype=float)
-    _check_divisible(coef, levels)
-    out = coef.copy()
-    _synthesize(out, levels, np.empty_like(out))
-    return out
 
 
 def wavelet_denoise(img, cfg: WaveletFilterConfig | None = None, out=None):

@@ -216,8 +216,7 @@ def evaluate_grid_point(cfg: ExperimentConfig, value, seed):
     _POOLED_TRAINERS; the calling thread runs every other step
     in algorithm order, waiting for a pooled trainer when it reaches it.
     The autoencoders share one TrainingPair, built before the loop (the
-    first autoencoder's train_seconds include it) and dropped once the last
-    is fitted, before the remaining baselines and scores."""
+    first autoencoder's train_seconds include it)."""
     with _one_blas_thread():
         return _evaluate(cfg, value, seed)
 
@@ -228,10 +227,8 @@ def _evaluate(cfg: ExperimentConfig, value, seed):
     spec = data.spec
     ssim_bd, nmse_bd = _score(data.corrupt_te, data)
     algorithms = cfg.sweep.algorithms
-    last_fit = max((i for i, a in enumerate(algorithms) if a in AUTOENCODERS),
-                   default=-1)
     pair, pair_seconds = None, 0.0
-    if last_fit >= 0:
+    if any(a in AUTOENCODERS for a in algorithms):
         t0 = time.perf_counter()
         pair = prepare_pair(data.clean_tr, data.corrupt_tr)
         pair_seconds = time.perf_counter() - t0
@@ -240,7 +237,7 @@ def _evaluate(cfg: ExperimentConfig, value, seed):
     with _pooled([functools.partial(_train_timed, a, data, cfg, seed, pair)
                   for a in trainers]) as started:
         pooled = dict(zip(trainers, started))
-        for i, algorithm in enumerate(algorithms):
+        for algorithm in algorithms:
             trained = None
             if algorithm in pooled:
                 trained = pooled[algorithm].result()
@@ -250,8 +247,6 @@ def _evaluate(cfg: ExperimentConfig, value, seed):
                                                     trained)
             if trained is not None:   # the first autoencoder counts the pair
                 train_seconds, pair_seconds = train_seconds + pair_seconds, 0.0
-            if i == last_fit:
-                pair = None
             ssim_ad, nmse_ad = _score(denoised, data)
             rows.append(ResultRow(
                 kind=spec.kind, algorithm=algorithm,

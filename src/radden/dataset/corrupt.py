@@ -72,8 +72,9 @@ def add_point_clutter(stack: ImageStack, scr_db, pfa, seed, signal_ref=None):
     """
     if not (0.0 <= pfa <= 1.0):
         raise ConfigError("pfa must lie in [0, 1]")
+    out = stack.data.copy(order="K")   # in the input's memory order
     if pfa == 0.0:
-        return stack.copy()
+        return stack.copy(data=out)
     if signal_ref is None:
         signal_ref = signal_reference(stack)
     clutter_power = signal_ref * 10.0 ** (-scr_db / 10.0)
@@ -81,7 +82,6 @@ def add_point_clutter(stack: ImageStack, scr_db, pfa, seed, signal_ref=None):
     rows, cols = stack.image_shape
     r_edges, c_edges = _cell_grid(rows, cols)
     rng = np.random.default_rng(seed)
-    out = stack.data.copy()
     for img in columns_to_images(out, stack.image_shape):   # views into out
         for i in range(len(r_edges) - 1):
             for j in range(len(c_edges) - 1):

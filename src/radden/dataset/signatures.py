@@ -107,7 +107,8 @@ def hrrp(s_rx, radar: RadarConfig):
     """High range resolution profile: inverse DFT across the frequency axis.
 
     Returns (power, range_axis) with shape (range bins, time samples); range
-    bins step by c/(2 beta) up to the unambiguous range.
+    bins step by c/(2 beta) up to the unambiguous range.  The inverse DFT
+    needs a uniform grid, which RadarConfig.frequencies always is.
     """
     if radar.narrowband:
         raise ConfigError("HRRP requires wideband data (beta > 0)")
@@ -115,7 +116,6 @@ def hrrp(s_rx, radar: RadarConfig):
     if s_rx.ndim != 2 or s_rx.shape[1] != radar.freq_count:
         raise ConfigError(f"expected (time, {radar.freq_count}) samples, got "
                           f"{s_rx.shape}")
-    _frequency_grid(radar.frequencies)  # the inverse DFT needs a uniform grid
     profile = np.fft.ifft(s_rx, axis=1) * radar.freq_count
     power = (np.abs(profile) ** 2).T
     ranges = np.arange(radar.freq_count) * radar.range_resolution

@@ -96,14 +96,6 @@ class ImageStack:
                        realization=self.realization[columns],
                        wall_class=self.wall_class[columns])
 
-    def metadata_matches(self, other):
-        return (
-            self.data.shape == other.data.shape
-            and np.array_equal(self.interval_index, other.interval_index)
-            and np.array_equal(self.realization, other.realization)
-            and np.array_equal(self.wall_class, other.wall_class)
-        )
-
 
 def save_stack(stack: ImageStack, path):
     path = Path(path)

@@ -108,9 +108,6 @@ def ssim(a, b):
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ConfigError(f"shape mismatch {a.shape} vs {b.shape}")
-    if a.ndim == 1:
-        a = a[:, None]
-        b = b[:, None]
     return float(_ssim_images(a[None], b[None])[0])
 
 

@@ -18,7 +18,6 @@ __all__ = [
     "ista_gram",
     "ista_solve",
     "lipschitz_bound",
-    "soft_threshold",
     "solve_least_squares",
 ]
 
@@ -50,14 +49,6 @@ class IstaResult:
     iterations: int = 0
     step: float = 0.0
     converged: int = 0
-
-
-def soft_threshold(v, theta):
-    """Elementwise sign(v) * max(|v| - theta, 0)."""
-    if theta < 0:
-        raise DomainError("threshold must be >= 0")
-    v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
 
 
 def default_ridge(A):
@@ -180,18 +171,11 @@ def ista_solve(D, Y, mu, Z0, opts: IstaOptions | None = None):
     """
     D = np.asarray(D, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    Z0 = np.asarray(Z0, dtype=float)
-    if mu < 0:
-        raise DomainError("l1 weight must be >= 0")
-    for name, M in (("design", D), ("target", Y), ("init", Z0)):
+    for name, M in (("design", D), ("target", Y)):
         if not np.all(np.isfinite(M)):
             raise DomainError(f"{name} contains non-finite entries")
     if D.shape[0] != Y.shape[0]:
         raise ConfigError(f"design rows {D.shape[0]} != target rows {Y.shape[0]}")
-    if Z0.shape != (D.shape[1], Y.shape[1]):
-        raise ConfigError(
-            f"init shape {Z0.shape} incompatible with {D.shape} x {Y.shape}"
-        )
     (p, k), q = D.shape, Y.shape[1]
     n = _padded_count(q)
     Yp = np.zeros((p, n))

@@ -450,6 +450,15 @@ def _train_variant(variant, X, Xhat, opts, **kwargs):
     return train_stacked_sdae(X, Xhat, (8, 5, 3), opts=opts, **kwargs)
 
 
+@pytest.mark.parametrize("variant", ["dae", "sparse_dae", "stacked_sdae"])
+def test_trace_times_each_outer_iteration(variant):
+    X, Xhat = synthetic_pair(seed=31)
+    opts = TrainOptions(outer_iterations=4, outer_tolerance=1e-300)
+    _, trace = _train_variant(variant, X, Xhat, opts)
+    assert len(trace.wall_times) == len(trace.objectives) == 4
+    assert all(isinstance(t, float) and t >= 0.0 for t in trace.wall_times)
+
+
 class TestTrainingPair:
     def test_prepared_pair_trains_alike(self):
         # P > Q, as in the radar datasets, so the QR factor has Q rows

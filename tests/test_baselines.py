@@ -2,9 +2,23 @@ import numpy as np
 import pytest
 
 from radden.baselines import (SvdFilterConfig, WaveletFilterConfig,
-                              haar_analysis, haar_synthesis, svd_denoise,
+                              _analyze, _synthesize, svd_denoise,
                               wavelet_denoise)
 from radden.errors import ConfigError
+
+
+def haar_analysis(img, levels):
+    """wavelet_denoise's in-place Haar analysis, on a copy of img."""
+    coef = np.array(img, dtype=float)
+    _analyze(coef, levels, np.empty_like(coef))
+    return coef
+
+
+def haar_synthesis(coef, levels):
+    """wavelet_denoise's in-place Haar synthesis, on a copy of coef."""
+    out = np.array(coef, dtype=float)
+    _synthesize(out, levels, np.empty_like(out))
+    return out
 
 
 def assert_stack_matches_per_image(denoise, images):

@@ -267,7 +267,9 @@ class TestGeneration:
                            noise_draws=10)
         clean, corrupt = generate_pair(spec)
         assert clean.count == 160 and corrupt.count == 160
-        assert clean.metadata_matches(corrupt)
+        for name in ("interval_index", "realization", "wall_class"):
+            np.testing.assert_array_equal(getattr(clean, name),
+                                          getattr(corrupt, name))
         # metadata covers every (interval, realization) pair, 10 draws each
         pairs = set(zip(clean.interval_index.tolist(),
                         clean.realization.tolist()))
@@ -303,13 +305,10 @@ class TestGeneration:
         ids=["spectrogram", "spectrogram_clutter", "hrrp", "frontal"])
     def test_memory_order(self, spec):
         # the memory order sets how later reductions round, so it is pinned:
-        # replicating the base columns leaves a Fortran-ordered stack, and
-        # point clutter (always on for frontal images) writes a C-ordered copy
-        clean, corrupt = generate_pair(spec)
-        assert clean.data.flags.f_contiguous and not clean.data.flags.c_contiguous
-        cluttered = spec.kind == "frontal" or spec.pfa > 0.0
-        assert corrupt.data.flags.c_contiguous == cluttered
-        assert corrupt.data.flags.f_contiguous == (not cluttered)
+        # replicating the base columns leaves Fortran-ordered stacks, and
+        # point clutter (always on for frontal images) keeps that order
+        for stack in generate_pair(spec):
+            assert stack.data.flags.f_contiguous and not stack.data.flags.c_contiguous
 
     def test_frontal_pair(self):
         spec = DatasetSpec(kind="frontal", realizations=2, intervals=4,

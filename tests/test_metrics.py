@@ -86,6 +86,12 @@ class TestSsim:
         with pytest.raises(ConfigError):
             ssim(np.zeros((4, 4)), np.zeros((5, 4)))
 
+    @pytest.mark.parametrize("n", [5, 40, 300])
+    def test_vector_is_a_column_image(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.random(n), rng.random(n)
+        assert ssim(a, b) == ssim(a[:, None], b[:, None])
+
     def test_small_image_fallback_matches_global_formula(self):
         rng = np.random.default_rng(4)
         a = rng.random((7, 7))
