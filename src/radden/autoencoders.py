@@ -19,6 +19,7 @@ import numbers
 import struct
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .sparse_solvers import (IstaOptions, RidgeDesign, _gram_bound, ista_gram,
                              solve_least_squares)
 
 __all__ = [
-    "Activation",
     "AutoencoderWeights",
     "TrainOptions",
     "TrainTrace",
@@ -43,7 +43,6 @@ __all__ = [
     "train_stacked_sdae",
 ]
 
-_ACTIVATION_KINDS = ("linear",)   # index = the activation tag of a weights file
 # weight matrices of each variant in chain order, input side first
 _MATRIX_NAMES = {
     "dae": ("W1", "W2"),
@@ -54,23 +53,8 @@ _VARIANTS = tuple(_MATRIX_NAMES)
 
 
 @dataclass
-class Activation:
-    """The activation tag of a weights file.  Training is linear, so "linear"
-    is the one kind and `apply` is the identity."""
-    kind: str = "linear"
-
-    def __post_init__(self):
-        if self.kind not in _ACTIVATION_KINDS:
-            raise ConfigError(f"unknown activation {self.kind!r}")
-
-    def apply(self, v):
-        return np.asarray(v, dtype=float)
-
-
-@dataclass
 class AutoencoderWeights:
     variant: str
-    activation: Activation
     matrices: dict[str, np.ndarray]
 
     def __post_init__(self):
@@ -96,6 +80,12 @@ class AutoencoderWeights:
     @property
     def stacked(self):
         return self.variant == "stacked_sdae"
+
+    @property
+    def activation(self):
+        """Every model is a linear chain; the benchmark's `check_infer`
+        reads this `kind`."""
+        return SimpleNamespace(kind="linear")
 
     @property
     def chain(self):
@@ -381,7 +371,7 @@ def _train(variant, X, Xhat, sizes, c, s, order, opts, pair=None):
     W[0] = pair.design.solve(encoder_target)
     W[-1] = solve_least_squares(decoder_code, X)
     matrices = dict(zip(_MATRIX_NAMES[variant], W))
-    return AutoencoderWeights(variant, Activation(), matrices), trace
+    return AutoencoderWeights(variant, matrices), trace
 
 
 # one outer iteration: code, encoder, decoder; or all weights, then all codes
@@ -474,22 +464,23 @@ def inference_flops(weights: AutoencoderWeights):
     return sum(M.size for M in weights.chain)
 
 
-_WEIGHTS_MAGIC = b"RDAEW1"   # then tags: indices into _VARIANTS and _ACTIVATION_KINDS
-# Header slot that once held a training-only clamp; written as this constant
-# and ignored on read, so the byte layout is unchanged.
+_WEIGHTS_MAGIC = b"RDAEW1"   # then the variant tag, an index into _VARIANTS
+# Header slots that once held an activation tag and a training-only clamp.
+# Both are written as these constants, so the byte layout is unchanged; the
+# tag must read 0 (linear), the slot is ignored on read.
+_LINEAR_TAG = 0
 _RESERVED_SLOT = 1e-6
 
 
 def save_weights(weights: AutoencoderWeights, path):
-    """Binary weights file: magic, variant/activation tags, a reserved
+    """Binary weights file: magic, variant tag, activation tag 0, a reserved
     float64, layer sizes, then the matrices in chain order as little-endian
     float64, column-major."""
     sizes = (weights.pixel_count,) + weights.layer_sizes
     with open(path, "wb") as fh:
         fh.write(_WEIGHTS_MAGIC)
         fh.write(struct.pack("<BBd", _VARIANTS.index(weights.variant),
-                             _ACTIVATION_KINDS.index(weights.activation.kind),
-                             _RESERVED_SLOT))
+                             _LINEAR_TAG, _RESERVED_SLOT))
         fh.write(struct.pack("<H", len(sizes)))
         fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
         for M in weights.chain:
@@ -507,7 +498,7 @@ def load_weights(path):
             sizes = struct.unpack(f"<{nsizes}I", fh.read(4 * nsizes))
         except struct.error as exc:
             raise FormatError(f"truncated header in {path}") from exc
-        if vtag >= len(_VARIANTS) or atag >= len(_ACTIVATION_KINDS):
+        if vtag >= len(_VARIANTS) or atag != _LINEAR_TAG:
             raise FormatError(f"unknown variant/activation tag in {path}")
         variant = _VARIANTS[vtag]
         names = _MATRIX_NAMES[variant]
@@ -523,4 +514,7 @@ def load_weights(path):
             matrices[name] = np.frombuffer(buf, dtype="<f8").reshape((r, c), order="F").copy()
         if fh.read(1):
             raise FormatError(f"bytes after the last matrix in {path}")
-        return AutoencoderWeights(variant, Activation(_ACTIVATION_KINDS[atag]), matrices)
+    try:
+        return AutoencoderWeights(variant, matrices)
+    except ConfigError as exc:
+        raise FormatError(f"invalid weights in {path}: {exc}") from exc

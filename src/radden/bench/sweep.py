@@ -178,27 +178,8 @@ def _train_timed(algorithm, data: _GridData, cfg: ExperimentConfig, seed,
     return trained, time.perf_counter() - t0
 
 
-def _fit(algorithm, data: _GridData, cfg: ExperimentConfig, trained):
-    """(denoised test columns, train_seconds, test_ms) of one algorithm;
-    denoised is None when the training objective trace is not finite.
-    `trained` is an autoencoder's _train_timed result; a baseline has None."""
-    if trained is None:
-        t0 = time.perf_counter()
-        denoised = _baseline_denoise(algorithm, data.corrupt_te,
-                                     data.spec.image_shape, cfg)
-        return denoised, 0.0, (time.perf_counter() - t0) * 1e3
-    (weights, trace), train_seconds = trained
-    if not all(np.isfinite(v) for v in trace.objectives):
-        return None, train_seconds, 0.0
-    t0 = time.perf_counter()
-    denoised = infer(weights, data.corrupt_te)
-    return denoised, train_seconds, (time.perf_counter() - t0) * 1e3
-
-
 def _score(denoised, data: _GridData):
-    """(mean SSIM, mean NMSE) of denoised test columns; NaN for None."""
-    if denoised is None:
-        return float("nan"), float("nan")
+    """(mean SSIM, mean NMSE) of denoised test columns."""
     ssim = ssim_stack(denoised, data.clean_te, data.spec.image_shape)
     return float(np.mean(ssim)), _mean_nmse(denoised, data.clean_te)
 
@@ -238,16 +219,23 @@ def _evaluate(cfg: ExperimentConfig, value, seed):
                   for a in trainers]) as started:
         pooled = dict(zip(trainers, started))
         for algorithm in algorithms:
-            trained = None
-            if algorithm in pooled:
-                trained = pooled[algorithm].result()
-            elif algorithm in AUTOENCODERS:
-                trained = _train_timed(algorithm, data, cfg, seed, pair)
-            denoised, train_seconds, test_ms = _fit(algorithm, data, cfg,
-                                                    trained)
-            if trained is not None:   # the first autoencoder counts the pair
+            train_seconds, test_ms = 0.0, 0.0
+            ssim_ad = nmse_ad = float("nan")   # unless a denoising call runs
+            autoencoder = algorithm in AUTOENCODERS
+            if autoencoder:
+                (weights, trace), train_seconds = (
+                    pooled[algorithm].result() if algorithm in pooled
+                    else _train_timed(algorithm, data, cfg, seed, pair))
+                # the first autoencoder counts the pair
                 train_seconds, pair_seconds = train_seconds + pair_seconds, 0.0
-            ssim_ad, nmse_ad = _score(denoised, data)
+            # one timed denoise call, and none for a diverged objective trace
+            if not autoencoder or np.all(np.isfinite(trace.objectives)):
+                t0 = time.perf_counter()
+                denoised = (infer(weights, data.corrupt_te) if autoencoder
+                            else _baseline_denoise(algorithm, data.corrupt_te,
+                                                   spec.image_shape, cfg))
+                test_ms = (time.perf_counter() - t0) * 1e3
+                ssim_ad, nmse_ad = _score(denoised, data)
             rows.append(ResultRow(
                 kind=spec.kind, algorithm=algorithm,
                 carrier_hz=spec.carrier_hz,

@@ -29,9 +29,8 @@ def _build_parser():
                     "autoencoder training, sweeps, and reports.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="experiment INI file")
+    def common(p):
+        p.add_argument("--config", required=True, help="experiment INI file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed")
 

@@ -15,10 +15,9 @@ __all__ = [
 ]
 
 
-def signal_reference(stack):
+def signal_reference(stack: ImageStack):
     """Mean power of the nonzero pixels: the SNR/SCR reference level."""
-    data = stack.data if isinstance(stack, ImageStack) else np.asarray(stack)
-    above = data[data > 0.0]
+    above = stack.data[stack.data > 0.0]
     if above.size == 0:
         return 0.0
     return float(np.mean(above ** 2))
@@ -38,7 +37,9 @@ def add_noise(stack: ImageStack, snr_db, seed, signal_ref=None):
     n_p = signal_ref * 10.0 ** (-snr_db / 10.0)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, np.sqrt(n_p), size=stack.data.shape)
-    return stack.copy(data=np.clip(stack.data + noise, 0.0, 1.0))
+    out = np.empty_like(stack.data)   # in the input's memory order
+    np.add(stack.data, noise, out=out)
+    return stack.copy(data=np.clip(out, 0.0, 1.0, out=out))
 
 
 CLUTTER_CELLS = 84  # candidate clutter sites per image

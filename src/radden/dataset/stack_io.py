@@ -85,7 +85,7 @@ class ImageStack:
         return self.data.shape[1]
 
     def copy(self, data=None, role=None):
-        return replace(self, data=self.data.copy() if data is None else data,
+        return replace(self, data=self.data.copy(order="K") if data is None else data,
                        role=self.role if role is None else role)
 
     def select(self, columns):
@@ -136,12 +136,15 @@ def load_stack(path):
     off += _RECORD.itemsize * Q
     data = np.frombuffer(raw, dtype="<f8", count=P * Q, offset=off)
     data = data.reshape((P, Q), order="F").copy()
-    return ImageStack(data=data, image_shape=(rows, cols),
-                      interval_index=records["interval"],
-                      realization=records["realization"],
-                      wall_class=records["wall"],
-                      role=roles[role_tag],
-                      value_kind=kinds[kind_tag])
+    try:
+        return ImageStack(data=data, image_shape=(rows, cols),
+                          interval_index=records["interval"],
+                          realization=records["realization"],
+                          wall_class=records["wall"],
+                          role=roles[role_tag],
+                          value_kind=kinds[kind_tag])
+    except ConfigError as exc:
+        raise FormatError(f"invalid stack in {path}: {exc}") from exc
 
 
 def save_dataset(clean: ImageStack, corrupt: ImageStack, directory, config_text=""):

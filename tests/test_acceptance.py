@@ -11,8 +11,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from radden.autoencoders import (Activation, AutoencoderWeights, TrainOptions,
-                                 infer, inference_flops, objective_value,
+from radden.autoencoders import (AutoencoderWeights, TrainOptions, infer,
+                                 inference_flops, objective_value,
                                  train_dae, train_sparse_dae,
                                  train_stacked_sdae)
 from radden.bench import (DatasetSpec, ExperimentConfig, SweepSpec, TrainSpec,
@@ -140,11 +140,10 @@ def test_variant_reduction_and_inference_composition():
     weights, _ = train_stacked_sdae(X, Xhat, (32, 16, 8),
                                     opts=TrainOptions(outer_iterations=3,
                                                       seed=3))
-    act = weights.activation
     x = rng.random((P, 5))
-    manual = weights.matrices["W22"] @ act.apply(
-        weights.matrices["W21"] @ act.apply(
-            weights.matrices["W12"] @ act.apply(
+    manual = weights.matrices["W22"] @ (
+        weights.matrices["W21"] @ (
+            weights.matrices["W12"] @ (
                 weights.matrices["W11"] @ x)))
     direct = infer(weights, x, clamp=False)
     assert np.max(np.abs(manual - direct)) <= 1e-12
@@ -245,11 +244,11 @@ def test_stacked_outperforms_classical_baselines():
 def test_stacked_inference_is_faster():
     rng = np.random.default_rng(11)
     P = 961
-    flat = AutoencoderWeights("dae", Activation(), {
+    flat = AutoencoderWeights("dae", {
         "W1": rng.standard_normal((500, P)) / np.sqrt(P),
         "W2": rng.standard_normal((P, 500)) / np.sqrt(500),
     })
-    deep = AutoencoderWeights("stacked_sdae", Activation(), {
+    deep = AutoencoderWeights("stacked_sdae", {
         "W11": rng.standard_normal((256, P)) / np.sqrt(P),
         "W12": rng.standard_normal((128, 256)) / np.sqrt(256),
         "W21": rng.standard_normal((64, 128)) / np.sqrt(128),

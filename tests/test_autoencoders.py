@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radden import autoencoders
-from radden.autoencoders import (Activation, AutoencoderWeights, TrainOptions,
-                                 _train, _update_code, inference_flops, infer,
+from radden.autoencoders import (AutoencoderWeights, TrainOptions, _train,
+                                 _update_code, inference_flops, infer,
                                  load_weights, objective_value, prepare_pair,
                                  save_weights, train_dae, train_sparse_dae,
                                  train_stacked_sdae)
@@ -28,18 +28,6 @@ def synthetic_pair(P=16, Q=40, rank=None, seed=0, noise=0.05):
     X = np.clip(rng.random((P, rank)) @ rng.random((rank, Q)) / rank, 0, 1)
     Xhat = np.clip(X + noise * rng.standard_normal((P, Q)), 0, 1)
     return X, Xhat
-
-
-class TestActivation:
-    def test_linear_identity(self):
-        act = Activation("linear")
-        v = np.linspace(-3, 3, 11)
-        np.testing.assert_array_equal(act.apply(v), v)
-
-    @pytest.mark.parametrize("kind", ["relu", "tanh", "sigmoid"])
-    def test_invalid_kind(self, kind):
-        with pytest.raises(ConfigError):
-            Activation(kind)
 
 
 class TestTrainDae:
@@ -114,7 +102,7 @@ class TestTrainSparseDae:
         X, Xhat = synthetic_pair(seed=7)
         w, trace = train_sparse_dae(X, Xhat, nodes=6, lam=1.0, mu=1e9,
                                     opts=tight_opts(outer=3))
-        E = w.activation.apply(w.matrices["W1"] @ Xhat)
+        E = w.matrices["W1"] @ Xhat
         expected = np.sum(X * X) + np.sum(E * E)
         assert trace.objectives[-1] == pytest.approx(expected, rel=1e-6)
 
@@ -126,7 +114,7 @@ class TestTrainSparseDae:
                                     opts=tight_opts(outer=15))
             # recover the final code from a fresh ISTA solve at the trained weights
             from radden.sparse_solvers import ista_solve
-            E = w.activation.apply(w.matrices["W1"] @ Xhat)
+            E = w.matrices["W1"] @ Xhat
             D = np.vstack([w.matrices["W2"], np.eye(8)])
             T = np.vstack([X, E])
             Z = ista_solve(D, T, mu, np.zeros((8, X.shape[1])),
@@ -330,7 +318,7 @@ def reference_train(variant, X, Xhat, sizes, c, s, opts, order):
                 res = ista_solve(D, T, s[i], H[i + 1], opts.ista)
                 H[i + 1] = res.z
                 stats.append((res.iterations, res.converged))
-        weights = AutoencoderWeights(variant, Activation(), dict(zip(names, W)))
+        weights = AutoencoderWeights(variant, dict(zip(names, W)))
         codes = tuple(H[1:-1]) if stacked else H[1]
         objectives.append(objective_value(weights, codes, X, Xhat, **terms))
         ista.append(stats)
@@ -550,14 +538,35 @@ class TestTrainingPair:
                 _train_variant(variant, X, Xhat, opts, pair=pair)
 
 
-class TestLinearTraining:
-    def test_trainers_return_linear_weights(self):
-        X, Xhat = synthetic_pair(seed=26)
-        opts = tight_opts(outer=2)
-        for w, _ in (train_dae(X, Xhat, 5, opts=opts),
-                     train_sparse_dae(X, Xhat, 5, opts=opts),
-                     train_stacked_sdae(X, Xhat, (8, 5, 3), opts=opts)):
-            assert w.activation == Activation("linear")
+class TestRefusals:
+    @pytest.mark.parametrize("variant, shapes, message", [
+        pytest.param("rbm", {"W1": (3, 6), "W2": (6, 3)}, "unknown variant",
+                     id="variant"),
+        pytest.param("dae", {"W1": (3, 6)}, "expects matrices", id="names"),
+        pytest.param("stacked_sdae", {"W11": (4, 12), "W12": (6, 4),
+                                      "W21": (8, 6), "W22": (12, 8)},
+                     "strictly decrease", id="stacked_sizes_rise")])
+    def test_weights(self, variant, shapes, message):
+        mats = {name: np.zeros(shape) for name, shape in shapes.items()}
+        with pytest.raises(ConfigError, match=message):
+            AutoencoderWeights(variant, mats)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(outer_iterations=0), "outer_iterations"),
+        (dict(outer_tolerance=0.0), "outer_tolerance")])
+    def test_train_options(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            TrainOptions(**kwargs)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("stack", [0, 1], ids=["clean", "corrupt"])
+    def test_non_finite_training_stack(self, stack, value):
+        pair = list(synthetic_pair(seed=10))
+        pair[stack][2, 3] = value
+        with pytest.raises(DomainError, match="non-finite"):
+            prepare_pair(*pair)
+        with pytest.raises(DomainError, match="non-finite"):
+            train_dae(*pair, nodes=5, opts=tight_opts(outer=2))
 
 
 class TestInfer:
@@ -565,18 +574,18 @@ class TestInfer:
         rng = np.random.default_rng(14)
         W1 = rng.standard_normal((4, 4))
         W2 = np.linalg.inv(W1)
-        w = AutoencoderWeights("dae", Activation(), {"W1": W1, "W2": W2})
+        w = AutoencoderWeights("dae", {"W1": W1, "W2": W2})
         x = rng.random(4)
         np.testing.assert_allclose(infer(w, x), np.clip(x, 0, 1), atol=1e-10)
 
     def test_zero_weights(self):
-        w = AutoencoderWeights("dae", Activation(),
+        w = AutoencoderWeights("dae",
                                {"W1": np.zeros((3, 6)), "W2": np.zeros((6, 3))})
         np.testing.assert_array_equal(infer(w, np.ones(6)), np.zeros(6))
 
     def test_batch_equals_columnwise(self):
         rng = np.random.default_rng(15)
-        w = AutoencoderWeights("dae", Activation(),
+        w = AutoencoderWeights("dae",
                                {"W1": rng.standard_normal((4, 9)),
                                 "W2": rng.standard_normal((9, 4))})
         X = rng.random((9, 5))
@@ -590,13 +599,13 @@ class TestInfer:
                 "W12": rng.standard_normal((6, 8)),
                 "W21": rng.standard_normal((4, 6)),
                 "W22": rng.standard_normal((12, 4))}
-        w = AutoencoderWeights("stacked_sdae", Activation(), mats)
+        w = AutoencoderWeights("stacked_sdae", mats)
         x = rng.random(12)
         explicit = mats["W22"] @ (mats["W21"] @ (mats["W12"] @ (mats["W11"] @ x)))
         np.testing.assert_allclose(infer(w, x, clamp=False), explicit, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        w = AutoencoderWeights("dae", Activation(),
+        w = AutoencoderWeights("dae",
                                {"W1": np.zeros((2, 5)), "W2": np.zeros((5, 2))})
         with pytest.raises(ConfigError):
             infer(w, np.ones(4))
@@ -612,15 +621,15 @@ class TestInfer:
         mats = {name: np.zeros(s) if isinstance(s, tuple) else s
                 for name, s in shapes.items()}
         with pytest.raises(ConfigError):
-            AutoencoderWeights(variant, Activation(), mats)
+            AutoencoderWeights(variant, mats)
 
     def test_flop_count_ordering(self):
         rng = np.random.default_rng(17)
         P = 961
-        shallow = AutoencoderWeights("dae", Activation(),
+        shallow = AutoencoderWeights("dae",
                                      {"W1": np.zeros((500, P)),
                                       "W2": np.zeros((P, 500))})
-        stacked = AutoencoderWeights("stacked_sdae", Activation(),
+        stacked = AutoencoderWeights("stacked_sdae",
                                      {"W11": np.zeros((256, P)),
                                       "W12": np.zeros((128, 256)),
                                       "W21": np.zeros((64, 128)),
@@ -632,7 +641,7 @@ class TestObjectiveValue:
     def test_zero_point(self):
         P, Q = 6, 4
         X = np.random.default_rng(18).random((P, Q))
-        w = AutoencoderWeights("dae", Activation(),
+        w = AutoencoderWeights("dae",
                                {"W1": np.zeros((3, P)), "W2": np.zeros((P, 3))})
         Z = np.zeros((3, Q))
         assert objective_value(w, Z, X, X, lam=0.0) == pytest.approx(np.sum(X * X))
@@ -644,7 +653,7 @@ class TestObjectiveValue:
         Z = W1 @ Xhat
         W2 = np.linalg.lstsq(Z.T, Xhat.T, rcond=None)[0].T
         X = W2 @ Z
-        w = AutoencoderWeights("dae", Activation(), {"W1": W1, "W2": W2})
+        w = AutoencoderWeights("dae", {"W1": W1, "W2": W2})
         assert objective_value(w, Z, X, Xhat, lam=1.0) == pytest.approx(0.0, abs=1e-18)
 
     def test_independent_evaluator(self):
@@ -654,7 +663,7 @@ class TestObjectiveValue:
         W1, W2 = rng.standard_normal((l, P)), rng.standard_normal((P, l))
         Z = rng.standard_normal((l, Q))
         lam, mu = 0.7, 0.3
-        w = AutoencoderWeights("sparse_dae", Activation(), {"W1": W1, "W2": W2})
+        w = AutoencoderWeights("sparse_dae", {"W1": W1, "W2": W2})
         # straightforward re-evaluation, written without the library helpers
         expected = 0.0
         for i in range(P):
@@ -677,23 +686,22 @@ class TestWeightsIo:
                     "W12": rng.standard_normal((6, 8)),
                     "W21": rng.standard_normal((4, 6)),
                     "W22": rng.standard_normal((12, 4))}
-            w = AutoencoderWeights("stacked_sdae", Activation(), mats)
+            w = AutoencoderWeights("stacked_sdae", mats)
         else:
-            w = AutoencoderWeights("dae", Activation(),
+            w = AutoencoderWeights("dae",
                                    {"W1": rng.standard_normal((5, 9)),
                                     "W2": rng.standard_normal((9, 5))})
         path = tmp_path / "weights.bin"
         save_weights(w, path)
         loaded = load_weights(path)
         assert loaded.variant == w.variant
-        assert loaded.activation.kind == w.activation.kind
         for k in w.matrices:
             np.testing.assert_array_equal(loaded.matrices[k], w.matrices[k])
 
     def test_reserved_header_slot_ignored(self, tmp_path):
         # files with any value in the float64 after the tags load alike
         rng = np.random.default_rng(27)
-        w = AutoencoderWeights("sparse_dae", Activation(),
+        w = AutoencoderWeights("sparse_dae",
                                {"W1": rng.standard_normal((4, 7)),
                                 "W2": rng.standard_normal((7, 4))})
         path = tmp_path / "weights.bin"
@@ -702,7 +710,6 @@ class TestWeightsIo:
         raw[8:16] = struct.pack("<d", 0.05)
         path.write_bytes(bytes(raw))
         loaded = load_weights(path)
-        assert loaded.activation == w.activation
         for k in w.matrices:
             np.testing.assert_array_equal(loaded.matrices[k], w.matrices[k])
 
@@ -713,7 +720,7 @@ class TestWeightsIo:
                 "W21": rng.standard_normal((4, 6)),
                 "W22": rng.standard_normal((12, 4))}
         path = tmp_path / "weights.bin"
-        save_weights(AutoencoderWeights("stacked_sdae", Activation(), mats), path)
+        save_weights(AutoencoderWeights("stacked_sdae", mats), path)
         # magic, variant tag 2, activation tag 0 (linear), the reserved
         # float64, the sizes P, l0, l1, l2, then each matrix column-major
         expected = (b"RDAEW1" + struct.pack("<BBd", 2, 0, 1e-6)
@@ -726,7 +733,7 @@ class TestWeightsIo:
     def test_nonlinear_activation_tag_refused(self, tmp_path, tag):
         # tags 1 and 2 once stood for tanh and sigmoid
         rng = np.random.default_rng(29)
-        w = AutoencoderWeights("dae", Activation(),
+        w = AutoencoderWeights("dae",
                                {"W1": rng.standard_normal((3, 6)),
                                 "W2": rng.standard_normal((6, 3))})
         path = tmp_path / "weights.bin"
@@ -739,7 +746,7 @@ class TestWeightsIo:
 
     def test_trailing_bytes_refused(self, tmp_path):
         rng = np.random.default_rng(30)
-        w = AutoencoderWeights("dae", Activation(),
+        w = AutoencoderWeights("dae",
                                {"W1": rng.standard_normal((3, 6)),
                                 "W2": rng.standard_normal((6, 3))})
         path = tmp_path / "weights.bin"
@@ -747,6 +754,45 @@ class TestWeightsIo:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError):
             load_weights(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "weights.bin"
+        path.write_bytes(b"RDAEW1" + struct.pack("<BBd", 0, 0, 1e-6) + b"\x02")
+        with pytest.raises(FormatError, match="truncated header"):
+            load_weights(path)
+
+    def test_size_count_of_another_variant_refused(self, tmp_path):
+        # a DAE header that lists a stacked model's four sizes
+        path = tmp_path / "weights.bin"
+        path.write_bytes(b"RDAEW1" + struct.pack("<BBd", 0, 0, 1e-6)
+                         + struct.pack("<H4I", 4, 12, 8, 6, 4))
+        with pytest.raises(FormatError, match="need 2 layer sizes"):
+            load_weights(path)
+
+    def test_non_finite_matrix_refused(self, tmp_path):
+        rng = np.random.default_rng(32)
+        w = AutoencoderWeights("dae",
+                               {"W1": rng.standard_normal((3, 6)),
+                                "W2": rng.standard_normal((6, 3))})
+        path = tmp_path / "weights.bin"
+        save_weights(w, path)
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", np.nan))
+        with pytest.raises(FormatError, match="weights.bin") as info:
+            load_weights(path)
+        assert isinstance(info.value.__cause__, ConfigError)
+
+    def test_stacked_sizes_that_rise_refused(self, tmp_path):
+        # a complete file whose stacked layer sizes 4, 6, 8 do not decrease
+        sizes = (12, 4, 6, 8)
+        dims = sizes + sizes[:1]
+        path = tmp_path / "weights.bin"
+        path.write_bytes(b"RDAEW1" + struct.pack("<BBd", 2, 0, 1e-6)
+                         + struct.pack("<H4I", 4, *sizes)
+                         + b"".join(np.zeros(dims[i + 1] * dims[i]).tobytes()
+                                    for i in range(4)))
+        with pytest.raises(FormatError, match="weights.bin") as info:
+            load_weights(path)
+        assert isinstance(info.value.__cause__, ConfigError)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "weights.bin"
@@ -756,7 +802,7 @@ class TestWeightsIo:
 
     def test_truncated(self, tmp_path):
         rng = np.random.default_rng(22)
-        w = AutoencoderWeights("dae", Activation(),
+        w = AutoencoderWeights("dae",
                                {"W1": rng.standard_normal((5, 9)),
                                 "W2": rng.standard_normal((9, 5))})
         path = tmp_path / "weights.bin"

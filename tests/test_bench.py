@@ -46,6 +46,43 @@ NON_FINITE_SETTINGS = [
                  id="snr_grid_minus_inf"),
 ]
 
+# configs refused on one setting, and a fragment of each refusal's message
+REFUSED_SETTINGS = [
+    pytest.param("[dataset]\nkind = radar\n", "unknown signature kind",
+                 id="unknown_kind"),
+    pytest.param("[dataset]\nrealizations = 0\n", "realizations must be >= 1",
+                 id="realizations_below_1"),
+    pytest.param("[dataset]\nintervals = 0\n", "intervals must be >= 1",
+                 id="intervals_below_1"),
+    pytest.param("[dataset]\nnoise_draws = 0\n", "noise_draws must be >= 1",
+                 id="noise_draws_below_1"),
+    pytest.param("[dataset]\npfa = 1.5\n", "pfa must lie in", id="pfa_above_1"),
+    pytest.param("[dataset]\npfa = -0.1\n", "pfa must lie in", id="pfa_below_0"),
+    pytest.param("[dataset]\nkind = hrrp\n", "bandwidth_hz > 0",
+                 id="hrrp_narrowband"),
+    pytest.param("[sweep]\nseeds =\n", "at least one seed", id="no_seeds"),
+    pytest.param("[sweep]\nalgorithms =\n", "algorithm list must be non-empty",
+                 id="no_algorithms"),
+    pytest.param("[sweep]\nmismatch = 1.5\n", "mismatch must lie in",
+                 id="mismatch_above_1"),
+    pytest.param("[train]\ndae_nodes = 0\n", "hidden sizes", id="dae_nodes_0"),
+    pytest.param("[train]\nsparse_nodes = 0\n", "hidden sizes",
+                 id="sparse_nodes_0"),
+    pytest.param("[train]\nstacked_sizes = 16 32 8\n", "strictly decrease",
+                 id="stacked_sizes_rise"),
+    pytest.param("[train]\nouter_iterations = 0\n", "iteration counts",
+                 id="outer_iterations_0"),
+    pytest.param("[train]\nista_iterations = 0\n", "iteration counts",
+                 id="ista_iterations_0"),
+    pytest.param("[baselines]\nwavelet_keep = 0\n", "wavelet_keep",
+                 id="wavelet_keep_0"),
+    pytest.param("[baselines]\nwavelet_keep = 1.5\n", "wavelet_keep",
+                 id="wavelet_keep_above_1"),
+    pytest.param("kind = spectrogram\n", "malformed config", id="no_section"),
+    pytest.param("[output]\ncolour = red\n", r"unknown key 'colour' in \[output\]",
+                 id="unknown_output_key"),
+]
+
 
 def tiny_config(**sweep_kw):
     sweep = dict(axis="snr", values=(0.0,), seeds=(0,),
@@ -204,6 +241,11 @@ class TestConfigParsing:
             SweepSpec(axis="mismatch", values=(0.0, 0.5), mismatch=0.25)
         assert SweepSpec(axis="mismatch", values=(0.0, 0.5), mismatch=0.0)
         assert SweepSpec(axis="snr", mismatch=0.25).mismatch == 0.25
+
+    @pytest.mark.parametrize("text, message", REFUSED_SETTINGS)
+    def test_refused_setting(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
 
     @pytest.mark.parametrize("text, key", NON_FINITE_SETTINGS)
     def test_non_finite_setting_rejected(self, text, key):
@@ -480,6 +522,30 @@ class TestSweep:
         p2 = write_rows(run_sweep(cfg), tmp_path / "b.csv")
         assert csv_content_hash(p1) == csv_content_hash(p2)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("ssim_ad", 1.5, "ssim_ad=1.5 outside"),
+        ("ssim_bd", -1.5, "ssim_bd=-1.5 outside"),
+        ("train_seconds", -1.0, "times must be >= 0"),
+        ("test_ms", -1.0, "times must be >= 0")])
+    def test_row_refuses_values_out_of_range(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            make_row(**{field: value})
+
+    def test_split_leaving_an_empty_set_refused(self):
+        # one column: a 0.7 split trains on none of it
+        cfg = tiny_config()
+        cfg = replace(cfg, dataset=replace(cfg.dataset, realizations=1,
+                                           intervals=1, noise_draws=1))
+        with pytest.raises(ConfigError, match="empty train or test set"):
+            evaluate_grid_point(cfg, 0.0, 0)
+
+    def test_csv_with_another_header_refused(self, tmp_path):
+        path = write_rows([make_row()], tmp_path / "rows.csv")
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("ssim_ad", "ssim_after", 1), encoding="utf-8")
+        with pytest.raises(ConfigError, match="unexpected CSV header"):
+            load_rows(path)
+
     def test_mismatch_axis(self):
         cfg = tiny_config(axis="mismatch", values=(0.0, 0.5),
                           algorithms=("dae",))
@@ -585,6 +651,15 @@ class TestSweep:
         assert not np.array_equal(inputs[0], plain)
         assert not np.array_equal(inputs[1], plain)
         assert not np.array_equal(inputs[0], inputs[1])
+
+
+@pytest.mark.parametrize("mismatch", [0.0, 0.5])
+def test_grid_data_trains_on_fortran_ordered_stacks(mismatch):
+    # the trainers see one memory order at every mismatch level
+    cfg = tiny_config(axis="mismatch", values=(mismatch,))
+    data = sweep_module._grid_data(cfg, mismatch, 0)
+    assert data.clean_tr.flags.f_contiguous
+    assert data.corrupt_tr.flags.f_contiguous
 
 
 def _no_pool(*args, **kwargs):

@@ -32,6 +32,22 @@ def assert_same_metadata(a, b):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
+class TestImageStack:
+    @pytest.mark.parametrize("kwargs, message", [
+        pytest.param(dict(data=np.zeros(4)), "P x Q matrix", id="not_2d"),
+        pytest.param(dict(image_shape=(3, 3)), "image shape", id="shape_vs_P"),
+        pytest.param(dict(data=np.full((4, 2), np.nan)), "non-finite", id="nan"),
+        pytest.param(dict(data=np.full((4, 2), 1.5)), r"\[0, 1\]", id="above_1"),
+        pytest.param(dict(role="noisy"), "unknown role", id="role"),
+        pytest.param(dict(value_kind="sonar"), "unknown value kind", id="kind"),
+        pytest.param(dict(interval_index=np.zeros(3)), "one entry per column",
+                     id="records")])
+    def test_refusals(self, kwargs, message):
+        valid = dict(data=np.zeros((4, 2)), image_shape=(2, 2))
+        with pytest.raises(ConfigError, match=message):
+            ImageStack(**(valid | kwargs))
+
+
 class TestSignalReference:
     def test_known_values(self):
         stack = ImageStack(np.array([[0.0, 0.5], [1.0, 0.0]]), (2, 1))
@@ -79,6 +95,17 @@ class TestAddNoise:
         stack = make_stack(Q=5)
         out = add_noise(stack, -10.0, seed=1)  # heavy noise
         assert out.data.min() >= 0.0 and out.data.max() <= 1.0
+
+    @pytest.mark.parametrize("snr", [10.0, np.inf])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_keeps_the_input_memory_order(self, order, snr):
+        # the same noisy values, in the input's memory order
+        stack = make_stack(P=256, Q=6, shape=(16, 16), seed=2)
+        ordered = stack.copy(data=np.asarray(stack.data, order=order))
+        out = add_noise(ordered, snr, seed=9)
+        np.testing.assert_array_equal(out.data,
+                                      add_noise(stack, snr, seed=9).data)
+        assert out.data.flags["C_CONTIGUOUS" if order == "C" else "F_CONTIGUOUS"]
 
 
 class TestAddPointClutter:
@@ -163,6 +190,16 @@ class TestShuffleLabels:
         with pytest.raises(ConfigError):
             shuffle_labels(make_stack(Q=4), 1.2, seed=0)
 
+    @pytest.mark.parametrize("fraction", [0.0, 0.5])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_keeps_the_input_memory_order(self, order, fraction):
+        stack = make_stack(P=36, Q=12, shape=(6, 6), seed=3)
+        ordered = stack.copy(data=np.asarray(stack.data, order=order))
+        out = shuffle_labels(ordered, fraction, seed=4)
+        np.testing.assert_array_equal(out.data,
+                                      shuffle_labels(stack, fraction, seed=4).data)
+        assert out.data.flags["C_CONTIGUOUS" if order == "C" else "F_CONTIGUOUS"]
+
     @settings(max_examples=25, deadline=None)
     @given(fraction=st.floats(0.0, 1.0), seed=st.integers(0, 1000))
     def test_total_multiset_invariant(self, fraction, seed):
@@ -243,6 +280,34 @@ class TestStackIo:
         with pytest.raises(FormatError):
             load_stack(path)
 
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "s.rdae"
+        path.write_bytes(b"RDAE2" + struct.pack("<III", 16, 2, 4))
+        with pytest.raises(FormatError, match="truncated header"):
+            load_stack(path)
+
+    @pytest.mark.parametrize("kind_tag, role_tag", [(9, 0), (0, 2)],
+                             ids=["kind", "role"])
+    def test_unknown_tag(self, tmp_path, kind_tag, role_tag):
+        stack = make_stack(P=16, Q=2, shape=(4, 4))
+        path = tmp_path / "s.rdae"
+        path.write_bytes(b"RDAE2"
+                         + struct.pack("<IIIIBB", 16, 2, 4, 4, kind_tag, role_tag)
+                         + self.record_bytes(stack))
+        with pytest.raises(FormatError, match="unknown kind/role tag"):
+            load_stack(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1.5, -0.5])
+    def test_pixel_no_stack_holds_refused(self, tmp_path, value):
+        # a valid header and size; the last pixel is not finite or not in [0, 1]
+        stack = make_stack(P=16, Q=2, shape=(4, 4))
+        path = tmp_path / "s.rdae"
+        save_stack(stack, path)
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", value))
+        with pytest.raises(FormatError, match="s.rdae") as info:
+            load_stack(path)
+        assert isinstance(info.value.__cause__, ConfigError)
+
     def test_trailing_bytes_refused(self, tmp_path):
         stack = make_stack(P=64, Q=4, shape=(8, 8))
         path = tmp_path / "s.rdae"
@@ -304,6 +369,15 @@ class TestStackIo:
         (tmp_path / "ds" / name).unlink()
         with pytest.raises(FormatError, match=name):
             load_dataset(tmp_path / "ds")
+
+    def test_stacks_must_agree_on_their_column_count(self, tmp_path):
+        directory = tmp_path / "ds"
+        directory.mkdir()
+        save_stack(make_stack(P=16, Q=3, shape=(4, 4)), directory / "clean.rdae")
+        save_stack(make_stack(P=16, Q=2, shape=(4, 4), role="corrupt"),
+                   directory / "corrupt.rdae")
+        with pytest.raises(FormatError, match=r"disagree on \(P, Q\)"):
+            load_dataset(directory)
 
     def test_headers_must_agree_with_each_other(self, tmp_path):
         clean = make_stack(P=32, Q=3, shape=(8, 4))
