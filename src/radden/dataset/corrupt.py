@@ -58,6 +58,8 @@ def _cell_grid(rows, cols):
         if best is None or score < best[0]:
             best = (score, gr, gc)
     _, gr, gc = best
+    if rows < gr or cols < gc:
+        raise ConfigError(f"{rows}x{cols} images do not fit {gr}x{gc} cells")
     r_edges = np.linspace(0, rows, gr + 1).astype(int)
     c_edges = np.linspace(0, cols, gc + 1).astype(int)
     return r_edges, c_edges
@@ -65,11 +67,12 @@ def _cell_grid(rows, cols):
 
 def add_point_clutter(stack: ImageStack, scr_db, pfa, seed, signal_ref=None):
     """Discrete point clutter: each of the `CLUTTER_CELLS` coarse-grid cells
-    independently hosts a clutter site with probability pfa.
+    of each image independently hosts a clutter site with probability pfa.
 
     Site amplitudes are complex, uniform phase, Rayleigh magnitude with mean
     square power set by scr_db against the reference level; each site lights a
-    single pixel via a complex sum with the signal, magnitude re-clamped.
+    uniform pixel of its cell via a complex sum with the signal, magnitude
+    re-clamped.  One batched draw: hit mask, rows, columns, magnitudes, phases.
     """
     if not (0.0 <= pfa <= 1.0):
         raise ConfigError("pfa must lie in [0, 1]")
@@ -78,21 +81,17 @@ def add_point_clutter(stack: ImageStack, scr_db, pfa, seed, signal_ref=None):
         return stack.copy(data=out)
     if signal_ref is None:
         signal_ref = signal_reference(stack)
-    clutter_power = signal_ref * 10.0 ** (-scr_db / 10.0)
-    rayleigh_scale = np.sqrt(clutter_power / 2.0)
-    rows, cols = stack.image_shape
-    r_edges, c_edges = _cell_grid(rows, cols)
+    rayleigh_scale = np.sqrt(signal_ref * 10.0 ** (-scr_db / 10.0) / 2.0)
+    r_edges, c_edges = _cell_grid(*stack.image_shape)
     rng = np.random.default_rng(seed)
-    for img in columns_to_images(out, stack.image_shape):   # views into out
-        for i in range(len(r_edges) - 1):
-            for j in range(len(c_edges) - 1):
-                if rng.random() >= pfa:
-                    continue
-                r = rng.integers(r_edges[i], max(r_edges[i + 1], r_edges[i] + 1))
-                c = rng.integers(c_edges[j], max(c_edges[j + 1], c_edges[j] + 1))
-                mag = rng.rayleigh(rayleigh_scale)
-                phase = rng.uniform(0.0, 2.0 * np.pi)
-                img[r, c] = np.abs(img[r, c] + mag * np.exp(1j * phase))
+    hits = rng.random((stack.count, len(r_edges) - 1, len(c_edges) - 1)) < pfa
+    img, i, j = np.nonzero(hits)
+    r = rng.integers(r_edges[i], r_edges[i + 1])
+    c = rng.integers(c_edges[j], c_edges[j + 1])
+    mag = rng.rayleigh(rayleigh_scale, size=img.size)
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=img.size)
+    images = columns_to_images(out, stack.image_shape)   # a view into out
+    images[img, r, c] = np.abs(images[img, r, c] + mag * np.exp(1j * phase))
     return stack.copy(data=np.clip(out, 0.0, 1.0, out=out))
 
 

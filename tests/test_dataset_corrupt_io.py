@@ -10,7 +10,8 @@ from radden.dataset import (ImageStack, add_noise, add_point_clutter,
                             frontal_phantoms, load_dataset, load_stack,
                             save_dataset, save_stack, shuffle_labels,
                             signal_reference)
-from radden.dataset.corrupt import CLUTTER_CELLS
+from radden.dataset.corrupt import CLUTTER_CELLS, _cell_grid
+from radden.dataset.stack_io import columns_to_images
 from radden.errors import ConfigError, DomainError, FormatError
 
 
@@ -128,6 +129,44 @@ class TestAddPointClutter:
         out = add_point_clutter(stack, 20.0, 1.0, seed=0, signal_ref=1.0)
         per_image = np.count_nonzero(out.data != 0.0, axis=0)
         assert np.all(per_image <= CLUTTER_CELLS)
+
+    @pytest.mark.parametrize("shape", [(64, 64), (31, 31), (7, 12)])
+    def test_one_site_per_cell(self, shape):
+        # at pfa = 1 every cell holds exactly one lit pixel, inside its edges
+        rows, cols = shape
+        stack = ImageStack(np.zeros((rows * cols, 3)), shape)
+        out = add_point_clutter(stack, 0.0, 1.0, seed=4, signal_ref=1.0)
+        r_edges, c_edges = _cell_grid(rows, cols)
+        for image in columns_to_images(out.data, shape):
+            lit = image > 0.0
+            assert np.count_nonzero(lit) == CLUTTER_CELLS
+            for r0, r1 in zip(r_edges[:-1], r_edges[1:]):
+                for c0, c1 in zip(c_edges[:-1], c_edges[1:]):
+                    assert np.count_nonzero(lit[r0:r1, c0:c1]) == 1
+        if shape == (7, 12):
+            assert np.all(out.data > 0.0)
+
+    def test_sites_independent_across_images_and_cells(self):
+        # per-image site counts are Binomial(84, pfa): a mask shared across
+        # images gives variance 0, one shared across cells counts 0 or 84
+        Q, pfa = 2000, 0.3
+        stack = ImageStack(np.zeros((31 * 31, Q)), (31, 31))
+        out = add_point_clutter(stack, 0.0, pfa, seed=5, signal_ref=1.0)
+        counts = np.count_nonzero(out.data > 0.0, axis=0)
+        n, q = CLUTTER_CELLS, 1.0 - pfa
+        var = n * pfa * q
+        assert abs(counts.mean() - n * pfa) <= 4 * np.sqrt(var / Q)
+        mu4 = var * (1.0 + 3.0 * (n - 2) * pfa * q)   # central 4th moment
+        var_spread = np.sqrt((mu4 - var ** 2 * (Q - 3) / (Q - 1)) / Q)
+        assert abs(counts.var(ddof=1) - var) <= 4 * var_spread
+
+    def test_images_smaller_than_the_cell_grid(self):
+        # 4x4 images have fewer rows and columns than the 7x12 cells
+        stack = make_stack(P=16, Q=3, shape=(4, 4))
+        with pytest.raises(ConfigError, match="4x4 images do not fit"):
+            add_point_clutter(stack, 10.0, 0.1, seed=0)
+        out = add_point_clutter(stack, 10.0, 0.0, seed=0)
+        np.testing.assert_array_equal(out.data, stack.data)
 
     def test_clutter_power_against_ratio(self):
         # zero signal + explicit reference: changed pixels are pure clutter
