@@ -23,6 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ._parallel import _map_blocks
 from .errors import ConfigError, DomainError, FormatError
 from .sparse_solvers import (IstaOptions, RidgeDesign, _gram_bound, ista_gram,
                              solve_least_squares)
@@ -441,7 +442,9 @@ def infer(weights: AutoencoderWeights, xhat, clamp=True):
     """Reconstruct denoised images from corrupt input columns.
 
     Accepts a single vector or a P x Q stack; output is clamped to [0, 1]
-    unless `clamp` is disabled.
+    unless `clamp` is disabled, and keeps the input's memory order.  The
+    chain multiplies one BLOCK_IMAGES block of columns at a time
+    (_map_blocks); a non-finite input entry raises DomainError.
     """
     x = np.asarray(xhat, dtype=float)
     single = x.ndim == 1
@@ -451,12 +454,25 @@ def infer(weights: AutoencoderWeights, xhat, clamp=True):
         raise ConfigError(
             f"input pixel count {x.shape[0]} != weights P={weights.pixel_count}"
         )
-    out = x
-    for M in weights.chain:
-        out = M @ out
-    if clamp:
-        np.clip(out, 0.0, 1.0, out=out)  # out is the decoder's fresh product
+    out = np.empty_like(x)
+
+    def denoise(block):
+        _chain_rows(x[:, block].T, weights.chain, clamp, out[:, block].T)
+
+    _map_blocks(denoise, x.shape[1])
     return out[:, 0] if single else out
+
+
+def _chain_rows(rows, chain, clamp, out):
+    """out = rows @ W_0.T @ ... @ W_L.T for the transposed views of a block
+    of input and output columns, clipped to [0, 1] in place if `clamp`."""
+    if not np.all(np.isfinite(rows)):
+        raise DomainError("inference input contains non-finite entries")
+    for M in chain[:-1]:
+        rows = rows @ M.T
+    np.matmul(rows, chain[-1].T, out=out)
+    if clamp:
+        np.clip(out, 0.0, 1.0, out=out)
 
 
 def inference_flops(weights: AutoencoderWeights):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radden import autoencoders
+from radden._parallel import BLOCK_IMAGES
 from radden.autoencoders import (AutoencoderWeights, TrainOptions, _train,
                                  _update_code, inference_flops, infer,
                                  load_weights, objective_value, prepare_pair,
@@ -603,6 +604,43 @@ class TestInfer:
         x = rng.random(12)
         explicit = mats["W22"] @ (mats["W21"] @ (mats["W12"] @ (mats["W11"] @ x)))
         np.testing.assert_allclose(infer(w, x, clamp=False), explicit, atol=1e-12)
+
+    @staticmethod
+    def stacked_model(seed, P=12):
+        rng = np.random.default_rng(seed)
+        shapes = {"W11": (8, P), "W12": (6, 8), "W21": (4, 6), "W22": (P, 4)}
+        return AutoencoderWeights("stacked_sdae", {
+            name: rng.standard_normal(shape) / np.sqrt(shape[1])
+            for name, shape in shapes.items()})
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_multi_block_stack_keeps_its_order_at_any_thread_count(
+            self, fake_threads, order):
+        w = self.stacked_model(19)
+        X = np.asarray(np.random.default_rng(20).random(
+            (12, 2 * BLOCK_IMAGES + 5)), order=order)
+        outputs = []
+        for cores, blas in [(1, 1), (2, 2), (8, 2)]:
+            fake_threads(cores, blas)
+            outputs.append(infer(w, X, clamp=False))
+            assert outputs[-1].flags[f"{order}_CONTIGUOUS"]
+        assert all(out.tobytes() == outputs[0].tobytes() for out in outputs)
+        W11, W12, W21, W22 = w.chain
+        np.testing.assert_allclose(outputs[0], W22 @ (W21 @ (W12 @ (W11 @ X))),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        w = self.stacked_model(21)
+        rng = np.random.default_rng(22)
+        X = rng.random((12, 2 * BLOCK_IMAGES + 5))
+        X[7, -1] = bad   # in the last block
+        with pytest.raises(DomainError):
+            infer(w, X)
+        x = rng.random(12)
+        x[3] = bad
+        with pytest.raises(DomainError):
+            infer(w, x)
 
     def test_dimension_mismatch(self):
         w = AutoencoderWeights("dae",

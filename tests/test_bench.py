@@ -863,10 +863,10 @@ def test_grid_point_pools_nothing_without_a_blas_setter(monkeypatch,
 
 def test_block_map_leaves_the_running_trainers_core(monkeypatch, fake_threads):
     # at 2 cores and a budget of 2, StackedSDAE trains on the one pool
-    # thread, held there until DAE is scored; DAE's multi-block scoring
-    # meanwhile starts no second pool thread
+    # thread, held there until DAE is scored; DAE's multi-block inference
+    # and scoring meanwhile start no second pool thread
     fake_threads(2, 2)
-    pools, scorings = [], []
+    pools, inferences, scorings = [], [], []
 
     class Recording(futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
@@ -874,11 +874,18 @@ def test_block_map_leaves_the_running_trainers_core(monkeypatch, fake_threads):
             super().__init__(max_workers)
     monkeypatch.setattr(_parallel, "ThreadPoolExecutor", Recording)
     dae_scored = threading.Event()
-    train, score = sweep_module.train_stacked_sdae, sweep_module._score
+    train, infer = sweep_module.train_stacked_sdae, sweep_module.infer
+    score = sweep_module._score
 
     def waiting(*args, **kwargs):
         assert dae_scored.wait(timeout=60), "DAE was never scored"
         return train(*args, **kwargs)
+
+    def inferring(weights, xhat):
+        before = len(pools)
+        result = infer(weights, xhat)
+        inferences.append(pools[before:])
+        return result
 
     def recording(denoised, data):
         before = len(pools)
@@ -888,13 +895,16 @@ def test_block_map_leaves_the_running_trainers_core(monkeypatch, fake_threads):
             dae_scored.set()
         return result
     monkeypatch.setattr(sweep_module, "train_stacked_sdae", waiting)
+    monkeypatch.setattr(sweep_module, "infer", inferring)
     monkeypatch.setattr(sweep_module, "_score", recording)
     cfg = tiny_config(algorithms=("dae", "stacked_sdae"), split=0.1)
     cfg = replace(cfg, dataset=replace(cfg.dataset, noise_draws=20))
     assert len(evaluate_grid_point(cfg, 0.0, 0)) == 2   # 288 test columns
-    # SSIM and the mean NMSE pool one thread each, when no trainer runs
+    # inference, SSIM and the mean NMSE pool one thread each, when no
+    # trainer runs
+    assert inferences == [[], [1]]
     assert scorings == [[1, 1], [], [1, 1]]
-    assert pools == [1, 1, 1, 1, 1]   # the trainers' pool is the third
+    assert pools == [1, 1, 1, 1, 1, 1]   # the trainers' pool is the third
 
 
 def test_run_sweep_rejects_jobs_below_one(monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from radden import _parallel, baselines, metrics
+from radden import _parallel, autoencoders, baselines, metrics
 from radden.errors import ConfigError, DomainError
 from radden.metrics import (BLOCK_IMAGES, columns_to_images,
                             images_to_columns, nmse, ssim, ssim_stack)
@@ -265,14 +265,20 @@ class TestBlasPin:
         blas = fake_threads(cores, 2)
         scored = self.recording(monkeypatch, metrics, "_ssim_images", blas)
         filtered = self.recording(monkeypatch, baselines, "_svd_filter", blas)
+        multiplied = self.recording(monkeypatch, autoencoders, "_chain_rows",
+                                    blas)
         count = 2 * BLOCK_IMAGES + 5
         a = np.random.default_rng(3).random((31 * 31, count))
         ssim_stack(a, a, (31, 31))
         assert blas.set_to == [1, 2]
         baselines.svd_denoise(columns_to_images(a, (31, 31)))
         assert blas.set_to == [1, 2, 1, 2]
-        assert len(filtered) == 3 and len(scored) >= 3
-        assert set(scored) == set(filtered) == {1}
+        weights = autoencoders.AutoencoderWeights(
+            "dae", {"W1": np.eye(8, 31 * 31), "W2": np.eye(31 * 31, 8)})
+        autoencoders.infer(weights, a)
+        assert blas.set_to == [1, 2, 1, 2, 1, 2]
+        assert len(filtered) == len(multiplied) == 3 and len(scored) >= 3
+        assert set(scored) == set(filtered) == set(multiplied) == {1}
 
     def test_restores_when_a_pool_block_raises(self, blas):
         caller = threading.get_ident()
